@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint lint-fast lint-sarif race race-kernel race-supervision cluster fuzz-smoke obs bench experiments load store trace
+.PHONY: all build test vet lint lint-fast lint-sarif race race-kernel cluster fuzz-smoke obs bench experiments load store trace
 
 all: build test
 
@@ -48,13 +48,6 @@ race:
 race-kernel:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/sim/... ./internal/fault/...
-
-# Supervision-layer race gate: the job pool and the localityd service are
-# the most concurrent non-kernel code (worker teardown, drain deadlines,
-# request limits), so CI races them explicitly in addition to the full
-# sweep above.
-race-supervision:
-	$(GO) test -race -count=1 ./internal/jobs ./cmd/localityd
 
 # Cluster gate (CI): the fault-tolerant sharded mode under the race
 # detector — coordinator merge/failover units, the in-process front-end

@@ -1,11 +1,12 @@
 // Coordinator mode: -coordinator turns this binary into a cluster
-// front-end. It serves the same /v1/jobs API shape as a worker, but each
-// submission becomes a sharded sweep across the static worker membership
-// (internal/cluster): row batches are fanned out by residue class, partial
-// checkpoints are harvested every poll, dead shards fail over to survivors,
-// and the final table is rendered by one deterministic local replay of the
-// merged checkpoint — byte-identical to a single-process run, whatever
-// subset of the cluster survived.
+// front-end. It serves the worker API through the same server and job pool,
+// but the pool executes each job as a sharded sweep across the static
+// worker membership (internal/cluster) instead of running the local
+// driver: row batches are fanned out by residue class, partial checkpoints
+// are harvested every poll, dead shards fail over to survivors, and the
+// final table is rendered by one deterministic local replay of the merged
+// checkpoint — byte-identical to a single-process run, whatever subset of
+// the cluster survived.
 package main
 
 import (
@@ -13,431 +14,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"locality/internal/cluster"
 	"locality/internal/jobs"
 	"locality/internal/obs"
 	"locality/internal/obs/trace"
-	"locality/internal/store"
-	"locality/internal/tenant"
 )
-
-// clusterJob is one cluster sweep's lifecycle record. Snapshots returned
-// from the API are value copies taken under the server mutex.
-type clusterJob struct {
-	ID    string     `json:"id"`
-	Spec  jobs.Spec  `json:"spec"`
-	State jobs.State `json:"state"`
-	// Error and ErrorKind mirror the worker job schema. ErrorKind is
-	// "cluster" for coordinator-detected failures.
-	Error     string `json:"error,omitempty"`
-	ErrorKind string `json:"error_kind,omitempty"`
-	// Output is the merged rendered table; set only on success.
-	Output string `json:"output,omitempty"`
-	// Cached reports that Output came from the persistent result store:
-	// no shard was dispatched for this sweep.
-	Cached bool `json:"cached,omitempty"`
-	// Result carries the failover audit trail and batch accounting.
-	Result *cluster.Result `json:"result,omitempty"`
-
-	// tenantKey is the submitting caller's raw API key, forwarded to the
-	// worker shards (cluster.WithTenant) so per-tenant quotas and metrics
-	// follow the job across the cluster. Unexported: the raw key must never
-	// appear in API snapshots or reports.
-	tenantKey string
-	// span is the submit-time trace position (the HTTP route span, joined
-	// to the spec's identity-derived trace); the sweep span parents to it.
-	span trace.SpanContext
-}
-
-// clusterServer fronts one Coordinator. A Coordinator runs one sweep at a
-// time, so cluster jobs flow through a bounded queue into a single runner
-// goroutine — the same shed-don't-buffer discipline as the worker pool:
-// a full queue is a 429 with Retry-After, never invisible latency.
-type clusterServer struct {
-	coord *cluster.Coordinator
-	reg   *obs.Registry
-	// tr emits the front-end's spans; the coordinator itself carries no
-	// tracer (obsinert) and reports timing through its OnSpan hook, which
-	// serveCluster bridges to onSpan below.
-	tr             *trace.Tracer
-	reportDir      string
-	reportMaxFiles int
-	// results, when non-nil, is the persistent result cache: consulted
-	// before a sweep is dispatched to the shards (the whole fan-out is
-	// skipped on a hit), written through when a sweep's merged table
-	// lands. Coordinator specs never carry Rows — sharding is the
-	// coordinator's own business — so the cached identity is exactly the
-	// single-process identity and hits are byte-identical by the same
-	// argument as the worker path.
-	results *store.Store
-
-	mu       sync.Mutex
-	jobs     map[string]*clusterJob
-	order    []string // submission order; List is deterministic
-	seq      int
-	draining bool
-	current  context.CancelFunc // cancels the in-flight sweep, nil if idle
-	sweep    *trace.Span        // the in-flight sweep's span; coordinator SpanEvents parent to it
-
-	queue      chan *clusterJob
-	runnerDone chan struct{}
-}
-
-func newClusterServer(coord *cluster.Coordinator, queueDepth int, reg *obs.Registry, tr *trace.Tracer, reportDir string, reportMaxFiles int, results *store.Store) *clusterServer {
-	if queueDepth <= 0 {
-		queueDepth = 16
-	}
-	s := &clusterServer{
-		coord:          coord,
-		reg:            reg,
-		tr:             tr,
-		reportDir:      reportDir,
-		reportMaxFiles: reportMaxFiles,
-		results:        results,
-		jobs:           make(map[string]*clusterJob),
-		queue:          make(chan *clusterJob, queueDepth),
-		runnerDone:     make(chan struct{}),
-	}
-	go s.runner()
-	return s
-}
-
-// onSpan turns a coordinator SpanEvent into a real span under the
-// in-flight sweep's span. It is the target of cluster.Options.OnSpan
-// (wired through an atomic holder in serveCluster, and directly by
-// tests); with no sweep in flight the event becomes its own
-// single-span trace rather than being dropped.
-func (s *clusterServer) onSpan(e cluster.SpanEvent) {
-	s.mu.Lock()
-	parent := s.sweep.Context()
-	s.mu.Unlock()
-	attrs := e.Attrs
-	if e.Shard != "" {
-		attrs = append([]string{"shard", e.Shard}, attrs...)
-	}
-	s.tr.Emit(parent, e.Name, e.StartUnixNanos, e.EndUnixNanos, attrs...)
-}
-
-// handler builds the coordinator API. Same routes and status discipline as
-// the worker handler, so callers cannot tell (and need not care) whether
-// they reached a worker or a front-end — except that the coordinator owns
-// sharding, so client-supplied Rows are rejected.
-func (s *clusterServer) handler(requestTimeout time.Duration, maxInflight int) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", instrumented(s.reg, s.tr, "submit", s.handleSubmit))
-	mux.HandleFunc("GET /v1/jobs", instrumented(s.reg, s.tr, "list", s.handleList))
-	mux.HandleFunc("GET /v1/jobs/{id}", instrumented(s.reg, s.tr, "get", s.handleGet))
-	mux.HandleFunc("DELETE /v1/jobs/{id}", instrumented(s.reg, s.tr, "cancel", s.handleCancel))
-	mux.HandleFunc("GET /healthz", instrumented(s.reg, s.tr, "healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	}))
-	mux.HandleFunc("GET /readyz", instrumented(s.reg, s.tr, "readyz", func(w http.ResponseWriter, r *http.Request) {
-		s.mu.Lock()
-		draining := s.draining
-		s.mu.Unlock()
-		if draining {
-			writeRetryable(w, http.StatusServiceUnavailable, jobs.ErrDraining,
-				errorResponse{Error: "draining", Reason: "draining"})
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
-	}))
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = s.reg.WriteProm(w)
-	})
-	return newLimiter(maxInflight, requestTimeout, s.reg).wrap(mux)
-}
-
-func (s *clusterServer) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req submitRequest
-	body := http.MaxBytesReader(w, r.Body, 1<<20)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{
-			Error: fmt.Sprintf("decoding request: %v", err), Reason: "bad_request"})
-		return
-	}
-	if req.Rows != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{
-			Error: "rows are coordinator-owned in cluster mode", Reason: "invalid_rows"})
-		return
-	}
-	spec := jobs.Spec{
-		Experiment: req.Experiment,
-		Quick:      req.Quick,
-		Seed:       req.Seed,
-		Timeout:    time.Duration(req.TimeoutMS) * time.Millisecond,
-		Workers:    req.Workers,
-	}
-
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		writeRetryable(w, http.StatusServiceUnavailable, jobs.ErrDraining,
-			errorResponse{Error: "coordinator draining", Reason: "draining"})
-		return
-	}
-	sp := trace.SpanFromContext(r.Context())
-	sp.JoinTrace(trace.IDFromIdentity(spec.IdentityKey()))
-	cj := &clusterJob{
-		ID:        fmt.Sprintf("cjob-%d", s.seq),
-		Spec:      spec,
-		State:     jobs.StateQueued,
-		tenantKey: r.Header.Get(tenant.Header),
-		span:      sp.Context(),
-	}
-	select {
-	case s.queue <- cj:
-		s.seq++
-		s.jobs[cj.ID] = cj
-		s.order = append(s.order, cj.ID)
-		s.mu.Unlock()
-	default:
-		qlen, qcap := len(s.queue), cap(s.queue)
-		s.mu.Unlock()
-		// The coordinator runs sweeps one at a time: Workers 1 makes the
-		// occupancy-derived Retry-After read "qlen sweeps ahead of you".
-		shedErr := &jobs.ShedError{Reason: jobs.ErrQueueFull, QueueLen: qlen, QueueCap: qcap, Workers: 1}
-		writeRetryable(w, http.StatusTooManyRequests, shedErr,
-			errorResponse{Error: "cluster queue full", Reason: "queue_full", QueueLen: qlen, QueueCap: qcap})
-		return
-	}
-	w.Header().Set("Location", "/v1/jobs/"+cj.ID)
-	writeJSON(w, http.StatusAccepted, map[string]string{"id": cj.ID})
-}
-
-func (s *clusterServer) handleList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	list := make([]clusterJob, 0, len(s.order))
-	for _, id := range s.order {
-		list = append(list, *s.jobs[id])
-	}
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": list})
-}
-
-func (s *clusterServer) handleGet(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	cj, ok := s.jobs[r.PathValue("id")]
-	var snap clusterJob
-	if ok {
-		snap = *cj
-	}
-	s.mu.Unlock()
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{
-			Error: "unknown job", Reason: "not_found"})
-		return
-	}
-	trace.SpanFromContext(r.Context()).JoinTrace(trace.IDFromIdentity(snap.Spec.IdentityKey()))
-	writeJSON(w, http.StatusOK, snap)
-}
-
-func (s *clusterServer) handleCancel(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	cj, ok := s.jobs[r.PathValue("id")]
-	if ok {
-		switch cj.State {
-		case jobs.StateQueued:
-			// The runner skips cancelled entries when they surface.
-			cj.State = jobs.StateCancelled
-			cj.ErrorKind = "cancelled"
-		case jobs.StateRunning:
-			if s.current != nil {
-				s.current()
-			}
-		}
-	}
-	s.mu.Unlock()
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{
-			Error: "unknown job", Reason: "not_found"})
-		return
-	}
-	writeJSON(w, http.StatusAccepted, map[string]string{"status": "cancelling"})
-}
-
-// runner executes cluster jobs one at a time (a Coordinator is not safe
-// for concurrent Runs). It exits when the queue closes at drain.
-func (s *clusterServer) runner() {
-	defer close(s.runnerDone)
-	for cj := range s.queue {
-		s.runOne(cj)
-	}
-}
-
-func (s *clusterServer) runOne(cj *clusterJob) {
-	// The sweep span parents everything this job does cluster-wide: the
-	// coordinator's SpanEvents (via onSpan) and — through the trace
-	// header riding the dispatch context — every shard-side route and
-	// job span, so one multi-process tree assembles per sweep.
-	sp := s.tr.Start(cj.span, "cluster.sweep", "experiment", cj.Spec.Experiment, "job", cj.ID)
-	defer sp.End()
-	// The submitter's API key rides the context into every shard call, so
-	// workers account the sweep's row batches to the right tenant.
-	base := cluster.WithTenant(context.Background(), cj.tenantKey)
-	base = cluster.WithTraceHeader(base, sp.Context().String())
-	ctx, cancel := context.WithCancel(base)
-	defer cancel()
-	s.mu.Lock()
-	if cj.State != jobs.StateQueued { // cancelled while queued, or draining
-		s.mu.Unlock()
-		sp.SetAttr("outcome", "skipped")
-		return
-	}
-	cj.State = jobs.StateRunning
-	s.current = cancel
-	s.sweep = sp
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		s.sweep = nil
-		s.mu.Unlock()
-	}()
-	if cj.Spec.Timeout > 0 {
-		var tcancel context.CancelFunc
-		ctx, tcancel = context.WithTimeout(ctx, cj.Spec.Timeout)
-		defer tcancel()
-	}
-
-	// Result-store consult: a cached sweep completes here and no shard
-	// sees any of its rows. The synthesized Result carries the accounting
-	// a replay implies — every batch present, nothing adopted, retried,
-	// recomputed or lost.
-	if s.results != nil {
-		gs := s.tr.Start(sp.Context(), "store.get")
-		hit, ok := s.results.Get(cj.Spec.IdentityKey())
-		if ok {
-			gs.SetAttr("outcome", "hit")
-		} else {
-			gs.SetAttr("outcome", "miss")
-		}
-		gs.End()
-		if ok {
-			s.mu.Lock()
-			s.current = nil
-			cj.State = jobs.StateSucceeded
-			cj.Output = hit.Output
-			cj.Cached = true
-			cj.Result = &cluster.Result{Output: hit.Output, TotalBatches: hit.Batches}
-			snap := *cj
-			s.mu.Unlock()
-			sp.SetAttr("outcome", "cached")
-			s.writeReport(snap)
-			return
-		}
-	}
-
-	res, err := s.coord.Run(ctx, cj.Spec)
-
-	s.mu.Lock()
-	s.current = nil
-	cj.Result = res
-	if err != nil {
-		cj.State = jobs.StateFailed
-		cj.Error = err.Error()
-		cj.ErrorKind = "cluster"
-		if ctx.Err() != nil {
-			cj.State = jobs.StateCancelled
-			cj.ErrorKind = "cancelled"
-		}
-	} else {
-		cj.State = jobs.StateSucceeded
-		cj.Output = res.Output
-	}
-	snap := *cj
-	s.mu.Unlock()
-	sp.SetAttr("state", string(snap.State))
-	// Write the merged table through so the next identical submit — to
-	// this coordinator or any process sharing the store directory — skips
-	// the whole fan-out.
-	if snap.State == jobs.StateSucceeded && s.results != nil {
-		ps := s.tr.Start(sp.Context(), "store.put")
-		s.results.Put(snap.Spec.IdentityKey(), store.Result{Output: res.Output, Batches: res.TotalBatches})
-		ps.End()
-	}
-	s.writeReport(snap)
-}
-
-// writeReport persists the sweep's audit trail as <id>.report.jsonl: one
-// line per failover event, then a summary line with the batch accounting.
-// Like worker run reports, report I/O failures never fail the job.
-func (s *clusterServer) writeReport(cj clusterJob) {
-	if s.reportDir == "" || cj.Result == nil {
-		return
-	}
-	f, err := os.Create(filepath.Join(s.reportDir, cj.ID+".report.jsonl"))
-	if err != nil {
-		log.Printf("localityd: cluster report: %v", err)
-		return
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	for _, e := range cj.Result.Events {
-		_ = enc.Encode(map[string]any{"kind": "event", "event": e})
-	}
-	_ = enc.Encode(map[string]any{
-		"kind":          "summary",
-		"id":            cj.ID,
-		"experiment":    cj.Spec.Experiment,
-		"state":         cj.State,
-		"error":         cj.Error,
-		"total_batches": cj.Result.TotalBatches,
-		"adopted":       cj.Result.Adopted,
-		"retried":       cj.Result.Retried,
-		"recomputed":    cj.Result.Recomputed,
-		"lost":          cj.Result.Lost,
-	})
-	obs.PruneDir(s.reportDir, "*.report.jsonl", s.reportMaxFiles)
-}
-
-// drain mirrors the worker drain: readiness flips, queued jobs are
-// cancelled, the in-flight sweep runs to the deadline and is then
-// cancelled (shard-side checkpoints survive for a resumed run).
-func (s *clusterServer) drain(ctx context.Context) error {
-	s.mu.Lock()
-	if !s.draining {
-		s.draining = true
-		close(s.queue)
-		for _, id := range s.order {
-			if cj := s.jobs[id]; cj.State == jobs.StateQueued {
-				cj.State = jobs.StateCancelled
-				cj.ErrorKind = "cancelled"
-			}
-		}
-	}
-	s.mu.Unlock()
-	select {
-	case <-s.runnerDone:
-		return nil
-	case <-ctx.Done():
-		s.mu.Lock()
-		if s.current != nil {
-			s.current()
-		}
-		s.mu.Unlock()
-		<-s.runnerDone
-		return fmt.Errorf("cluster drain deadline hit; in-flight sweep cancelled")
-	}
-}
-
-// clusterConfig carries the -coordinator flag set into serveCluster.
-type clusterConfig struct {
-	opts           cluster.Options
-	queueDepth     int
-	reportDir      string
-	reportMaxFiles int
-	store          storeConfig
-	trace          traceConfig
-}
 
 // membership resolves the static worker set from -shards / -membership-file
 // (exactly one must be given).
@@ -454,47 +39,103 @@ func membership(shardsFlag, membershipFile string) ([]cluster.Shard, error) {
 	}
 }
 
-// serveCluster is the coordinator-mode lifecycle: same signal handling and
-// drain discipline as the worker serve, fronting a Coordinator instead of
-// a local pool.
-func serveCluster(ln net.Listener, cfg clusterConfig, drainTimeout, requestTimeout time.Duration, maxInflight int, pprofAddr string) error {
-	reg := obs.NewRegistry()
-	obs.RegisterBuildInfo(reg)
-	cfg.opts.Metrics = reg
-	cfg.opts.Logf = log.Printf
-	// The coordinator's OnSpan hook is wired before cluster.New copies
-	// the options, but the clusterServer it targets exists only after New
-	// — the atomic holder bridges the cycle race-free (events before the
-	// Store are impossible: the listener is not serving yet).
-	var holder atomic.Pointer[clusterServer]
-	cfg.opts.OnSpan = func(e cluster.SpanEvent) {
-		if cs := holder.Load(); cs != nil {
-			cs.onSpan(e)
+// coordinatorOptions turns worker pool options into coordinator-mode ones:
+// one Coordinator built from co (sharing the pool's metrics registry) runs
+// every job through Options.Execute. Workers is forced to 1 because a
+// Coordinator is not safe for concurrent Runs. The pool's tracer parents
+// the sweep spans, and its ReportDir receives one failover report per
+// sweep in place of the local run reports.
+func coordinatorOptions(opts jobs.Options, co cluster.Options) (jobs.Options, error) {
+	tr := opts.Tracer
+	// sweep is the in-flight sweep's span: the coordinator carries no
+	// tracer (obsinert) and reports its timing through OnSpan, which turns
+	// each SpanEvent into a real span under it.
+	var mu sync.Mutex
+	var sweep *trace.Span
+	co.Metrics = opts.Metrics
+	co.OnSpan = func(e cluster.SpanEvent) {
+		mu.Lock()
+		parent := sweep.Context()
+		mu.Unlock()
+		attrs := e.Attrs
+		if e.Shard != "" {
+			attrs = append([]string{"shard", e.Shard}, attrs...)
 		}
+		tr.Emit(parent, e.Name, e.StartUnixNanos, e.EndUnixNanos, attrs...)
 	}
-	coord, err := cluster.New(cfg.opts)
+	coord, err := cluster.New(co)
 	if err != nil {
-		return err
+		return opts, err
 	}
-	st, err := cfg.store.open(reg)
-	if err != nil {
-		return err
-	}
-	if st != nil {
-		defer st.Close()
-	}
-	tr, err := cfg.trace.open(reg)
-	if err != nil {
-		return err
-	}
-	if tr != nil {
-		defer tr.Close()
-	}
-	s := newClusterServer(coord, cfg.queueDepth, reg, tr, cfg.reportDir, cfg.reportMaxFiles, st)
-	holder.Store(s)
 	for _, sh := range coord.Shards() {
 		log.Printf("localityd: cluster member %s = %s", sh.Name, sh.URL)
 	}
-	return serveUntilSignal(ln, s.handler(requestTimeout, maxInflight), pprofAddr,
-		"localityd (coordinator)", drainTimeout, s.drain)
+	opts.Workers = 1
+	opts.Execute = func(ctx context.Context, id string, spec jobs.Spec, apiKey string, parent trace.SpanContext) (string, int, error) {
+		// The sweep span parents everything this job does cluster-wide: the
+		// coordinator's SpanEvents and — through the trace header riding the
+		// dispatch context — every shard-side route and job span, so one
+		// multi-process tree assembles per sweep.
+		sp := tr.Start(parent, "cluster.sweep", "experiment", spec.Experiment, "job", id)
+		defer sp.End()
+		mu.Lock()
+		sweep = sp
+		mu.Unlock()
+		defer func() {
+			mu.Lock()
+			sweep = nil
+			mu.Unlock()
+		}()
+		// The submitter's API key rides the context into every shard call,
+		// so workers account the sweep's row batches to the right tenant.
+		ctx = cluster.WithTenant(ctx, apiKey)
+		ctx = cluster.WithTraceHeader(ctx, sp.Context().String())
+		res, err := coord.Run(ctx, spec)
+		if res == nil {
+			return "", 0, err
+		}
+		writeClusterReport(ctx, opts.ReportDir, opts.ReportMaxFiles, id, spec, res, err)
+		return res.Output, res.TotalBatches, err
+	}
+	return opts, nil
+}
+
+// writeClusterReport persists a sweep's audit trail as <id>.report.jsonl:
+// one line per failover event, then a summary line with the batch
+// accounting. A failed sweep whose context ended reports as cancelled.
+// Like worker run reports, report I/O failures never fail the job.
+func writeClusterReport(ctx context.Context, dir string, maxFiles int, id string, spec jobs.Spec, res *cluster.Result, runErr error) {
+	if dir == "" {
+		return
+	}
+	f, err := os.Create(filepath.Join(dir, id+".report.jsonl"))
+	if err != nil {
+		log.Printf("localityd: cluster report: %v", err)
+		return
+	}
+	defer f.Close()
+	enc := json.NewEncoder(f)
+	for _, e := range res.Events {
+		_ = enc.Encode(map[string]any{"kind": "event", "event": e})
+	}
+	state, errText := jobs.StateSucceeded, ""
+	if runErr != nil {
+		state, errText = jobs.StateFailed, runErr.Error()
+		if ctx.Err() != nil {
+			state = jobs.StateCancelled
+		}
+	}
+	_ = enc.Encode(map[string]any{
+		"kind":          "summary",
+		"id":            id,
+		"experiment":    spec.Experiment,
+		"state":         state,
+		"error":         errText,
+		"total_batches": res.TotalBatches,
+		"adopted":       res.Adopted,
+		"retried":       res.Retried,
+		"recomputed":    res.Recomputed,
+		"lost":          res.Lost,
+	})
+	obs.PruneDir(dir, "*.report.jsonl", maxFiles)
 }

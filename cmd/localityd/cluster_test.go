@@ -27,7 +27,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -104,18 +104,19 @@ func directRun(t *testing.T, experiment string, seed uint64) string {
 }
 
 // testClusterFrontend stands up a coordinator front-end over the given
-// worker URLs and serves its API from an httptest server. With tr
-// non-nil the front-end traces: coordinator SpanEvents bridge through
-// onSpan exactly as serveCluster wires them.
-func testClusterFrontend(t *testing.T, reportDir string, tr *trace.Tracer, workerURLs ...string) (*clusterServer, *httptest.Server) {
+// worker URLs — the real server and pool, executing through
+// coordinatorOptions exactly as serve wires -coordinator — and serves its
+// API from an httptest server. opts carries the pool settings under test
+// (Tracer, ReportDir, Retention, Idempotent).
+func testClusterFrontend(t *testing.T, opts jobs.Options, workerURLs ...string) (*server, *httptest.Server) {
 	t.Helper()
 	shards := make([]cluster.Shard, len(workerURLs))
 	for i, u := range workerURLs {
 		shards[i] = cluster.Shard{Name: fmt.Sprintf("shard%d", i), URL: u}
 	}
 	reg := obs.NewRegistry()
-	var holder atomic.Pointer[clusterServer]
-	coord, err := cluster.New(cluster.Options{
+	opts.Metrics = reg
+	opts, err := coordinatorOptions(opts, cluster.Options{
 		Shards:         shards,
 		RequestTimeout: 2 * time.Second,
 		Retries:        2,
@@ -123,30 +124,23 @@ func testClusterFrontend(t *testing.T, reportDir string, tr *trace.Tracer, worke
 		PollInterval:   15 * time.Millisecond,
 		ProbeInterval:  15 * time.Millisecond,
 		ProbeThreshold: 2,
-		Metrics:        reg,
 		Logf:           t.Logf,
-		OnSpan: func(e cluster.SpanEvent) {
-			if cs := holder.Load(); cs != nil {
-				cs.onSpan(e)
-			}
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := newClusterServer(coord, 16, reg, tr, reportDir, 0, nil)
-	holder.Store(cs)
-	ts := httptest.NewServer(cs.handler(10*time.Second, 64))
+	s := newServer(jobs.New(opts), 64, 10*time.Second, reg, opts.Tracer)
+	ts := httptest.NewServer(s.handler())
 	t.Cleanup(func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
-		_ = cs.drain(ctx)
+		_ = s.drain(ctx)
 	})
-	return cs, ts
+	return s, ts
 }
 
-func pollClusterJob(t *testing.T, base, id string) clusterJob {
+func pollClusterJob(t *testing.T, base, id string) jobs.Job {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
@@ -154,15 +148,50 @@ func pollClusterJob(t *testing.T, base, id string) clusterJob {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var cj clusterJob
-		decode(t, resp, &cj)
-		if cj.State.Terminal() {
-			return cj
+		var j jobs.Job
+		decode(t, resp, &j)
+		if j.State.Terminal() {
+			return j
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("cluster job %s not terminal after 60s", id)
-	return clusterJob{}
+	return jobs.Job{}
+}
+
+// fetchMetrics returns a server's Prometheus exposition.
+func fetchMetrics(t *testing.T, base string) string {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	prom, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(prom)
+}
+
+// clusterReport reads a coordinator job's run report and checks that it
+// ends in the summary line with zero lost batches.
+func clusterReport(t *testing.T, dir, id string) []byte {
+	t.Helper()
+	report, err := os.ReadFile(filepath.Join(dir, id+".report.jsonl"))
+	if err != nil {
+		t.Fatalf("run report: %v", err)
+	}
+	lines := bytes.Split(bytes.TrimSpace(report), []byte("\n"))
+	last := lines[len(lines)-1]
+	var sum struct {
+		Kind string `json:"kind"`
+		Lost *int   `json:"lost"`
+	}
+	if err := json.Unmarshal(last, &sum); err != nil || sum.Kind != "summary" || sum.Lost == nil || *sum.Lost != 0 {
+		t.Errorf("report ends in %s (%v), want a summary with lost 0", last, err)
+	}
+	return report
 }
 
 // metricValue extracts an unlabeled metric's value from Prometheus text.
@@ -183,41 +212,127 @@ func metricValue(t *testing.T, prom, name string) float64 {
 
 // TestClusterFrontendInProcess pins the full wire path — coordinator API →
 // cluster client → real worker handlers → checkpoint harvest → merged
-// render — with every shard healthy.
+// render — with every shard healthy, and the serving guarantees the
+// coordinator shares with a worker: admission-time validation, idempotent
+// dedup and the event stream.
 func TestClusterFrontendInProcess(t *testing.T) {
+	// The workers hold their first batch until the event stream below is
+	// open, so the stream watches the sweep live and must end in a
+	// terminal frame.
+	streaming := make(chan struct{})
+	var once sync.Once
+	release := func() { once.Do(func() { close(streaming) }) }
+	defer release() // a failed assertion must still unblock the drains
 	var workers []string
 	for i := 0; i < 3; i++ {
-		_, ts := testServer(t, jobs.Options{Workers: 1})
+		_, ts := testServer(t, jobs.Options{Workers: 1,
+			BatchHook: func(string, *harness.Checkpoint) { <-streaming }})
 		workers = append(workers, ts.URL)
 	}
-	_, front := testClusterFrontend(t, "", nil, workers...)
+	reportDir := t.TempDir()
+	_, front := testClusterFrontend(t, jobs.Options{ReportDir: reportDir, Idempotent: true}, workers...)
 
-	resp := submit(t, front.URL, `{"experiment":"E4","quick":true,"seed":7}`)
+	resp := submit(t, front.URL, `{"experiment":"E99","quick":true,"seed":7}`)
+	var er errorResponse
+	decode(t, resp, &er)
+	if resp.StatusCode != http.StatusBadRequest || er.Reason != "unknown_experiment" {
+		t.Errorf("unknown experiment: %d %q, want 400 unknown_experiment", resp.StatusCode, er.Reason)
+	}
+
+	const spec = `{"experiment":"E4","quick":true,"seed":7}`
+	resp = submit(t, front.URL, spec)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %d", resp.StatusCode)
 	}
-	var acc struct {
-		ID string `json:"id"`
-	}
+	var acc jobs.SubmitResult
 	decode(t, resp, &acc)
+	resp = submit(t, front.URL, spec)
+	var dup jobs.SubmitResult
+	decode(t, resp, &dup)
+	if !dup.Deduped || dup.ID != acc.ID {
+		t.Errorf("duplicate submit %+v, want deduped onto %s", dup, acc.ID)
+	}
 
-	cj := pollClusterJob(t, front.URL, acc.ID)
-	if cj.State != jobs.StateSucceeded {
-		t.Fatalf("cluster job %s: %s (%s)", acc.ID, cj.State, cj.Error)
+	stream := openStream(t, front.URL, "", acc.ID)
+	defer stream.Body.Close()
+	release()
+	events := readSSE(t, stream.Body)
+	if len(events) < 2 || events[0].name != "snapshot" {
+		t.Fatalf("event stream %+v, want a snapshot then a terminal frame", events)
 	}
-	if want := directRun(t, "E4", 7); cj.Output != want {
-		t.Errorf("cluster output differs from single-process run:\n--- want ---\n%s--- got ---\n%s", want, cj.Output)
+	if last := events[len(events)-1]; last.name != "terminal" || last.ev.State != jobs.StateSucceeded {
+		t.Errorf("final frame %q %+v, want terminal succeeded", last.name, last.ev)
 	}
-	if cj.Result == nil || cj.Result.Lost != 0 {
-		t.Errorf("result %+v, want Lost==0", cj.Result)
+
+	j := pollClusterJob(t, front.URL, acc.ID)
+	if j.State != jobs.StateSucceeded {
+		t.Fatalf("cluster job %s: %s (%s)", acc.ID, j.State, j.Error)
 	}
+	if want := directRun(t, "E4", 7); j.Output != want {
+		t.Errorf("cluster output differs from single-process run:\n--- want ---\n%s--- got ---\n%s", want, j.Output)
+	}
+	if v := metricValue(t, fetchMetrics(t, front.URL), "locality_cluster_rows_lost"); v != 0 {
+		t.Errorf("rows_lost metric = %v", v)
+	}
+	clusterReport(t, reportDir, acc.ID)
 
 	// Rows are coordinator-owned on the front-end.
 	resp = submit(t, front.URL, `{"experiment":"E4","quick":true,"seed":7,"rows":{"mod":2,"keep":0}}`)
-	var er errorResponse
 	decode(t, resp, &er)
 	if resp.StatusCode != http.StatusBadRequest || er.Reason != "invalid_rows" {
 		t.Errorf("rows submission: %d %q, want 400 invalid_rows", resp.StatusCode, er.Reason)
+	}
+}
+
+// TestClusterRetention: a coordinator's job table is bounded like a
+// worker's — past Retention terminal sweeps the oldest is evicted and no
+// longer pollable.
+func TestClusterRetention(t *testing.T) {
+	var workers []string
+	for i := 0; i < 2; i++ {
+		_, ts := testServer(t, jobs.Options{Workers: 1})
+		workers = append(workers, ts.URL)
+	}
+	_, front := testClusterFrontend(t, jobs.Options{Retention: 2}, workers...)
+
+	var ids []string
+	for seed := 1; seed <= 4; seed++ {
+		resp := submit(t, front.URL, fmt.Sprintf(`{"experiment":"E8","quick":true,"seed":%d}`, seed))
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit seed %d: %d", seed, resp.StatusCode)
+		}
+		var acc jobs.SubmitResult
+		decode(t, resp, &acc)
+		if j := pollClusterJob(t, front.URL, acc.ID); j.State != jobs.StateSucceeded {
+			t.Fatalf("cluster job %s: %s (%s)", acc.ID, j.State, j.Error)
+		}
+		ids = append(ids, acc.ID)
+	}
+
+	resp, err := http.Get(front.URL + "/v1/jobs/" + ids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("oldest job %s: %d, want 404 after eviction", ids[0], resp.StatusCode)
+	}
+	resp, err = http.Get(front.URL + "/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var list struct {
+		Jobs []jobs.Job `json:"jobs"`
+	}
+	decode(t, resp, &list)
+	terminal := 0
+	for _, j := range list.Jobs {
+		if j.State.Terminal() {
+			terminal++
+		}
+	}
+	if terminal > 2 {
+		t.Errorf("coordinator lists %d terminal jobs, want at most 2", terminal)
 	}
 }
 
@@ -296,15 +411,13 @@ func TestClusterKillShardE2E(t *testing.T) {
 	}
 
 	reportDir := t.TempDir()
-	_, front := testClusterFrontend(t, reportDir, nil, urls...)
+	_, front := testClusterFrontend(t, jobs.Options{ReportDir: reportDir}, urls...)
 
 	resp := submit(t, front.URL, `{"experiment":"E4","quick":true,"seed":7}`)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %d", resp.StatusCode)
 	}
-	var acc struct {
-		ID string `json:"id"`
-	}
+	var acc jobs.SubmitResult
 	decode(t, resp, &acc)
 
 	// SIGKILL the victim once it has committed KillAfter batches — the
@@ -340,29 +453,17 @@ func TestClusterKillShardE2E(t *testing.T) {
 	_, _ = procs[victim].Process.Wait()
 	t.Logf("killed shard%d mid-sweep", victim)
 
-	cj := pollClusterJob(t, front.URL, acc.ID)
-	if cj.State != jobs.StateSucceeded {
-		t.Fatalf("cluster job after kill: %s (%s)", cj.State, cj.Error)
+	j := pollClusterJob(t, front.URL, acc.ID)
+	if j.State != jobs.StateSucceeded {
+		t.Fatalf("cluster job after kill: %s (%s)", j.State, j.Error)
 	}
-	if want := directRun(t, "E4", 7); cj.Output != want {
-		t.Errorf("post-kill output differs from single-process run:\n--- want ---\n%s--- got ---\n%s", want, cj.Output)
-	}
-	if cj.Result == nil {
-		t.Fatal("no result on succeeded cluster job")
-	}
-	if cj.Result.Lost != 0 {
-		t.Errorf("lost %d batches", cj.Result.Lost)
+	if want := directRun(t, "E4", 7); j.Output != want {
+		t.Errorf("post-kill output differs from single-process run:\n--- want ---\n%s--- got ---\n%s", want, j.Output)
 	}
 
 	// The coordinator's /metrics must show the failover: the shard marked
 	// unhealthy, rows retried or recomputed, and zero rows lost.
-	resp, err = http.Get(front.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	promBytes, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	prom := string(promBytes)
+	prom := fetchMetrics(t, front.URL)
 	if v := metricValue(t, prom, "locality_cluster_rows_lost"); v != 0 {
 		t.Errorf("rows_lost metric = %v", v)
 	}
@@ -380,10 +481,7 @@ func TestClusterKillShardE2E(t *testing.T) {
 	}
 
 	// The run report is the CI artifact: export it when CI asks.
-	report, err := os.ReadFile(filepath.Join(reportDir, acc.ID+".report.jsonl"))
-	if err != nil {
-		t.Fatalf("run report: %v", err)
-	}
+	report := clusterReport(t, reportDir, acc.ID)
 	if !bytes.Contains(report, []byte(`"failover"`)) || !bytes.Contains(report, []byte(`"summary"`)) {
 		t.Errorf("run report lacks failover/summary lines:\n%s", report)
 	}

@@ -28,10 +28,12 @@
 // structured JSON body, so clients (the cluster coordinator included) can
 // back off with intent instead of guessing. See retry.go.
 //
-// With -coordinator the same binary becomes a cluster front-end instead:
-// submissions are sharded across a static membership of worker localityd
-// instances (-shards / -membership-file), merged in row order, and served
-// back byte-identical to a single-process run. See cluster.go.
+// With -coordinator the same server and pool front a cluster instead: each
+// job runs as one sweep sharded across a static membership of worker
+// localityd instances (-shards / -membership-file), merged in row order,
+// and served back byte-identical to a single-process run. Every guarantee
+// above — events, checkpoint route, tenancy, dedup, retention, drain —
+// holds in both modes. See cluster.go.
 //
 // Profiling is opt-in: -pprof-addr spawns net/http/pprof on a separate
 // listener, never on the API port.
@@ -100,8 +102,11 @@ type server struct {
 	// draining flips readiness before the pool drain begins, so /readyz
 	// reports 503 for the whole shutdown window.
 	draining atomic.Bool
-	// lim enforces the request concurrency cap and per-request timeout.
-	lim *limiter
+	// inflight and requestTimeout are the backpressure limits (see limit);
+	// rejected counts the requests the inflight cap sheds.
+	inflight       chan struct{}
+	requestTimeout time.Duration
+	rejected       *obs.Counter
 	// reg backs /metrics; the pool shares it. Nil disables instrumentation
 	// (every obs call below is nil-safe).
 	reg *obs.Registry
@@ -111,11 +116,16 @@ type server struct {
 }
 
 func newServer(pool *jobs.Pool, maxInflight int, requestTimeout time.Duration, reg *obs.Registry, tr *trace.Tracer) *server {
+	if maxInflight <= 0 {
+		maxInflight = 64
+	}
 	return &server{
-		pool: pool,
-		lim:  newLimiter(maxInflight, requestTimeout, reg),
-		reg:  reg,
-		tr:   tr,
+		pool:           pool,
+		inflight:       make(chan struct{}, maxInflight),
+		requestTimeout: requestTimeout,
+		rejected:       reg.Counter("locality_http_rejected_total", "Requests shed by the concurrency limiter."),
+		reg:            reg,
+		tr:             tr,
 	}
 }
 
@@ -146,7 +156,7 @@ func (s *server) handler() http.Handler {
 	// other route with the concurrency cap and per-request deadline.
 	outer := http.NewServeMux()
 	outer.HandleFunc("GET /v1/jobs/{id}/events", s.instrument("events", s.handleEvents))
-	outer.Handle("/", s.lim.wrap(mux))
+	outer.Handle("/", s.limit(mux))
 	return outer
 }
 
@@ -165,25 +175,19 @@ func (w *statusWriter) WriteHeader(code int) {
 // optional interfaces (the SSE handler needs Flush) through this wrapper.
 func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
-// instrument wraps one route with a latency histogram and a per-status
-// request counter. Routes are named explicitly (not from the request path)
-// so the label space stays bounded.
+// instrument wraps one route with a latency histogram, a per-status request
+// counter, and — with a tracer attached — one span per request, continuing
+// the caller's trace when the Locality-Trace header carries one and
+// exposing the request's trace ID as the histogram's exemplar. Routes are
+// named explicitly (not from the request path) so the label space stays
+// bounded.
 func (s *server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
-	return instrumented(s.reg, s.tr, route, h)
-}
-
-// instrumented is the route instrumentation shared by the worker and
-// coordinator handlers: a latency histogram, a per-status counter, and —
-// with a tracer attached — one span per request, continuing the caller's
-// trace when the Locality-Trace header carries one and exposing the
-// request's trace ID as the histogram's exemplar.
-func instrumented(reg *obs.Registry, tr *trace.Tracer, route string, h http.HandlerFunc) http.HandlerFunc {
-	hist := reg.Histogram("locality_http_request_seconds",
+	hist := s.reg.Histogram("locality_http_request_seconds",
 		"HTTP request latency by route.", obs.DefTimeBuckets, "route", route)
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		parent, _ := trace.Parse(r.Header.Get(trace.Header))
-		sp := tr.Start(parent, "http."+route, "method", r.Method)
+		sp := s.tr.Start(parent, "http."+route, "method", r.Method)
 		if sp != nil {
 			r = r.WithContext(trace.ContextWithSpan(r.Context(), sp))
 		}
@@ -197,7 +201,7 @@ func instrumented(reg *obs.Registry, tr *trace.Tracer, route string, h http.Hand
 		} else {
 			hist.Observe(secs)
 		}
-		reg.Counter("locality_http_requests_total",
+		s.reg.Counter("locality_http_requests_total",
 			"HTTP requests by route and status code.",
 			"route", route, "code", strconv.Itoa(sw.status)).Inc()
 	}
@@ -211,45 +215,28 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = s.reg.WriteProm(w)
 }
 
-// limiter is the backpressure middleware shared by both serving modes: at
-// most cap(inflight) concurrent requests, each bounded by the per-request
-// timeout. Excess requests are rejected immediately with 503 + Retry-After
-// — the service sheds, it never queues invisibly.
-type limiter struct {
-	inflight chan struct{}
-	timeout  time.Duration
-	rejected *obs.Counter
-}
-
-// errOverloaded is the limiter's rejection reason. It matches no queue or
+// errOverloaded is limit's rejection reason. It matches no queue or
 // tenant sentinel, so its Retry-After falls to the 1s floor: concurrency
 // slots turn over per request, much faster than the job queue drains.
 var errOverloaded = errors.New("too many concurrent requests")
 
-func newLimiter(maxInflight int, requestTimeout time.Duration, reg *obs.Registry) *limiter {
-	if maxInflight <= 0 {
-		maxInflight = 64
-	}
-	return &limiter{
-		inflight: make(chan struct{}, maxInflight),
-		timeout:  requestTimeout,
-		rejected: reg.Counter("locality_http_rejected_total", "Requests shed by the concurrency limiter."),
-	}
-}
-
-func (l *limiter) wrap(next http.Handler) http.Handler {
+// limit is the backpressure middleware: at most cap(inflight) concurrent
+// requests, each bounded by the per-request timeout. Excess requests are
+// rejected immediately with 503 + Retry-After — the service sheds, it never
+// queues invisibly.
+func (s *server) limit(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		select {
-		case l.inflight <- struct{}{}:
-			defer func() { <-l.inflight }()
+		case s.inflight <- struct{}{}:
+			defer func() { <-s.inflight }()
 		default:
-			l.rejected.Inc()
+			s.rejected.Inc()
 			writeRetryable(w, http.StatusServiceUnavailable, errOverloaded,
 				errorResponse{Error: errOverloaded.Error(), Reason: "overloaded"})
 			return
 		}
-		if l.timeout > 0 {
-			ctx, cancel := context.WithTimeout(r.Context(), l.timeout)
+		if s.requestTimeout > 0 {
+			ctx, cancel := context.WithTimeout(r.Context(), s.requestTimeout)
 			defer cancel()
 			r = r.WithContext(ctx)
 		}
@@ -371,7 +358,7 @@ func main() {
 		probeInterval  = flag.Duration("probe-interval", 500*time.Millisecond, "shard health probe cadence")
 		probeThreshold = flag.Int("probe-threshold", 3, "consecutive probe failures that mark a shard unhealthy")
 		shardWorkers   = flag.Int("shard-workers", 0, "parallel row workers per shard job (0 = sequential)")
-		workers        = flag.Int("workers", 2, "concurrent experiment runners")
+		workers        = flag.Int("workers", 2, "concurrent experiment runners (always 1 with -coordinator)")
 		queueDepth     = flag.Int("queue", 16, "submission queue bound (excess is shed)")
 		checkpointDir  = flag.String("checkpoint-dir", "", "directory for job checkpoints (empty = in-memory only)")
 		storeDir       = flag.String("store-dir", "", "directory for the persistent content-addressed result cache (empty = disabled)")
@@ -398,38 +385,24 @@ func main() {
 		fmt.Printf("localityd %s %s %s/%s\n", obs.Version(), runtime.Version(), runtime.GOOS, runtime.GOARCH)
 		return
 	}
+	var co *cluster.Options
 	if *coordinator {
 		shards, err := membership(*shardsFlag, *membershipFile)
 		if err != nil {
 			log.Fatal(err)
 		}
-		ln, err := net.Listen("tcp", *addr)
-		if err != nil {
-			log.Fatalf("localityd: listen: %v", err)
+		co = &cluster.Options{
+			Shards:         shards,
+			RequestTimeout: *shardTimeout,
+			Retries:        *shardRetries,
+			Backoff:        harness.Backoff{Base: *retryBase, Max: *retryMax, Seed: *backoffSeed},
+			PollInterval:   *pollInterval,
+			ProbeInterval:  *probeInterval,
+			ProbeThreshold: *probeThreshold,
+			ShardWorkers:   *shardWorkers,
+			Logf:           log.Printf,
 		}
-		cfg := clusterConfig{
-			opts: cluster.Options{
-				Shards:         shards,
-				RequestTimeout: *shardTimeout,
-				Retries:        *shardRetries,
-				Backoff:        harness.Backoff{Base: *retryBase, Max: *retryMax, Seed: *backoffSeed},
-				PollInterval:   *pollInterval,
-				ProbeInterval:  *probeInterval,
-				ProbeThreshold: *probeThreshold,
-				ShardWorkers:   *shardWorkers,
-			},
-			queueDepth:     *queueDepth,
-			reportDir:      *reportDir,
-			reportMaxFiles: *reportMaxFiles,
-			store:          storeConfig{dir: *storeDir, maxBytes: *storeMaxBytes},
-			trace:          traceConfig{dir: *traceDir, proc: *traceProc},
-		}
-		if err := serveCluster(ln, cfg, *drainTimeout, *requestTimeout, *maxInflight, *pprofAddr); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *shardsFlag != "" || *membershipFile != "" {
+	} else if *shardsFlag != "" || *membershipFile != "" {
 		log.Fatal("localityd: -shards/-membership-file require -coordinator")
 	}
 	tcfg, err := loadTenants(*tenantsFile)
@@ -447,7 +420,7 @@ func main() {
 		Tenancy:        tcfg,
 		Idempotent:     *idempotent,
 		Retention:      *retention,
-	}, storeConfig{dir: *storeDir, maxBytes: *storeMaxBytes},
+	}, co, storeConfig{dir: *storeDir, maxBytes: *storeMaxBytes},
 		traceConfig{dir: *traceDir, proc: *traceProc},
 		*drainTimeout, *requestTimeout, *maxInflight, *pprofAddr); err != nil {
 		log.Fatal(err)
@@ -513,12 +486,12 @@ func loadTenants(path string) (*tenant.Config, error) {
 }
 
 // run resolves the listen address; serve owns the lifecycle.
-func run(addr string, poolOpts jobs.Options, sc storeConfig, tc traceConfig, drainTimeout, requestTimeout time.Duration, maxInflight int, pprofAddr string) error {
+func run(addr string, poolOpts jobs.Options, co *cluster.Options, sc storeConfig, tc traceConfig, drainTimeout, requestTimeout time.Duration, maxInflight int, pprofAddr string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return fmt.Errorf("localityd: listen: %w", err)
 	}
-	return serve(ln, poolOpts, sc, tc, drainTimeout, requestTimeout, maxInflight, pprofAddr)
+	return serve(ln, poolOpts, co, sc, tc, drainTimeout, requestTimeout, maxInflight, pprofAddr)
 }
 
 // pprofHandler routes the net/http/pprof endpoints. It backs the opt-in
@@ -534,11 +507,12 @@ func pprofHandler() http.Handler {
 	return mux
 }
 
-// serve runs the worker service on an existing listener until
-// SIGTERM/SIGINT, then drains: readiness flips, the pool runs down to the
-// drain deadline (checkpointing whatever it must cancel), and every
-// goroutine is reaped before serve returns.
-func serve(ln net.Listener, poolOpts jobs.Options, sc storeConfig, tc traceConfig, drainTimeout, requestTimeout time.Duration, maxInflight int, pprofAddr string) error {
+// serve runs the service on an existing listener until SIGTERM/SIGINT (or
+// a listener error), then drains: readiness flips, the pool runs down to
+// the drain deadline (checkpointing whatever it must cancel), the listener
+// shuts down, and every goroutine is reaped before serve returns. A non-nil
+// co selects coordinator mode (see coordinatorOptions).
+func serve(ln net.Listener, poolOpts jobs.Options, co *cluster.Options, sc storeConfig, tc traceConfig, drainTimeout, requestTimeout time.Duration, maxInflight int, pprofAddr string) error {
 	reg := obs.NewRegistry()
 	obs.RegisterBuildInfo(reg)
 	poolOpts.Metrics = reg
@@ -558,18 +532,16 @@ func serve(ln net.Listener, poolOpts jobs.Options, sc storeConfig, tc traceConfi
 		defer tr.Close()
 		poolOpts.Tracer = tr
 	}
-	pool := jobs.New(poolOpts)
-	s := newServer(pool, maxInflight, requestTimeout, reg, tr)
-	return serveUntilSignal(ln, s.handler(), pprofAddr, "localityd", drainTimeout, s.drain)
-}
-
-// serveUntilSignal is the serving lifecycle shared by the worker and
-// coordinator modes: serve the handler until SIGTERM/SIGINT (or a listener
-// error), then run the mode's drain under the deadline and shut the
-// listener down.
-func serveUntilSignal(ln net.Listener, h http.Handler, pprofAddr, name string, drainTimeout time.Duration, drain func(context.Context) error) error {
+	name := "localityd"
+	if co != nil {
+		name = "localityd (coordinator)"
+		if poolOpts, err = coordinatorOptions(poolOpts, *co); err != nil {
+			return err
+		}
+	}
+	s := newServer(jobs.New(poolOpts), maxInflight, requestTimeout, reg, tr)
 	srv := &http.Server{
-		Handler:           h,
+		Handler:           s.handler(),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 	if pprofAddr != "" {
@@ -608,7 +580,7 @@ func serveUntilSignal(ln net.Listener, h http.Handler, pprofAddr, name string, d
 
 	drainCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
-	if err := drain(drainCtx); err != nil {
+	if err := s.drain(drainCtx); err != nil {
 		log.Printf("%s: %v (remaining progress checkpointed)", name, err)
 	}
 	// A deadline-hit drain consumes the whole budget force-cancelling jobs —

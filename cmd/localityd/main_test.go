@@ -210,7 +210,7 @@ func TestConcurrencyLimit(t *testing.T) {
 		_ = s.drain(ctx)
 	}()
 
-	s.lim.inflight <- struct{}{} // occupy the only slot
+	s.inflight <- struct{}{} // occupy the only slot
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +223,7 @@ func TestConcurrencyLimit(t *testing.T) {
 	if er.Reason != "overloaded" {
 		t.Errorf("reason %q", er.Reason)
 	}
-	<-s.lim.inflight
+	<-s.inflight
 	resp, err = http.Get(ts.URL + "/healthz")
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("freed server: %v %v", resp.StatusCode, err)
@@ -292,7 +292,9 @@ func TestSIGTERMDrain(t *testing.T) {
 			time.Sleep(30 * time.Millisecond)
 		}}
 	done := make(chan error, 1)
-	go func() { done <- serve(ln, opts, storeConfig{}, traceConfig{}, 150*time.Millisecond, 5*time.Second, 64, "") }()
+	go func() {
+		done <- serve(ln, opts, nil, storeConfig{}, traceConfig{}, 150*time.Millisecond, 5*time.Second, 64, "")
+	}()
 
 	waitHTTP(t, base+"/healthz", http.StatusOK, 10*time.Second)
 	resp := submit(t, base, `{"experiment":"E12","quick":true,"seed":5}`)

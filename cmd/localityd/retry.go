@@ -63,7 +63,7 @@ func clampRetry(s int) int {
 
 // writeRetryable writes a retryable rejection: the Retry-After header
 // derived from err, then the structured JSON body. It is the single exit
-// for every 429/503 the daemon emits, in both serving modes.
+// for every 429/503 the daemon emits.
 func writeRetryable(w http.ResponseWriter, status int, err error, resp errorResponse) {
 	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(err)))
 	writeJSON(w, status, resp)

@@ -414,7 +414,9 @@ func TestSSEDrainOnSIGTERM(t *testing.T) {
 			time.Sleep(20 * time.Millisecond) // keep the job alive past SIGTERM
 		}}
 	done := make(chan error, 1)
-	go func() { done <- serve(ln, opts, storeConfig{}, traceConfig{}, 150*time.Millisecond, 5*time.Second, 64, "") }()
+	go func() {
+		done <- serve(ln, opts, nil, storeConfig{}, traceConfig{}, 150*time.Millisecond, 5*time.Second, 64, "")
+	}()
 
 	waitHTTP(t, base+"/healthz", http.StatusOK, 10*time.Second)
 	resp := submit(t, base, `{"experiment":"E12","quick":true,"seed":9}`)

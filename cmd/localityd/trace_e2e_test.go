@@ -116,15 +116,13 @@ func TestClusterTraceE2E(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, front := testClusterFrontend(t, t.TempDir(), coordTr, urls...)
+	s, front := testClusterFrontend(t, jobs.Options{Tracer: coordTr, ReportDir: t.TempDir()}, urls...)
 
 	resp := submit(t, front.URL, `{"experiment":"E4","quick":true,"seed":7}`)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %d", resp.StatusCode)
 	}
-	var acc struct {
-		ID string `json:"id"`
-	}
+	var acc jobs.SubmitResult
 	decode(t, resp, &acc)
 
 	killed := make(chan error, 1)
@@ -158,21 +156,21 @@ func TestClusterTraceE2E(t *testing.T) {
 	_, _ = procs[victim].Process.Wait()
 	t.Logf("killed shard%d mid-sweep", victim)
 
-	cj := pollClusterJob(t, front.URL, acc.ID)
-	if cj.State != jobs.StateSucceeded {
-		t.Fatalf("cluster job after kill: %s (%s)", cj.State, cj.Error)
+	j := pollClusterJob(t, front.URL, acc.ID)
+	if j.State != jobs.StateSucceeded {
+		t.Fatalf("cluster job after kill: %s (%s)", j.State, j.Error)
 	}
-	if want := directRun(t, "E4", 7); cj.Output != want {
+	if want := directRun(t, "E4", 7); j.Output != want {
 		t.Errorf("post-kill output differs from single-process run (tracing must not change bytes)")
 	}
 
-	// Drain so runOne has returned and the cluster.sweep span record — the
-	// parent of every shard-side root — is on disk. Worker tracers are never
+	// Drain so the executor has returned and the cluster.sweep span record —
+	// the parent of every shard-side root — is on disk. Worker tracers are never
 	// closed (two are about to be SIGKILLed by cleanup anyway); unbuffered
 	// appends mean everything a worker finished is already durable.
 	drainCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := cs.drain(drainCtx); err != nil {
+	if err := s.drain(drainCtx); err != nil {
 		t.Fatal(err)
 	}
 

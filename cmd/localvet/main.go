@@ -105,7 +105,7 @@ func wallclockAllowFuncs() []string {
 //     absorbed rather than relayed into domain reports.
 //   - goroutinedisc sanctions exactly the reaped spawn sites: the jobs
 //     worker pool, the cluster probers, the harness row scheduler, the
-//     concurrent engine, and the daemon's serve/runner loops. Every
+//     concurrent engine, and the daemon's serve loop. Every
 //     allowance is verified to still witness a go statement.
 //   - internal/fault machines may observe Env.Node: the fault shim maps
 //     itself to a host vertex to look up its entry in the fault plan —
@@ -172,8 +172,6 @@ func contractAnalyzers() []*analysis.Analyzer {
 					Reason: "the concurrent engine's per-node workers, joined at every phase barrier"},
 				{File: "cmd/localityd/main.go",
 					Reason: "HTTP serve loop and signal watcher, reaped on shutdown"},
-				{File: "cmd/localityd/cluster.go",
-					Reason: "cluster runner goroutine, reaped via runnerDone on drain"},
 				{File: "internal/load/leaves.go",
 					Reason: "the load engine's only spawn site, joined unconditionally by spawnClients"},
 				{File: "cmd/localload/main.go",

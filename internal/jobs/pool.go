@@ -93,6 +93,17 @@ type Options struct {
 	// map entry with it — the dedup map cannot outgrow the job table.
 	// 0 retains everything (tests, short-lived pools).
 	Retention int
+	// Execute, when non-nil, runs every job in place of the local harness
+	// driver. It is injected because its one implementation, the cluster
+	// coordinator (cmd/localityd -coordinator), imports this package. It
+	// runs under the same panic isolation, cancel/timeout context, retry
+	// budget and terminal bookkeeping as a local attempt, but without the
+	// checkpoint store or the harness observers: the executor owns its own
+	// progress and telemetry. It receives the job ID, the spec, the
+	// submitting tenant's raw API key and the job's durable trace parent,
+	// and returns the rendered table and its batch count. A pool with an
+	// executor owns sharding, so a submitted Spec.Rows is shed as invalid.
+	Execute func(ctx context.Context, id string, spec Spec, apiKey string, parent trace.SpanContext) (output string, batches int, err error)
 
 	// nowNanos overrides the monotonic clock feeding the tenant registry's
 	// token buckets. Tests only; nil uses the process monotonic clock.
@@ -128,6 +139,7 @@ type job struct {
 	ikey     string // determinism identity, when dedup or the result store needs it
 	num      int    // submission order, for List
 	tenantID string // admitting tenant's public ID
+	apiKey   string // submitter's raw API key, for Options.Execute; never snapshotted
 
 	ctx    context.Context // cancelled by Cancel, Close, or pool teardown
 	cancel context.CancelFunc
@@ -189,9 +201,13 @@ func New(opts Options) *Pool {
 	if opts.Tenancy != nil {
 		tcfg = *opts.Tenancy
 	}
+	ckDir := opts.CheckpointDir
+	if opts.Execute != nil {
+		ckDir = "" // executed jobs keep no local checkpoints
+	}
 	p := &Pool{
 		opts:      opts,
-		store:     checkpointStore{dir: opts.CheckpointDir},
+		store:     checkpointStore{dir: ckDir},
 		metrics:   newPoolMetrics(opts.Metrics),
 		wake:      make(chan struct{}, opts.queueDepth()),
 		epoch:     time.Now(),
@@ -304,6 +320,10 @@ func (p *Pool) SubmitTenantSpan(parent trace.SpanContext, apiKey string, spec Sp
 		p.metrics.shedInvalid.Inc()
 		return shed(err)
 	}
+	if spec.Rows != nil && p.opts.Execute != nil {
+		p.metrics.shedInvalid.Inc()
+		return shed(fmt.Errorf("%w: rows are owned by the pool's executor", ErrInvalidRowSpec))
+	}
 	if p.draining {
 		p.metrics.shedDrain.Inc()
 		return shed(ErrDraining)
@@ -388,6 +408,7 @@ func (p *Pool) SubmitTenantSpan(parent trace.SpanContext, apiKey string, spec Sp
 		spec:     spec,
 		ikey:     ikey,
 		tenantID: ten.ID(),
+		apiKey:   apiKey,
 		ctx:      ctx,
 		cancel:   cancel,
 		state:    StateQueued,
@@ -406,7 +427,7 @@ func (p *Pool) SubmitTenantSpan(parent trace.SpanContext, apiKey string, spec Sp
 	}
 	p.nextNum++
 	p.jobs[j.id] = j
-	if ikey != "" {
+	if p.opts.Idempotent {
 		p.identity[ikey] = j
 	}
 	p.metrics.submitted.Inc()
@@ -580,14 +601,10 @@ func (p *Pool) runJob(j *job, ten *tenant.Tenant) {
 		p.mu.Lock()
 		j.attempts = attempt + 1
 		p.mu.Unlock()
-		tbl, err := p.attempt(ctx, j, &ck)
+		out, err := p.attempt(ctx, j, &ck)
 		switch {
 		case err == nil:
-			if tbl != nil { // sharded attempts succeed table-less
-				var buf bytes.Buffer
-				tbl.Render(&buf)
-				table = buf.String()
-			}
+			table = out
 			return nil
 		case cancelled(err) || classify(err) == "deadline":
 			permanent = err
@@ -685,17 +702,18 @@ func (p *Pool) retainLocked(j *job) {
 	}
 }
 
-// attempt runs the experiment driver once, under panic isolation: a
-// panicking driver (or batch hook) is recovered into a *JobError carrying
-// the value and stack, and the worker lives on. Completed row batches are
-// checkpointed as they land, so whatever ends this attempt, the next one —
-// or a resubmission — resumes where it stopped.
+// attempt runs the job once — through Options.Execute when set, else the
+// local experiment driver — under panic isolation: a panicking driver,
+// executor or batch hook is recovered into a *JobError carrying the value
+// and stack, and the worker lives on. It returns the rendered table.
+// Completed row batches are checkpointed as they land, so whatever ends this
+// attempt, the next one — or a resubmission — resumes where it stopped.
 //
 // A sharded attempt (Spec.Rows set) ends in the harness's *ShardDoneError
 // panic instead of returning a table; that is its success: the final sparse
 // checkpoint — TotalBatches now known — is recorded, persisted, and the
-// attempt reports (nil, nil).
-func (p *Pool) attempt(ctx context.Context, j *job, ck **harness.Checkpoint) (tbl *harness.Table, err error) {
+// attempt reports ("", nil).
+func (p *Pool) attempt(ctx context.Context, j *job, ck **harness.Checkpoint) (out string, err error) {
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -708,7 +726,7 @@ func (p *Pool) attempt(ctx context.Context, j *job, ck **harness.Checkpoint) (tb
 			j.ck = done.Checkpoint
 			j.batchesDone = done.Checkpoint.Computed()
 			p.mu.Unlock()
-			tbl, err = nil, nil
+			out, err = "", nil
 			return
 		}
 		p.metrics.panics.Inc()
@@ -718,6 +736,15 @@ func (p *Pool) attempt(ctx context.Context, j *job, ck **harness.Checkpoint) (tb
 		}
 		err = je
 	}()
+	if p.opts.Execute != nil {
+		out, batches, err := p.opts.Execute(ctx, j.id, j.spec, j.apiKey, j.root)
+		if err == nil {
+			p.mu.Lock()
+			j.batchesDone = batches
+			p.mu.Unlock()
+		}
+		return out, err
+	}
 	report, closeReport := p.reportSink(j)
 	defer closeReport()
 	driver, _ := lookup(j.spec.Experiment)
@@ -746,7 +773,9 @@ func (p *Pool) attempt(ctx context.Context, j *job, ck **harness.Checkpoint) (tb
 	if j.spec.Rows != nil {
 		cfg.RowSelect = j.spec.Rows.Selected
 	}
-	return driver(cfg), nil
+	var buf bytes.Buffer
+	driver(cfg).Render(&buf)
+	return buf.String(), nil
 }
 
 // Checkpoint returns the job's latest checkpoint snapshot — updated batch by

@@ -1,6 +1,10 @@
 package jobs
 
-import "testing"
+import (
+	"testing"
+
+	"locality/internal/store"
+)
 
 // TestStoreRetentionShrinksIdentityMap is the regression test for the
 // idempotent-dedup leak: before Retention, a long-lived -idempotent daemon
@@ -76,5 +80,31 @@ func TestRetentionZeroKeepsEverything(t *testing.T) {
 	p.mu.Unlock()
 	if identityLen != 3 || jobsLen != 3 {
 		t.Errorf("identity=%d jobs=%d; want 3 each with Retention 0", identityLen, jobsLen)
+	}
+}
+
+// TestRetentionNoIdentityWithoutDedup: a pool that computes identity keys
+// only for its result store must not fill the dedup map — with Idempotent
+// off nothing ever reads it, and nothing would ever evict it either.
+func TestRetentionNoIdentityWithoutDedup(t *testing.T) {
+	st, err := store.Open(store.Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatalf("store.Open: %v", err)
+	}
+	defer st.Close()
+	p := New(Options{Workers: 1, Store: st})
+	defer closePoolWB(t, p)
+	for seed := uint64(1); seed <= 2; seed++ {
+		id, err := p.Submit(Spec{Experiment: "E8", Quick: true, Seed: seed})
+		if err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		waitStateWB(t, p, id, StateSucceeded)
+	}
+	p.mu.Lock()
+	identityLen := len(p.identity)
+	p.mu.Unlock()
+	if identityLen != 0 {
+		t.Errorf("non-idempotent pool holds %d identity entries, want 0", identityLen)
 	}
 }

@@ -6,6 +6,7 @@ package jobs_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os"
 	"reflect"
@@ -14,6 +15,7 @@ import (
 
 	"locality/internal/harness"
 	"locality/internal/jobs"
+	"locality/internal/obs/trace"
 )
 
 // TestShardedJobsMergeByteIdentical runs a sweep as three sharded jobs,
@@ -152,6 +154,52 @@ func TestInvalidRowSpecShed(t *testing.T) {
 		if !errors.As(err, &shed) || !errors.Is(err, jobs.ErrInvalidRowSpec) {
 			t.Errorf("rows %+v: got %v, want ShedError wrapping ErrInvalidRowSpec", rows, err)
 		}
+	}
+}
+
+// TestExecuteReplacesDriver: a pool with an executor hands it each job —
+// with the submitter's raw key — instead of running the local driver, keeps
+// no local checkpoint, isolates an executor panic like a driver panic, and
+// sheds client-supplied Rows because the executor owns sharding.
+func TestExecuteReplacesDriver(t *testing.T) {
+	dir := t.TempDir()
+	keys := make(chan string, 2)
+	p := jobs.New(jobs.Options{Workers: 1, CheckpointDir: dir,
+		Execute: func(ctx context.Context, id string, spec jobs.Spec, apiKey string, _ trace.SpanContext) (string, int, error) {
+			keys <- apiKey
+			if spec.Seed == 2 {
+				panic("executor fault")
+			}
+			return "table " + spec.Experiment, 5, nil
+		}})
+	defer closePool(t, p)
+
+	res, err := p.SubmitTenant("key-a", jobs.Spec{Experiment: "E4", Quick: true, Seed: 1})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	j := waitTerminal(t, p, res.ID)
+	if j.State != jobs.StateSucceeded || j.Output != "table E4" || j.BatchesDone != 5 {
+		t.Errorf("executed job %+v, want succeeded with the executor's output and 5 batches", j)
+	}
+	if k := <-keys; k != "key-a" {
+		t.Errorf("executor saw api key %q, want key-a", k)
+	}
+	if files, _ := os.ReadDir(dir); len(files) != 0 {
+		t.Errorf("executed job left %d checkpoint files", len(files))
+	}
+
+	id, err := p.Submit(jobs.Spec{Experiment: "E4", Quick: true, Seed: 2})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	if j := waitTerminal(t, p, id); j.State != jobs.StateFailed || j.ErrorKind != "panic" {
+		t.Errorf("panicking executor: state %s kind %q, want failed/panic", j.State, j.ErrorKind)
+	}
+
+	_, err = p.Submit(jobs.Spec{Experiment: "E4", Quick: true, Rows: &jobs.RowSpec{Mod: 2}})
+	if !errors.Is(err, jobs.ErrInvalidRowSpec) {
+		t.Errorf("rows on an executing pool: %v, want ErrInvalidRowSpec", err)
 	}
 }
 

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint lint-fast lint-sarif race race-kernel cluster fuzz-smoke obs bench experiments load store trace
+.PHONY: all build test vet lint lint-fast lint-sarif race race-kernel cluster fuzz-smoke bench experiments load store trace
 
 all: build test
 
@@ -53,8 +53,8 @@ race-kernel:
 # detector — coordinator merge/failover units, the in-process front-end
 # wire test, and the multi-process kill-a-shard e2e that SIGKILLs one
 # worker localityd mid-sweep and asserts the merged table is byte-identical
-# with zero batches lost (DESIGN.md §10). CLUSTER_RUNREPORT, when set,
-# receives the coordinator's run report for the killed sweep.
+# with zero batches lost (DESIGN.md §10) — asserted on the coordinator's
+# cluster.sweep span as well as on /metrics.
 cluster:
 	$(GO) test -race -count=1 ./internal/cluster ./internal/fault
 	$(GO) test -race -count=1 -run 'TestCluster' -v ./cmd/localityd
@@ -69,25 +69,19 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzIdentityKey -fuzztime=5s ./internal/jobs
 	$(GO) test -run='^$$' -fuzz=FuzzStoreRecord -fuzztime=5s ./internal/store
 
-# Observability gate (CI, tier 1): the telemetry layer's inertness contract
-# (DESIGN.md §9). localvet's obsinert analyzer proves hot paths never consume
-# observability results; the -race test sweep covers the metric types, the
-# run-report sink, the telemetry-on/off byte-identity differentials, the
-# exposition goldens, and the /metrics + pprof endpoints.
-obs:
-	$(GO) run ./cmd/localvet -only obsinert,nowallclock ./...
-	$(GO) test -race -count=1 ./internal/obs ./internal/sim ./internal/harness ./cmd/localityd ./cmd/localbench
-
 # Perf trajectory: run the Go benchmarks with allocation reporting, then
 # time every experiment at quick scale and write BENCH_<stamp>.json next to
 # the checked-in baseline (failing on a >25% ns/op regression when one
 # exists; tune with -bench-regress — see cmd/localbench/bench.go), and
-# finally emit RUNREPORT.jsonl, the quick-scale round/batch telemetry
-# artifact (see internal/obs).
+# finally trace a quick-scale sweep into bench-trace/ (one batch.commit
+# span per batch, with its round counts) and check with localtrace that
+# it assembles without orphans.
 bench:
 	$(GO) test -bench=. -benchtime=1x -benchmem ./...
 	$(GO) run ./cmd/localbench -bench-json
-	$(GO) run ./cmd/localbench -quick -run-report RUNREPORT.jsonl > /dev/null
+	rm -rf bench-trace
+	$(GO) run ./cmd/localbench -quick -trace-dir bench-trace > /dev/null
+	$(GO) run ./cmd/localtrace bench-trace > /dev/null
 
 # Multi-tenant load gate (CI): the fairness e2e under the race detector,
 # then the full out-of-process workload — build a localityd, spawn it with
@@ -114,7 +108,9 @@ store:
 # obsinert + nowallclock analyzers prove the tracer stays inert and its
 # wall-clock reads confined to the sanctioned leaf; the trace package and
 # localtrace CLI tests run under the race detector; then the tracing
-# differentials and the multi-process kill-a-shard trace e2e run — every
+# differentials, the check that batch.commit spans account for every
+# simulator round (at 1 and 4 row workers), and the multi-process
+# kill-a-shard trace e2e run — every
 # process appends spans to one shared directory, and the causal tree must
 # assemble with zero orphaned spans. With TRACE_ARTIFACT_DIR set, the e2e
 # exports the merged per-process artifacts there and localtrace re-validates
@@ -123,7 +119,7 @@ store:
 trace:
 	$(GO) run ./cmd/localvet -only obsinert,nowallclock ./...
 	$(GO) test -race -count=1 ./internal/obs/trace ./cmd/localtrace
-	$(GO) test -race -count=1 -run 'TestTracerByteIdentity|TestReportMaxFilesPrunes|TestTraceHeaderConstantsAgree|TestRouteLatencyCoversEventsAndCheckpoint|TestSubmitExemplarLinksTrace|TestClusterTraceE2E' -v ./internal/jobs ./cmd/localityd
+	$(GO) test -race -count=1 -run 'TestTracerByteIdentity|TestBatchCommitRoundCounts|TestTraceHeaderConstantsAgree|TestRouteLatencyCoversEventsAndCheckpoint|TestSubmitExemplarLinksTrace|TestClusterTraceE2E' -v ./internal/jobs ./cmd/localityd
 	@if [ -n "$$TRACE_ARTIFACT_DIR" ]; then $(GO) run ./cmd/localtrace "$$TRACE_ARTIFACT_DIR"; fi
 
 # Regenerate the full-scale EXPERIMENTS.md tables (takes minutes).

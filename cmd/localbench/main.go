@@ -4,14 +4,15 @@
 //
 // Usage:
 //
-//	localbench [-experiment=E1|...|E13|all] [-quick] [-seed N] [-workers N] [-format text|csv|markdown] [-run-report PATH]
+//	localbench [-experiment=E1|...|E13|all] [-quick] [-seed N] [-workers N] [-format text|csv|markdown] [-trace-dir DIR]
 //	localbench -bench-json [-bench-dir DIR] [-bench-regress PCT] [-seed N] [-workers N]
 //
 // Full mode (the default) matches the EXPERIMENTS.md record and takes a few
 // minutes; -quick shrinks every sweep to run in seconds. -workers computes
-// sweep rows in parallel without changing a byte of output. -run-report
-// writes a JSONL telemetry artifact (per-round simulator counters, per-batch
-// sweep timing; see internal/obs) alongside the tables — the tables
+// sweep rows in parallel without changing a byte of output. -trace-dir
+// writes the run's span trace (localbench.trace.jsonl, read by
+// cmd/localtrace): one batch.commit span per committed row batch, with its
+// wall time and simulator round, message and byte counts — the tables
 // themselves are byte-identical with or without it. -bench-json times every
 // experiment at quick scale, writes BENCH_<stamp>.json, and — when an
 // earlier artifact exists in -bench-dir — exits nonzero on a
@@ -23,10 +24,13 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strconv"
 	"strings"
 
 	"locality/internal/harness"
+	"locality/internal/jobs"
 	"locality/internal/obs"
+	"locality/internal/obs/trace"
 )
 
 func main() {
@@ -40,7 +44,7 @@ func run() int {
 		seed       = flag.Uint64("seed", 2016, "random seed for all experiments")
 		workers    = flag.Int("workers", 1, "parallel row workers per sweep (output is identical at any count)")
 		format     = flag.String("format", "text", "output format: text, csv or markdown")
-		runReport  = flag.String("run-report", "", "write a JSONL run report (round/batch telemetry) to this path")
+		traceDir   = flag.String("trace-dir", "", "directory for the JSONL span trace artifact (empty = tracing disabled)")
 
 		benchJSON    = flag.Bool("bench-json", false, "benchmark every experiment at quick scale and write BENCH_<stamp>.json")
 		benchDir     = flag.String("bench-dir", ".", "directory for BENCH_*.json artifacts (and where the baseline is looked up)")
@@ -59,21 +63,17 @@ func run() int {
 	}
 
 	cfg := harness.Config{Quick: *quick, Seed: *seed, Workers: *workers}
-	if *runReport != "" {
-		f, err := os.Create(*runReport)
+	if *traceDir != "" {
+		tr, sweepObs, err := openTrace(*traceDir, *experiment, cfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "localbench: creating run report: %v\n", err)
+			fmt.Fprintf(os.Stderr, "localbench: %v\n", err)
 			return 2
 		}
-		rep := obs.NewRunReport(f, obs.ReportMeta{
-			Experiment: *experiment, Seed: *seed, Quick: *quick, Workers: *workers,
-		})
-		cfg.Obs = rep
+		cfg.Obs = sweepObs
 		defer func() {
-			if err := rep.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "localbench: writing run report: %v\n", err)
+			if err := tr.Close(); err != nil {
+				fmt.Fprintf(os.Stderr, "localbench: writing trace: %v\n", err)
 			}
-			f.Close()
 		}()
 	}
 	var tables []*harness.Table
@@ -106,4 +106,26 @@ func run() int {
 		}
 	}
 	return 0
+}
+
+// openTrace opens the run's tracer under dir and returns it with the sweep
+// observer to attach. The run's root span carries what identifies the run
+// and joins the trace ID a localityd job of the same spec would get. It is
+// ended — written to disk — before any batch.commit span references it, so
+// a killed run leaves no orphans (DESIGN.md §14).
+func openTrace(dir, experiment string, cfg harness.Config) (*trace.Tracer, harness.Observer, error) {
+	tr, err := trace.Open(trace.Options{Dir: dir, Proc: "localbench"})
+	if err != nil {
+		return nil, nil, err
+	}
+	root := tr.Start(trace.SpanContext{}, "localbench.run",
+		"experiment", experiment,
+		"seed", strconv.FormatUint(cfg.Seed, 10),
+		"quick", strconv.FormatBool(cfg.Quick),
+		"workers", strconv.Itoa(cfg.Workers),
+	)
+	spec := jobs.Spec{Experiment: experiment, Quick: cfg.Quick, Seed: cfg.Seed}
+	root.JoinTrace(trace.IDFromIdentity(spec.IdentityKey()))
+	root.End()
+	return tr, trace.NewObserver(tr, root.Context()), nil
 }

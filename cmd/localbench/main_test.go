@@ -6,12 +6,14 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"locality/internal/harness"
-	"locality/internal/obs"
+	"locality/internal/jobs"
+	"locality/internal/obs/trace"
 )
 
 // TestBenchOneMeasures smokes the per-experiment measurement on a cheap
@@ -141,11 +143,12 @@ func TestBenchFileProvenance(t *testing.T) {
 	}
 }
 
-// TestRunReportArtifact drives an experiment the way -run-report does —
-// RunReport as the harness Observer — and checks the JSONL artifact brackets
-// telemetry records with meta and summary while the table stays byte-
-// identical to an unobserved run.
-func TestRunReportArtifact(t *testing.T) {
+// TestTraceArtifact drives an experiment the way -trace-dir does and
+// checks the table stays byte-identical to an untraced run while the
+// artifact assembles into one orphan-free tree: the run's root span under
+// the spec's identity-derived trace ID, with a batch.commit child per
+// committed batch carrying the simulator's round counts.
+func TestTraceArtifact(t *testing.T) {
 	driver, ok := harness.ByID("E2")
 	if !ok {
 		t.Fatal("E2 missing from registry")
@@ -154,43 +157,47 @@ func TestRunReportArtifact(t *testing.T) {
 	var want bytes.Buffer
 	driver(base).Render(&want)
 
-	path := filepath.Join(t.TempDir(), "report.jsonl")
-	f, err := os.Create(path)
+	dir := t.TempDir()
+	cfg := base
+	tr, sweepObs, err := openTrace(dir, "E2", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := obs.NewRunReport(f, obs.ReportMeta{Experiment: "E2", Seed: 7, Quick: true, Workers: 1})
-	cfg := base
-	cfg.Obs = rep
+	cfg.Obs = sweepObs
 	var got bytes.Buffer
 	driver(cfg).Render(&got)
-	if err := rep.Close(); err != nil {
+	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Error("run report changed the rendered table")
+		t.Error("tracing changed the rendered table")
 	}
 
-	raw, err := os.ReadFile(path)
+	res, err := trace.Load(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := bytes.Split(bytes.TrimSpace(raw), []byte("\n"))
-	if len(lines) < 3 {
-		t.Fatalf("report has %d lines, want >= 3", len(lines))
+	forest := trace.Assemble(res.Spans)
+	if err := forest.Err(); err != nil {
+		t.Fatalf("trace artifact incomplete: %v", err)
 	}
-	var meta, sum map[string]any
-	if err := json.Unmarshal(lines[0], &meta); err != nil {
-		t.Fatalf("meta line: %v", err)
+	id := trace.IDFromIdentity(jobs.Spec{Experiment: "E2", Quick: true, Seed: 7}.IdentityKey())
+	if len(forest.Traces) != 1 || forest.Traces[0].ID != id || len(forest.Traces[0].Roots) != 1 {
+		t.Fatalf("want one trace %s with one root, got %+v", id, forest.Traces)
 	}
-	if meta["type"] != "meta" || meta["schema"] != obs.ReportSchema || meta["experiment"] != "E2" {
-		t.Errorf("meta record = %v", meta)
+	root := forest.Traces[0].Roots[0]
+	if root.Name != "localbench.run" || root.Attrs["experiment"] != "E2" || root.Attrs["seed"] != "7" {
+		t.Errorf("root span %s %v", root.Name, root.Attrs)
 	}
-	if err := json.Unmarshal(lines[len(lines)-1], &sum); err != nil {
-		t.Fatalf("summary line: %v", err)
+	var rounds int
+	for _, c := range root.Children {
+		n, err := strconv.Atoi(c.Attrs["rounds"])
+		if c.Name != "batch.commit" || err != nil {
+			t.Fatalf("root child %s with rounds %q", c.Name, c.Attrs["rounds"])
+		}
+		rounds += n
 	}
-	if sum["type"] != "summary" || sum["total_rounds"] == float64(0) {
-		t.Errorf("summary record = %v", sum)
+	if len(root.Children) == 0 || rounds == 0 {
+		t.Errorf("%d batch.commit spans covering %d rounds", len(root.Children), rounds)
 	}
 }

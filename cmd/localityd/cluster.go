@@ -11,16 +11,13 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"log"
-	"os"
-	"path/filepath"
+	"strconv"
 	"sync"
 
 	"locality/internal/cluster"
 	"locality/internal/jobs"
-	"locality/internal/obs"
 	"locality/internal/obs/trace"
 )
 
@@ -43,8 +40,8 @@ func membership(shardsFlag, membershipFile string) ([]cluster.Shard, error) {
 // one Coordinator built from co (sharing the pool's metrics registry) runs
 // every job through Options.Execute. Workers is forced to 1 because a
 // Coordinator is not safe for concurrent Runs. The pool's tracer parents
-// the sweep spans, and its ReportDir receives one failover report per
-// sweep in place of the local run reports.
+// the sweep spans, and each cluster.sweep span carries its sweep's
+// failover summary.
 func coordinatorOptions(opts jobs.Options, co cluster.Options) (jobs.Options, error) {
 	tr := opts.Tracer
 	// sweep is the in-flight sweep's span: the coordinator carries no
@@ -91,51 +88,28 @@ func coordinatorOptions(opts jobs.Options, co cluster.Options) (jobs.Options, er
 		ctx = cluster.WithTenant(ctx, apiKey)
 		ctx = cluster.WithTraceHeader(ctx, sp.Context().String())
 		res, err := coord.Run(ctx, spec)
+		sp.SetAttr("state", string(sweepState(ctx, err)))
 		if res == nil {
 			return "", 0, err
 		}
-		writeClusterReport(ctx, opts.ReportDir, opts.ReportMaxFiles, id, spec, res, err)
+		sp.SetAttr("total_batches", strconv.Itoa(res.TotalBatches))
+		sp.SetAttr("retried", strconv.Itoa(res.Retried))
+		sp.SetAttr("recomputed", strconv.Itoa(res.Recomputed))
+		sp.SetAttr("lost", strconv.Itoa(res.Lost))
 		return res.Output, res.TotalBatches, err
 	}
 	return opts, nil
 }
 
-// writeClusterReport persists a sweep's audit trail as <id>.report.jsonl:
-// one line per failover event, then a summary line with the batch
-// accounting. A failed sweep whose context ended reports as cancelled.
-// Like worker run reports, report I/O failures never fail the job.
-func writeClusterReport(ctx context.Context, dir string, maxFiles int, id string, spec jobs.Spec, res *cluster.Result, runErr error) {
-	if dir == "" {
-		return
+// sweepState classifies a finished sweep for its span: a failed sweep
+// whose context ended reports as cancelled.
+func sweepState(ctx context.Context, err error) jobs.State {
+	switch {
+	case err == nil:
+		return jobs.StateSucceeded
+	case ctx.Err() != nil:
+		return jobs.StateCancelled
+	default:
+		return jobs.StateFailed
 	}
-	f, err := os.Create(filepath.Join(dir, id+".report.jsonl"))
-	if err != nil {
-		log.Printf("localityd: cluster report: %v", err)
-		return
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	for _, e := range res.Events {
-		_ = enc.Encode(map[string]any{"kind": "event", "event": e})
-	}
-	state, errText := jobs.StateSucceeded, ""
-	if runErr != nil {
-		state, errText = jobs.StateFailed, runErr.Error()
-		if ctx.Err() != nil {
-			state = jobs.StateCancelled
-		}
-	}
-	_ = enc.Encode(map[string]any{
-		"kind":          "summary",
-		"id":            id,
-		"experiment":    spec.Experiment,
-		"state":         state,
-		"error":         errText,
-		"total_batches": res.TotalBatches,
-		"adopted":       res.Adopted,
-		"retried":       res.Retried,
-		"recomputed":    res.Recomputed,
-		"lost":          res.Lost,
-	})
-	obs.PruneDir(dir, "*.report.jsonl", maxFiles)
 }

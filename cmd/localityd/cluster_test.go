@@ -7,9 +7,8 @@ package main
 //
 // The kill test re-execs this test binary as the worker daemon (TestMain's
 // LOCALITYD_E2E_WORKER guard), so the processes under test run the real
-// serve path, not a stub. When CLUSTER_RUNREPORT names a path, the
-// coordinator's run report for the killed sweep is copied there — CI
-// uploads it as the cluster job's artifact.
+// serve path, not a stub. The coordinator traces every sweep; its
+// cluster.sweep span carries the failover summary the tests assert on.
 
 import (
 	"bufio"
@@ -24,7 +23,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -107,7 +105,7 @@ func directRun(t *testing.T, experiment string, seed uint64) string {
 // worker URLs — the real server and pool, executing through
 // coordinatorOptions exactly as serve wires -coordinator — and serves its
 // API from an httptest server. opts carries the pool settings under test
-// (Tracer, ReportDir, Retention, Idempotent).
+// (Tracer, Retention, Idempotent).
 func testClusterFrontend(t *testing.T, opts jobs.Options, workerURLs ...string) (*server, *httptest.Server) {
 	t.Helper()
 	shards := make([]cluster.Shard, len(workerURLs))
@@ -174,24 +172,48 @@ func fetchMetrics(t *testing.T, base string) string {
 	return string(prom)
 }
 
-// clusterReport reads a coordinator job's run report and checks that it
-// ends in the summary line with zero lost batches.
-func clusterReport(t *testing.T, dir, id string) []byte {
+// coordTracer opens a coordinator tracer over a fresh artifact directory.
+// Open it before testClusterFrontend so the front-end's drain cleanup runs
+// while the tracer is still open.
+func coordTracer(t *testing.T) (*trace.Tracer, string) {
 	t.Helper()
-	report, err := os.ReadFile(filepath.Join(dir, id+".report.jsonl"))
+	dir := t.TempDir()
+	tr, err := trace.Open(trace.Options{Dir: dir, Proc: "coord"})
 	if err != nil {
-		t.Fatalf("run report: %v", err)
+		t.Fatal(err)
 	}
-	lines := bytes.Split(bytes.TrimSpace(report), []byte("\n"))
-	last := lines[len(lines)-1]
-	var sum struct {
-		Kind string `json:"kind"`
-		Lost *int   `json:"lost"`
+	t.Cleanup(func() { _ = tr.Close() })
+	return tr, dir
+}
+
+// sweepTrace drains the front-end so every span is on disk, requires the
+// coordinator's trace to assemble with zero orphans and job id's
+// cluster.sweep span to report a succeeded sweep with zero lost batches,
+// and returns the span records.
+func sweepTrace(t *testing.T, s *server, dir, id string) []trace.Record {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.drain(ctx); err != nil {
+		t.Fatal(err)
 	}
-	if err := json.Unmarshal(last, &sum); err != nil || sum.Kind != "summary" || sum.Lost == nil || *sum.Lost != 0 {
-		t.Errorf("report ends in %s (%v), want a summary with lost 0", last, err)
+	res, err := trace.Load(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return report
+	if err := trace.Assemble(res.Spans).Err(); err != nil {
+		t.Fatalf("coordinator trace incomplete: %v", err)
+	}
+	for _, rec := range res.Spans {
+		if rec.Name == "cluster.sweep" && rec.Attrs["job"] == id {
+			if rec.Attrs["lost"] != "0" || rec.Attrs["state"] != string(jobs.StateSucceeded) {
+				t.Errorf("cluster.sweep attrs %v, want state succeeded and lost 0", rec.Attrs)
+			}
+			return res.Spans
+		}
+	}
+	t.Fatalf("no cluster.sweep span for job %s", id)
+	return nil
 }
 
 // metricValue extracts an unlabeled metric's value from Prometheus text.
@@ -229,8 +251,8 @@ func TestClusterFrontendInProcess(t *testing.T) {
 			BatchHook: func(string, *harness.Checkpoint) { <-streaming }})
 		workers = append(workers, ts.URL)
 	}
-	reportDir := t.TempDir()
-	_, front := testClusterFrontend(t, jobs.Options{ReportDir: reportDir, Idempotent: true}, workers...)
+	tr, traceDir := coordTracer(t)
+	s, front := testClusterFrontend(t, jobs.Options{Tracer: tr, Idempotent: true}, workers...)
 
 	resp := submit(t, front.URL, `{"experiment":"E99","quick":true,"seed":7}`)
 	var er errorResponse
@@ -274,7 +296,6 @@ func TestClusterFrontendInProcess(t *testing.T) {
 	if v := metricValue(t, fetchMetrics(t, front.URL), "locality_cluster_rows_lost"); v != 0 {
 		t.Errorf("rows_lost metric = %v", v)
 	}
-	clusterReport(t, reportDir, acc.ID)
 
 	// Rows are coordinator-owned on the front-end.
 	resp = submit(t, front.URL, `{"experiment":"E4","quick":true,"seed":7,"rows":{"mod":2,"keep":0}}`)
@@ -282,6 +303,8 @@ func TestClusterFrontendInProcess(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest || er.Reason != "invalid_rows" {
 		t.Errorf("rows submission: %d %q, want 400 invalid_rows", resp.StatusCode, er.Reason)
 	}
+
+	sweepTrace(t, s, traceDir, acc.ID)
 }
 
 // TestClusterRetention: a coordinator's job table is bounded like a
@@ -339,7 +362,8 @@ func TestClusterRetention(t *testing.T) {
 // TestClusterKillShardE2E is the acceptance run: three real worker
 // localityd processes, one SIGKILLed mid-sweep (victim chosen by a seeded
 // fault.ProcPlan), and the coordinator still produces the byte-identical
-// table with zero batches lost — with the failover visible on /metrics.
+// table with zero batches lost — with the failover visible on /metrics
+// and in the coordinator's trace.
 func TestClusterKillShardE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process e2e")
@@ -410,8 +434,8 @@ func TestClusterKillShardE2E(t *testing.T) {
 		waitReady(u)
 	}
 
-	reportDir := t.TempDir()
-	_, front := testClusterFrontend(t, jobs.Options{ReportDir: reportDir}, urls...)
+	tr, traceDir := coordTracer(t)
+	s, front := testClusterFrontend(t, jobs.Options{Tracer: tr}, urls...)
 
 	resp := submit(t, front.URL, `{"experiment":"E4","quick":true,"seed":7}`)
 	if resp.StatusCode != http.StatusAccepted {
@@ -480,14 +504,16 @@ func TestClusterKillShardE2E(t *testing.T) {
 		t.Errorf("retried %v + recomputed %v batches; the victim's work went somewhere", retried, recomputed)
 	}
 
-	// The run report is the CI artifact: export it when CI asks.
-	report := clusterReport(t, reportDir, acc.ID)
-	if !bytes.Contains(report, []byte(`"failover"`)) || !bytes.Contains(report, []byte(`"summary"`)) {
-		t.Errorf("run report lacks failover/summary lines:\n%s", report)
-	}
-	if dst := os.Getenv("CLUSTER_RUNREPORT"); dst != "" {
-		if err := os.WriteFile(dst, report, 0o644); err != nil {
-			t.Fatalf("exporting run report artifact: %v", err)
+	// The coordinator's trace carries the failover: at least one
+	// cluster.failover span, and a cluster.sweep span reporting zero lost
+	// batches.
+	failovers := 0
+	for _, rec := range sweepTrace(t, s, traceDir, acc.ID) {
+		if rec.Name == "cluster.failover" {
+			failovers++
 		}
+	}
+	if failovers < 1 {
+		t.Error("no cluster.failover span in the coordinator trace")
 	}
 }

@@ -35,8 +35,12 @@
 // above — events, checkpoint route, tenancy, dedup, retention, drain —
 // holds in both modes. See cluster.go.
 //
-// Profiling is opt-in: -pprof-addr spawns net/http/pprof on a separate
-// listener, never on the API port.
+// Telemetry is /metrics plus, with -trace-dir, one span trace artifact per
+// process (read by cmd/localtrace): admission, queue, execution, one
+// batch.commit span per row batch with its simulator round counts, and in
+// coordinator mode the cluster.sweep span carrying the sweep's failover
+// summary. Profiling is opt-in: -pprof-addr spawns net/http/pprof on a
+// separate listener, never on the API port.
 package main
 
 import (
@@ -372,8 +376,6 @@ func main() {
 		requestTimeout = flag.Duration("request-timeout", 10*time.Second, "per-request handler deadline")
 		maxInflight    = flag.Int("max-inflight", 64, "concurrent request limit (excess rejected 503)")
 		pprofAddr      = flag.String("pprof-addr", "", "opt-in net/http/pprof listen address (empty = disabled)")
-		reportDir      = flag.String("report-dir", "", "directory for per-job JSONL run reports (empty = disabled)")
-		reportMaxFiles = flag.Int("report-max-files", 0, "report files kept in -report-dir; the oldest are removed past it (0 = unlimited)")
 		traceDir       = flag.String("trace-dir", "", "directory for JSONL span trace artifacts (empty = tracing disabled)")
 		traceProc      = flag.String("trace-proc", "", "process name stamped on this instance's spans (default localityd-<pid>)")
 		tenantsFile    = flag.String("tenants-file", "", "JSON tenant config: default quotas, pinned tenants keyed by API key (empty = permissive)")
@@ -410,16 +412,14 @@ func main() {
 		log.Fatal(err)
 	}
 	if err := run(*addr, jobs.Options{
-		Workers:        *workers,
-		QueueDepth:     *queueDepth,
-		CheckpointDir:  *checkpointDir,
-		RetryBudget:    *retryBudget,
-		Backoff:        harness.Backoff{Base: *retryBase, Max: *retryMax, Seed: *backoffSeed},
-		ReportDir:      *reportDir,
-		ReportMaxFiles: *reportMaxFiles,
-		Tenancy:        tcfg,
-		Idempotent:     *idempotent,
-		Retention:      *retention,
+		Workers:       *workers,
+		QueueDepth:    *queueDepth,
+		CheckpointDir: *checkpointDir,
+		RetryBudget:   *retryBudget,
+		Backoff:       harness.Backoff{Base: *retryBase, Max: *retryMax, Seed: *backoffSeed},
+		Tenancy:       tcfg,
+		Idempotent:    *idempotent,
+		Retention:     *retention,
 	}, co, storeConfig{dir: *storeDir, maxBytes: *storeMaxBytes},
 		traceConfig{dir: *traceDir, proc: *traceProc},
 		*drainTimeout, *requestTimeout, *maxInflight, *pprofAddr); err != nil {
@@ -455,9 +455,6 @@ type traceConfig struct {
 func (c traceConfig) open(reg *obs.Registry) (*trace.Tracer, error) {
 	if c.dir == "" {
 		return nil, nil
-	}
-	if err := os.MkdirAll(c.dir, 0o755); err != nil {
-		return nil, fmt.Errorf("localityd: trace dir: %w", err)
 	}
 	proc := c.proc
 	if proc == "" {

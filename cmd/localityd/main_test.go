@@ -8,8 +8,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"syscall"
@@ -380,45 +378,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q in:\n%s", want, body)
 		}
-	}
-}
-
-// TestJobReportArtifact: with ReportDir set, each job leaves a
-// <id>.report.jsonl run report whose first record is the meta line.
-func TestJobReportArtifact(t *testing.T) {
-	dir := t.TempDir()
-	_, ts := testServer(t, jobs.Options{Workers: 1, ReportDir: dir})
-	resp := submit(t, ts.URL, `{"experiment":"E2","quick":true,"seed":7}`)
-	var accepted struct {
-		ID string `json:"id"`
-	}
-	decode(t, resp, &accepted)
-	j := pollJob(t, ts.URL, accepted.ID)
-	if j.State != jobs.StateSucceeded {
-		t.Fatalf("job state %s, error %q", j.State, j.Error)
-	}
-
-	raw, err := os.ReadFile(filepath.Join(dir, accepted.ID+".report.jsonl"))
-	if err != nil {
-		t.Fatalf("run report artifact: %v", err)
-	}
-	lines := bytes.Split(bytes.TrimSpace(raw), []byte("\n"))
-	if len(lines) < 3 {
-		t.Fatalf("report has %d lines, want >= 3 (meta, records, summary)", len(lines))
-	}
-	var meta map[string]any
-	if err := json.Unmarshal(lines[0], &meta); err != nil {
-		t.Fatalf("meta line: %v", err)
-	}
-	if meta["type"] != "meta" || meta["experiment"] != "E2" || meta["schema"] != obs.ReportSchema {
-		t.Errorf("meta record = %v", meta)
-	}
-	var sum map[string]any
-	if err := json.Unmarshal(lines[len(lines)-1], &sum); err != nil {
-		t.Fatalf("summary line: %v", err)
-	}
-	if sum["type"] != "summary" || sum["total_batches"] == float64(0) {
-		t.Errorf("summary record = %v", sum)
 	}
 }
 

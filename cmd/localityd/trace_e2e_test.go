@@ -116,7 +116,7 @@ func TestClusterTraceE2E(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, front := testClusterFrontend(t, jobs.Options{Tracer: coordTr, ReportDir: t.TempDir()}, urls...)
+	s, front := testClusterFrontend(t, jobs.Options{Tracer: coordTr}, urls...)
 
 	resp := submit(t, front.URL, `{"experiment":"E4","quick":true,"seed":7}`)
 	if resp.StatusCode != http.StatusAccepted {

@@ -60,10 +60,6 @@ var leafExemptions = []analysis.FuncExemption{
 		Reason: "the single sanctioned backoff timer; the backoff schedule stays pure seeded arithmetic"},
 	{Func: "locality/internal/harness.(*rowScheduler).start", Kind: "goroutine",
 		Reason: "sweep worker pool, reaped by rowScheduler.finish"},
-	{Func: "locality/internal/obs.now", Kind: "wallclock",
-		Reason: "run-report timing is wall-clock telemetry by design; confined to clock.go's two helpers"},
-	{Func: "locality/internal/obs.since", Kind: "wallclock",
-		Reason: "run-report timing is wall-clock telemetry by design; confined to clock.go's two helpers"},
 	{Func: "locality/internal/store.nowNanos", Kind: "wallclock",
 		Reason: "result-store records carry a stored-at stamp for operators; write-only telemetry, never read back into cache decisions"},
 	{Func: "locality/internal/obs/trace.now", Kind: "wallclock",

@@ -14,6 +14,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -345,7 +346,11 @@ func TestCoordinatorFailover(t *testing.T) {
 		victim.srv.Close() // hard kill: connections refused from now on
 	}()
 
-	coord, err := cluster.New(fastOptions(victim, w1, w2))
+	opts := fastOptions(victim, w1, w2)
+	// OnSpan fires on the Run goroutine; the slice is read after Run returns.
+	var spans []cluster.SpanEvent
+	opts.OnSpan = func(e cluster.SpanEvent) { spans = append(spans, e) }
+	coord, err := cluster.New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,14 +372,8 @@ func TestCoordinatorFailover(t *testing.T) {
 	if res.Retried == 0 && res.Recomputed == 0 {
 		t.Error("a shard died mid-sweep but nothing was retried or recomputed")
 	}
-	foundFailover := false
-	for _, e := range res.Events {
-		if e.Kind == "failover" {
-			foundFailover = true
-		}
-	}
-	if !foundFailover {
-		t.Errorf("no failover event recorded; events: %+v", res.Events)
+	if !slices.ContainsFunc(spans, func(e cluster.SpanEvent) bool { return e.Name == "cluster.failover" }) {
+		t.Errorf("no cluster.failover span reported; spans: %+v", spans)
 	}
 }
 

@@ -52,17 +52,6 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-// Event is one entry of a run's failure-handling audit trail.
-type Event struct {
-	// Shard names the shard involved ("" for coordinator-local events).
-	Shard string `json:"shard,omitempty"`
-	// Kind is the event class: "dispatch", "adopt", "unhealthy", "healthy",
-	// "failover", "abandon", "endgame".
-	Kind string `json:"kind"`
-	// Detail is the human-readable specifics.
-	Detail string `json:"detail,omitempty"`
-}
-
 // Result is a completed cluster sweep.
 type Result struct {
 	// Output is the final rendered table — byte-identical to a single-process
@@ -83,8 +72,6 @@ type Result struct {
 	// zero by construction — determinism makes every batch recomputable —
 	// and asserted by the e2e harness.
 	Lost int `json:"lost"`
-	// Events is the failure-handling audit trail, in order.
-	Events []Event `json:"events,omitempty"`
 }
 
 // Coordinator shards sweeps across worker localityd instances and merges
@@ -216,7 +203,7 @@ func (c *Coordinator) Run(ctx context.Context, spec jobs.Spec) (*Result, error) 
 		if n == 1 {
 			a.rows = &jobs.RowSpec{} // sole shard takes everything
 		}
-		active = c.dispatch(ctx, spec, a, res, active)
+		active = c.dispatch(ctx, spec, a, active)
 	}
 
 	// Poll, merge, fail over. The failover budget bounds pathological
@@ -236,18 +223,15 @@ func (c *Coordinator) Run(ctx context.Context, spec jobs.Spec) (*Result, error) 
 				c.cancelAll(ctx, active)
 				return res, err
 			case err != nil:
-				c.event(res, a.shard.shard.Name, "failover", err.Error())
 				c.metrics.failover()
 				now := time.Now().UnixNano()
 				c.span("cluster.failover", a.shard.shard.Name, now, now, "error", err.Error())
 				c.logf("cluster: shard %s failed (%v); reassigning", a.shard.shard.Name, err)
 				if failoverBudget--; failoverBudget < 0 {
-					c.event(res, a.shard.shard.Name, "abandon",
-						"failover budget exhausted; endgame will recompute "+rowsLabel(a.rows))
 					c.span("cluster.abandon", a.shard.shard.Name, now, now, "reason", "failover_budget")
 					continue
 				}
-				still = c.reassign(ctx, spec, a, merged, res, still)
+				still = c.reassign(ctx, spec, a, merged, still)
 			case done:
 			default:
 				still = append(still, a)
@@ -266,12 +250,11 @@ func (c *Coordinator) Run(ctx context.Context, spec jobs.Spec) (*Result, error) 
 // dispatch submits an assignment to its shard, preferring a healthy one;
 // with the cluster fully unhealthy the assignment is abandoned to the
 // endgame. Returns active with the assignment appended iff dispatched.
-func (c *Coordinator) dispatch(ctx context.Context, spec jobs.Spec, a *assignment, res *Result, active []*assignment) []*assignment {
+func (c *Coordinator) dispatch(ctx context.Context, spec jobs.Spec, a *assignment, active []*assignment) []*assignment {
 	if !a.shard.prober.Healthy() {
 		if next := c.nextHealthy(); next != nil {
 			a.shard = next
 		} else {
-			c.event(res, a.shard.shard.Name, "abandon", "no healthy shard; endgame will recompute "+rowsLabel(a.rows))
 			now := time.Now().UnixNano()
 			c.span("cluster.abandon", a.shard.shard.Name, now, now, "reason", "no_healthy_shard")
 			return active
@@ -289,15 +272,13 @@ func (c *Coordinator) dispatch(ctx context.Context, spec jobs.Spec, a *assignmen
 	id, err := a.shard.client.Submit(ctx, req)
 	if err != nil {
 		a.shard.prober.MarkUnhealthy()
-		c.event(res, a.shard.shard.Name, "failover", "dispatch failed: "+err.Error())
 		c.metrics.failover()
 		c.span("shard.dispatch", a.shard.shard.Name, start, time.Now().UnixNano(),
 			"outcome", "failed", "error", err.Error())
 		if next := c.nextHealthy(); next != nil {
 			a.shard = next
-			return c.dispatch(ctx, spec, a, res, active)
+			return c.dispatch(ctx, spec, a, active)
 		}
-		c.event(res, a.shard.shard.Name, "abandon", "no healthy shard; endgame will recompute "+rowsLabel(a.rows))
 		now := time.Now().UnixNano()
 		c.span("cluster.abandon", a.shard.shard.Name, now, now, "reason", "no_healthy_shard")
 		return active
@@ -306,7 +287,6 @@ func (c *Coordinator) dispatch(ctx context.Context, spec jobs.Spec, a *assignmen
 		"job", id, "rows", rowsLabel(a.rows))
 	a.jobID = id
 	c.metrics.dispatched(a.shard.shard.Name)
-	c.event(res, a.shard.shard.Name, "dispatch", fmt.Sprintf("%s as %s", rowsLabel(a.rows), id))
 	c.logf("cluster: dispatched %s %s to %s (%s)", spec.Experiment, rowsLabel(a.rows), a.shard.shard.Name, id)
 	return append(active, a)
 }
@@ -348,8 +328,6 @@ func (c *Coordinator) poll(ctx context.Context, a *assignment, merged *harness.C
 	}
 	switch cr.State {
 	case jobs.StateSucceeded:
-		c.event(res, a.shard.shard.Name, "adopt",
-			fmt.Sprintf("%s complete (%d batches merged)", a.jobID, res.Adopted[a.shard.shard.Name]))
 		return true, nil
 	case jobs.StateFailed, jobs.StateCancelled:
 		return false, fmt.Errorf("job %s on %s %s", a.jobID, a.shard.shard.Name, cr.State)
@@ -362,7 +340,7 @@ func (c *Coordinator) poll(ctx context.Context, a *assignment, merged *harness.C
 // shard: an explicit Include list when the sweep's batch count is known, a
 // skip-annotated residue spec otherwise. Batches already merged are never
 // recomputed.
-func (c *Coordinator) reassign(ctx context.Context, spec jobs.Spec, a *assignment, merged *harness.Checkpoint, res *Result, active []*assignment) []*assignment {
+func (c *Coordinator) reassign(ctx context.Context, spec jobs.Spec, a *assignment, merged *harness.Checkpoint, active []*assignment) []*assignment {
 	// Best-effort cancel: a dead shard cannot answer, and need not.
 	if a.jobID != "" {
 		cctx, cancel := context.WithTimeout(ctx, c.opts.RequestTimeout)
@@ -389,7 +367,7 @@ func (c *Coordinator) reassign(ctx context.Context, spec jobs.Spec, a *assignmen
 			Skip:    merged.ComputedIndices(),
 		}
 	}
-	return c.dispatch(ctx, spec, next, res, active)
+	return c.dispatch(ctx, spec, next, active)
 }
 
 // nextHealthy picks the next healthy shard round-robin, or nil.
@@ -450,10 +428,8 @@ func (c *Coordinator) endgame(ctx context.Context, driver func(harness.Config) *
 	}
 	res.Lost = res.TotalBatches - merged.Computed() - recomputed
 	c.metrics.rowsLost(res.Lost)
-	c.event(res, "", "endgame",
-		fmt.Sprintf("%d/%d batches merged from shards, %d recomputed locally, %d lost",
-			merged.Computed(), res.TotalBatches, recomputed, res.Lost))
 	c.span("cluster.endgame", "", egStart, time.Now().UnixNano(),
+		"merged", fmt.Sprintf("%d", merged.Computed()), "total", fmt.Sprintf("%d", res.TotalBatches),
 		"recomputed", fmt.Sprintf("%d", recomputed), "lost", fmt.Sprintf("%d", res.Lost))
 	c.logf("cluster: %s complete: %d batches merged, %d recomputed locally, %d lost",
 		spec.Experiment, merged.Computed(), recomputed, res.Lost)
@@ -475,12 +451,7 @@ func runDriver(driver func(harness.Config) *harness.Table, cfg harness.Config) (
 	return driver(cfg), nil
 }
 
-// event appends to the audit trail.
-func (c *Coordinator) event(res *Result, shard, kind, detail string) {
-	res.Events = append(res.Events, Event{Shard: shard, Kind: kind, Detail: detail})
-}
-
-// rowsLabel renders a row spec for events and logs.
+// rowsLabel renders a row spec for spans and logs.
 func rowsLabel(r *jobs.RowSpec) string {
 	switch {
 	case r == nil:

@@ -82,7 +82,7 @@ func (p ProcPlan) Victim(k, n int) bool {
 	return false
 }
 
-// String summarizes the plan for logs and run reports.
+// String summarizes the plan for logs and test output.
 func (p ProcPlan) String() string {
 	if !p.Active() {
 		return "none"

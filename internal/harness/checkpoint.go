@@ -57,7 +57,7 @@ type Checkpoint struct {
 	Batches [][][]string `json:"batches"`
 	// Origins, when present, annotates each batch with the shard that
 	// computed it ("" for locally computed batches). It is written by
-	// coordinators via Adopt — provenance for metrics and run reports,
+	// coordinators via Adopt — provenance for metrics and logs,
 	// never consulted by replay.
 	Origins []string `json:"origins,omitempty"`
 	// TotalBatches, when > 0, records the sweep's full batch count — set

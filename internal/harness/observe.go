@@ -6,12 +6,13 @@ import "locality/internal/sim"
 //
 // The harness itself stays clock-free and metrics-free (the localvet
 // nowallclock and obsinert gates): it only *forwards* to an Observer the
-// caller attaches via Config.Obs. internal/obs supplies the standard
-// implementation (RunReport, a JSONL trace sink); tests attach recording
-// observers. The contract mirrors sim.Config.OnRound: an observer is
-// strictly fire-and-forget — it must not mutate tables, and a sweep's
-// rendered bytes, checkpoints and OnBatch sequence are identical with or
-// without one (differentially test-asserted in obs_test.go).
+// caller attaches via Config.Obs. internal/obs/trace supplies the one
+// production implementation (trace.Observer, which turns each committed
+// batch into a batch.commit span carrying its round counts); tests attach
+// recording observers. The contract mirrors sim.Config.OnRound: an
+// observer is strictly fire-and-forget — it must not mutate tables, and a
+// sweep's rendered bytes, checkpoints and OnBatch sequence are identical
+// with or without one (differentially test-asserted in obs_test.go).
 
 // An Observer receives a sweep's round-level and batch-level telemetry.
 // Implementations must be safe for concurrent use: with Config.Workers > 1
@@ -26,41 +27,6 @@ type Observer interface {
 	// BatchDone reports one committed row batch: the total committed so
 	// far and the rows this batch appended.
 	BatchDone(experiment string, batches, rowsInBatch int)
-}
-
-// Observers combines observers into one, dropping nils: the idiom for
-// attaching a run report AND a trace sink to the same sweep. It returns
-// nil when nothing remains (so Config.Obs stays nil and the disabled
-// path costs nothing) and the sole survivor unwrapped when one does.
-func Observers(list ...Observer) Observer {
-	var out []Observer
-	for _, o := range list {
-		if o != nil {
-			out = append(out, o)
-		}
-	}
-	switch len(out) {
-	case 0:
-		return nil
-	case 1:
-		return out[0]
-	}
-	return multiObserver(out)
-}
-
-// multiObserver fans telemetry out in attachment order.
-type multiObserver []Observer
-
-func (m multiObserver) SimRound(experiment string, s sim.RoundStats) {
-	for _, o := range m {
-		o.SimRound(experiment, s)
-	}
-}
-
-func (m multiObserver) BatchDone(experiment string, batches, rowsInBatch int) {
-	for _, o := range m {
-		o.BatchDone(experiment, batches, rowsInBatch)
-	}
 }
 
 // sim injects the sweep's round-stats hook into a simulator config. Every

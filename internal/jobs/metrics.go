@@ -2,10 +2,7 @@ package jobs
 
 import (
 	"errors"
-	"os"
-	"path/filepath"
 
-	"locality/internal/harness"
 	"locality/internal/obs"
 	"locality/internal/tenant"
 )
@@ -132,33 +129,5 @@ func (m poolMetrics) terminal(s State) {
 		m.cancelled.Inc()
 	default:
 		m.failed.Inc()
-	}
-}
-
-// reportSink opens the job's run-report file under Options.ReportDir and
-// returns the sweep observer plus its closer. Telemetry must never fail a
-// job, so — like checkpoint persistence — filesystem errors are swallowed
-// and the job runs unobserved.
-func (p *Pool) reportSink(j *job) (harness.Observer, func()) {
-	if p.opts.ReportDir == "" {
-		return nil, func() {}
-	}
-	f, err := os.Create(filepath.Join(p.opts.ReportDir, j.id+".report.jsonl"))
-	if err != nil {
-		return nil, func() {}
-	}
-	rep := obs.NewRunReport(f, obs.ReportMeta{
-		Experiment: j.spec.Experiment,
-		Seed:       j.spec.Seed,
-		Quick:      j.spec.Quick,
-		Workers:    j.spec.Workers,
-	})
-	return rep, func() {
-		rep.Close()
-		f.Close()
-		// FIFO-bound the report directory after each report closes, so a
-		// long-lived daemon's ReportDir stops growing at the configured
-		// budget instead of accumulating one file per job forever.
-		obs.PruneDir(p.opts.ReportDir, "*.report.jsonl", p.opts.ReportMaxFiles)
 	}
 }

@@ -50,16 +50,6 @@ type Options struct {
 	// batches, queue depth, running jobs, per-tenant admissions). Nil
 	// disables instrumentation at zero cost.
 	Metrics *obs.Registry
-	// ReportDir, when non-empty, writes one JSONL run report per job
-	// (<id>.report.jsonl) capturing the sweep's round- and batch-level
-	// telemetry. Like checkpoint persistence, report I/O failures never fail
-	// a job.
-	ReportDir string
-	// ReportMaxFiles bounds ReportDir: past it, the oldest report files
-	// are removed FIFO after each report closes (the result store's
-	// whole-segment eviction idiom, applied to whole report files).
-	// 0 keeps everything.
-	ReportMaxFiles int
 	// Tracer, when non-nil, emits deterministic spans for every
 	// submission and job lifecycle stage — admission, store lookup,
 	// queue wait, execution, per-batch commits, store write-through —
@@ -745,11 +735,9 @@ func (p *Pool) attempt(ctx context.Context, j *job, ck **harness.Checkpoint) (ou
 		}
 		return out, err
 	}
-	report, closeReport := p.reportSink(j)
-	defer closeReport()
 	driver, _ := lookup(j.spec.Experiment)
 	cfg := harness.Config{
-		Obs:     harness.Observers(report, p.traceSink(j)),
+		Obs:     p.sweepObserver(j),
 		Quick:   j.spec.Quick,
 		Seed:    j.spec.Seed,
 		Workers: j.spec.Workers,
@@ -776,6 +764,19 @@ func (p *Pool) attempt(ctx context.Context, j *job, ck **harness.Checkpoint) (ou
 	var buf bytes.Buffer
 	driver(cfg).Render(&buf)
 	return buf.String(), nil
+}
+
+// sweepObserver returns the attempt's batch-span observer, or a nil
+// interface when tracing is off: a typed-nil *trace.Observer would arm
+// the simulator's round hook on every run and lose its 0-allocs/round
+// disabled path. Batch spans parent to the job's root (the admission
+// span) rather than the in-flight job.run span — see the job.root field
+// on why that matters under SIGKILL.
+func (p *Pool) sweepObserver(j *job) harness.Observer {
+	if p.opts.Tracer == nil {
+		return nil
+	}
+	return trace.NewObserver(p.opts.Tracer, j.root)
 }
 
 // Checkpoint returns the job's latest checkpoint snapshot — updated batch by

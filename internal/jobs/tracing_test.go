@@ -3,17 +3,20 @@ package jobs_test
 // Tracing differentials at the pool layer: enabling the tracer must not
 // change a single output byte (the telemetry-inertness contract), and the
 // artifact a traced pool writes must assemble into complete causal trees
-// rooted at each job's identity-derived trace ID. Plus the ReportMaxFiles
-// FIFO regression: a bounded report directory stops growing at the budget.
+// rooted at each job's identity-derived trace ID, with every simulator
+// round accounted to a batch.commit span.
 
 import (
-	"os"
-	"path/filepath"
+	"fmt"
 	"slices"
+	"strconv"
+	"sync/atomic"
 	"testing"
 
+	"locality/internal/harness"
 	"locality/internal/jobs"
 	"locality/internal/obs/trace"
+	"locality/internal/sim"
 )
 
 // TestTracerByteIdentity runs the same specs through a plain pool and a
@@ -99,38 +102,76 @@ func TestTracerByteIdentity(t *testing.T) {
 	}
 }
 
-// TestReportMaxFilesPrunes is the ReportDir FIFO regression: with a
-// 2-file budget, the third job's report evicts the first job's.
-func TestReportMaxFilesPrunes(t *testing.T) {
-	dir := t.TempDir()
-	p := jobs.New(jobs.Options{Workers: 1, ReportDir: dir, ReportMaxFiles: 2})
-	defer closePool(t, p)
+// roundCounter is a recording harness.Observer: it counts the simulator
+// rounds and messages a sweep reports, from concurrent row workers too.
+type roundCounter struct{ rounds, messages atomic.Int64 }
 
-	var ids []string
-	for _, seed := range []uint64{1, 2, 3} {
-		id, err := p.Submit(jobs.Spec{Experiment: "E4", Quick: true, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if j := waitTerminal(t, p, id); j.State != jobs.StateSucceeded {
-			t.Fatalf("seed %d: %s (%s)", seed, j.State, j.Error)
-		}
-		ids = append(ids, id)
-	}
+func (c *roundCounter) SimRound(_ string, s sim.RoundStats) {
+	c.rounds.Add(1)
+	c.messages.Add(s.Messages)
+}
 
-	reports, err := filepath.Glob(filepath.Join(dir, "*.report.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reports) != 2 {
-		t.Fatalf("report dir holds %d files %v, want 2", len(reports), reports)
-	}
-	if _, err := os.Stat(filepath.Join(dir, ids[0]+".report.jsonl")); !os.IsNotExist(err) {
-		t.Errorf("oldest report %s survived the FIFO bound", ids[0])
-	}
-	for _, id := range ids[1:] {
-		if _, err := os.Stat(filepath.Join(dir, id+".report.jsonl")); err != nil {
-			t.Errorf("report %s missing: %v", id, err)
-		}
+func (c *roundCounter) BatchDone(string, int, int) {}
+
+// TestBatchCommitRoundCounts: the rounds and messages attrs summed over a
+// job's batch.commit spans equal what a recording observer counts for the
+// same sweep, sequentially and with parallel row workers — every round
+// lands in exactly one commit interval.
+func TestBatchCommitRoundCounts(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			spec := jobs.Spec{Experiment: "E2", Quick: true, Seed: 7, Workers: workers}
+			driver, _ := harness.ByID(spec.Experiment)
+			var want roundCounter
+			driver(harness.Config{Quick: spec.Quick, Seed: spec.Seed, Workers: workers, Obs: &want})
+			if want.rounds.Load() == 0 {
+				t.Fatal("recording observer saw no rounds")
+			}
+
+			dir := t.TempDir()
+			tr, err := trace.Open(trace.Options{Dir: dir, Proc: "pool"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := jobs.New(jobs.Options{Workers: 1, Tracer: tr})
+			id, err := p.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if j := waitTerminal(t, p, id); j.State != jobs.StateSucceeded {
+				t.Fatalf("state %s (%s)", j.State, j.Error)
+			}
+			closePool(t, p)
+			if err := tr.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			res, err := trace.Load(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rounds, messages int64
+			commits := 0
+			for _, rec := range res.Spans {
+				if rec.Name != "batch.commit" {
+					continue
+				}
+				commits++
+				for key, sum := range map[string]*int64{"rounds": &rounds, "messages": &messages} {
+					v, err := strconv.ParseInt(rec.Attrs[key], 10, 64)
+					if err != nil {
+						t.Fatalf("batch.commit %s attr %q: %v", key, rec.Attrs[key], err)
+					}
+					*sum += v
+				}
+			}
+			if commits == 0 {
+				t.Fatal("no batch.commit spans")
+			}
+			if rounds != want.rounds.Load() || messages != want.messages.Load() {
+				t.Errorf("batch.commit spans sum to %d rounds / %d messages, observer counted %d / %d",
+					rounds, messages, want.rounds.Load(), want.messages.Load())
+			}
+		})
 	}
 }

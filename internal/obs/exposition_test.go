@@ -2,17 +2,14 @@ package obs
 
 // Exposition-surface pins for the observability PR: byte-stable /metrics
 // ordering regardless of family registration order (including concurrent
-// first-use), exemplar comment rendering, the build-info identity gauge,
-// and FIFO artifact-directory pruning.
+// first-use), exemplar comment rendering, and the build-info identity
+// gauge.
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestWritePromByteStable pins the exposition contract the differential
@@ -137,69 +134,4 @@ func TestRegisterBuildInfo(t *testing.T) {
 	}
 	// Nil-registry safe, like every obs entry point.
 	RegisterBuildInfo(nil)
-}
-
-// TestPruneDir pins the FIFO bound: oldest files (mtime, ties by name)
-// go first, non-matching files survive, max<=0 disables.
-func TestPruneDir(t *testing.T) {
-	dir := t.TempDir()
-	base := time.Now().Add(-time.Hour)
-	for i, name := range []string{"a.report.jsonl", "b.report.jsonl", "c.report.jsonl", "d.report.jsonl"} {
-		p := filepath.Join(dir, name)
-		if err := os.WriteFile(p, []byte("x"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		mt := base.Add(time.Duration(i) * time.Minute)
-		if err := os.Chtimes(p, mt, mt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	keep := filepath.Join(dir, "keep.trace.jsonl")
-	if err := os.WriteFile(keep, []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	if n := PruneDir(dir, "*.report.jsonl", 0); n != 0 {
-		t.Errorf("max=0 removed %d files", n)
-	}
-	if n := PruneDir(dir, "*.report.jsonl", 10); n != 0 {
-		t.Errorf("under budget removed %d files", n)
-	}
-	if n := PruneDir(dir, "*.report.jsonl", 2); n != 2 {
-		t.Errorf("removed %d files, want 2", n)
-	}
-	for _, gone := range []string{"a.report.jsonl", "b.report.jsonl"} {
-		if _, err := os.Stat(filepath.Join(dir, gone)); !os.IsNotExist(err) {
-			t.Errorf("oldest file %s still present", gone)
-		}
-	}
-	for _, there := range []string{"c.report.jsonl", "d.report.jsonl", "keep.trace.jsonl"} {
-		if _, err := os.Stat(filepath.Join(dir, there)); err != nil {
-			t.Errorf("file %s should have survived: %v", there, err)
-		}
-	}
-
-	// Equal mtimes: ties break by name, deterministically.
-	tie := time.Now().Add(-time.Minute)
-	for _, name := range []string{"t1.report.jsonl", "t2.report.jsonl", "t3.report.jsonl"} {
-		p := filepath.Join(dir, name)
-		if err := os.WriteFile(p, []byte("x"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Chtimes(p, tie, tie); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := os.Remove(filepath.Join(dir, "c.report.jsonl")); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(dir, "d.report.jsonl")); err != nil {
-		t.Fatal(err)
-	}
-	if n := PruneDir(dir, "*.report.jsonl", 1); n != 2 {
-		t.Errorf("tie prune removed %d, want 2", n)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "t3.report.jsonl")); err != nil {
-		t.Errorf("lexicographically last tie should survive: %v", err)
-	}
 }

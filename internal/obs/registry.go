@@ -1,7 +1,8 @@
-// Package obs is the observability layer: a stdlib-only metrics registry
-// (counters, gauges, fixed-bucket histograms) with Prometheus text-format
-// exposition, and a round-level JSONL run-report sink fed by the simulator
-// and harness hook points.
+// Package obs is the observability layer's metrics half: a stdlib-only
+// registry (counters, gauges, fixed-bucket histograms) with Prometheus
+// text-format exposition. Events — spans, and the per-batch simulator
+// round counts fed by the harness hook points — live in the trace
+// subpackage, the repository's one telemetry event stream.
 //
 // The package is designed around one hard requirement, the observability
 // contract of DESIGN.md §9: telemetry must be provably inert. Nothing in
@@ -12,9 +13,10 @@
 // rendered tables, checkpoints and BENCH artifacts are byte-identical with
 // telemetry on or off (differentially test-asserted).
 //
-// Wall-clock reads are confined to clock.go, the package's single
-// sanctioned clock file (a localvet nowallclock carve-out): timing lives in
-// run reports and /metrics, never in results.
+// The package reads no clock: histograms observe durations their callers
+// measured. The layer's only sanctioned clock file is trace/clock.go (a
+// localvet nowallclock carve-out): timing lives in spans and /metrics,
+// never in results.
 package obs
 
 import (

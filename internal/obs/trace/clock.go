@@ -1,8 +1,8 @@
 package trace
 
-// This file is the trace layer's single sanctioned wall-clock consumer,
-// mirroring internal/obs/clock.go: the two helpers below are the only
-// clock reads in the package, exempted function-by-function in
+// This file is the telemetry layer's single sanctioned wall-clock
+// consumer: the two helpers below are the only clock reads in
+// internal/obs and its subpackages, exempted function-by-function in
 // cmd/localvet's leafExemptions table (machine-verified by nondetflow).
 // Span timestamps and durations are wall-clock telemetry by design and
 // are never consulted by model, harness, or supervision decisions — the

@@ -1,7 +1,9 @@
 // Package trace is the deterministic distributed-tracing layer: spans
-// propagated from submit through shard dispatch to the result store,
-// persisted as JSONL artifacts next to run reports and reassembled into
-// causal trees by cmd/localtrace.
+// propagated from submit through shard dispatch and sweep batch commits to
+// the result store, persisted as JSONL artifacts and reassembled into
+// causal trees by cmd/localtrace. It is the repository's one telemetry
+// event stream: per-round simulator counters ride the batch.commit spans
+// (observe.go) rather than a separate artifact.
 //
 // The package follows the obsinert tradition of internal/obs (DESIGN.md
 // §9, §14): tracing observes and never influences. Trace IDs derive from
@@ -133,14 +135,17 @@ type Record struct {
 	Attrs  map[string]string `json:"attrs,omitempty"`
 }
 
-// Open creates a tracer writing <Dir>/<Proc>.trace.jsonl, stamping a
-// meta record. Each record is one unbuffered write, so a SIGKILLed
-// process loses at most the span it was mid-writing (the analyzer's
-// torn-tail tolerance covers that, mirroring the result store's
-// recovery idiom).
+// Open creates a tracer writing <Dir>/<Proc>.trace.jsonl (creating Dir
+// when missing), stamping a meta record. Each record is one unbuffered
+// write, so a SIGKILLed process loses at most the span it was mid-writing
+// (the analyzer's torn-tail tolerance covers that, mirroring the result
+// store's recovery idiom).
 func Open(o Options) (*Tracer, error) {
 	if o.Proc == "" {
 		o.Proc = "proc"
+	}
+	if err := os.MkdirAll(o.Dir, 0o755); err != nil {
+		return nil, fmt.Errorf("trace: artifact dir: %w", err)
 	}
 	path := filepath.Join(o.Dir, o.Proc+".trace.jsonl")
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)

@@ -13,7 +13,7 @@ import (
 
 func openTest(t *testing.T, proc string) (*Tracer, string) {
 	t.Helper()
-	dir := t.TempDir()
+	dir := filepath.Join(t.TempDir(), "artifacts") // Open creates it
 	tr, err := Open(Options{Dir: dir, Proc: proc})
 	if err != nil {
 		t.Fatalf("Open: %v", err)

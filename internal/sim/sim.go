@@ -146,8 +146,9 @@ type Config struct {
 }
 
 // RoundStats is one completed step's telemetry snapshot, delivered through
-// Config.OnRoundStats. It exists for observability layers (internal/obs
-// run reports); the LOCAL model itself meters none of these quantities.
+// Config.OnRoundStats. It exists for observability layers (the
+// batch.commit round counts of internal/obs/trace); the LOCAL model itself
+// meters none of these quantities.
 type RoundStats struct {
 	// Round is the step number (1, 2, ...), matching OnRound.
 	Round int

@@ -2,14 +2,44 @@ package harness_test
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"locality/internal/harness"
 )
 
+var update = flag.Bool("update", false, "rewrite testdata/<ID>.golden from the tables computed by this run")
+
+// checkGolden compares a rendered quick-scale table with its frozen copy in
+// testdata/<ID>.golden, or rewrites that copy under -update. A golden diff
+// means a change moved a published result and must be explained with it.
+func checkGolden(t *testing.T, id string, rendered []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", id+".golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, rendered, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%s: %v (run go test -run Quick -update to create it)", id, err)
+	}
+	if !bytes.Equal(rendered, want) {
+		t.Errorf("%s: table differs from %s\n--- got:\n%s--- want:\n%s", id, path, rendered, want)
+	}
+}
+
 // TestAllExperimentsQuick runs the full experiment suite in quick mode and
-// checks every table renders, has rows, and reports no validity failures.
+// checks every table renders, has rows, matches its golden, and reports no
+// validity failures.
 func TestAllExperimentsQuick(t *testing.T) {
 	tables := harness.All(harness.Config{Quick: true, Seed: 12345})
 	if len(tables) != 11 {
@@ -21,6 +51,7 @@ func TestAllExperimentsQuick(t *testing.T) {
 		}
 		var buf bytes.Buffer
 		tbl.Render(&buf)
+		checkGolden(t, tbl.ID, buf.Bytes())
 		out := buf.String()
 		if !strings.Contains(out, tbl.ID) {
 			t.Errorf("%s: render missing ID", tbl.ID)
@@ -46,7 +77,8 @@ func TestByID(t *testing.T) {
 	}
 }
 
-// TestSupplementaryExperimentsQuick runs E12, E13 and the ablations A1-A3.
+// TestSupplementaryExperimentsQuick runs E12, E13 and the ablations A1-A3
+// and checks each rendered table against its golden.
 func TestSupplementaryExperimentsQuick(t *testing.T) {
 	tables := harness.AllSupplementary(harness.Config{Quick: true, Seed: 9})
 	if len(tables) != 5 {
@@ -58,6 +90,7 @@ func TestSupplementaryExperimentsQuick(t *testing.T) {
 		}
 		var buf bytes.Buffer
 		tbl.Render(&buf)
+		checkGolden(t, tbl.ID, buf.Bytes())
 		// A3 deliberately contains one failing row (the undersized bound)
 		// and E12's whole point is visible degradation under faults;
 		// E13/A1/A2 must be all-clean.

@@ -108,6 +108,66 @@ func TestT11EngineEquivalence(t *testing.T) {
 	}
 }
 
+func TestT10EngineEquivalence(t *testing.T) {
+	g := graph.RandomTree(200, 16, rng.New(10))
+	var prev []core.T10Result
+	for _, engine := range []sim.Engine{sim.EngineSequential, sim.EngineConcurrent} {
+		res, err := sim.Run(g, sim.Config{Randomized: true, Seed: 14, Engine: engine, MaxRounds: 1 << 20},
+			core.NewT10Factory(core.T10Options{Delta: 16}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur := make([]core.T10Result, len(res.Outputs))
+		for v, o := range res.Outputs {
+			cur[v] = o.(core.T10Result)
+		}
+		if prev != nil {
+			for v := range cur {
+				if cur[v] != prev[v] {
+					t.Fatalf("engines disagree at vertex %d: %+v vs %+v", v, prev[v], cur[v])
+				}
+			}
+		}
+		prev = cur
+	}
+}
+
+// TestFactoryReusedAcrossSizes runs one T10 and one T11 factory on two graph
+// sizes and back: every run must get the plan of its own n.
+func TestFactoryReusedAcrossSizes(t *testing.T) {
+	const smallN, largeN = 40, 2048 // default SizeBounds 48 and 96 peel differently
+	r := rng.New(31)
+	small, large := graph.RandomTree(smallN, 16, r), graph.RandomTree(largeN, 16, r)
+	t10 := core.NewT10Factory(core.T10Options{Delta: 16})
+	t11 := core.NewT11Factory(core.T11Options{Delta: 16})
+	if core.T10Rounds(smallN, core.T10Options{Delta: 16}) == core.T10Rounds(largeN, core.T10Options{Delta: 16}) ||
+		core.T11Rounds(smallN, core.T11Options{Delta: 16}) == core.T11Rounds(largeN, core.T11Options{Delta: 16}) {
+		t.Fatal("the plans of the two sizes coincide; the test cannot tell them apart")
+	}
+	for i, g := range []*graph.Graph{small, large, small} {
+		n := g.N()
+		for _, c := range []struct {
+			name string
+			f    sim.Factory
+			want int
+		}{
+			{"T10", t10, core.T10Rounds(n, core.T10Options{Delta: 16})},
+			{"T11", t11, core.T11Rounds(n, core.T11Options{Delta: 16})},
+		} {
+			res, err := sim.Run(g, sim.Config{Randomized: true, Seed: uint64(40 + i), MaxRounds: 1 << 20}, c.f)
+			if err != nil {
+				t.Fatalf("%s n=%d: %v", c.name, n, err)
+			}
+			if err := lcl.Coloring(16).Validate(lcl.Instance{G: g}, lcl.IntLabels(core.Colors(res.Outputs))); err != nil {
+				t.Fatalf("%s n=%d: %v", c.name, n, err)
+			}
+			if res.Rounds != c.want {
+				t.Errorf("%s run %d (n=%d): rounds %d, plan %d", c.name, i, n, res.Rounds, c.want)
+			}
+		}
+	}
+}
+
 func TestT11PhaseAttribution(t *testing.T) {
 	r := rng.New(15)
 	g := graph.RandomTree(800, 10, r)

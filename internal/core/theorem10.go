@@ -69,20 +69,21 @@ func CSequence(delta int) []float64 {
 	return cs
 }
 
-// t10Plan is the shared schedule.
+// t10Plan is the round schedule every machine of a run shares read-only.
 type t10Plan struct {
-	opt       T10Options
-	reserve   int // √Δ reserved colors
+	opt       T10Options // resolved against n
+	reserve   int        // √Δ reserved colors
 	cs        []float64
-	iters     int // t = len(cs)
-	fplan     forest.Plan
-	p1End     int // last phase-1 step
-	markBad   int // step marking the uncolored as bad
+	iters     int         // t = len(cs)
+	fplan     forest.Plan // Phase 2, handed to each node's forest machine
+	p1End     int         // last phase-1 step
+	markBad   int         // step marking the uncolored as bad
 	forestEnd int
 	total     int
 }
 
 func newT10Plan(n int, opt T10Options) t10Plan {
+	opt = opt.withDefaults(n)
 	p := t10Plan{opt: opt}
 	p.reserve = int(math.Ceil(math.Sqrt(float64(opt.Delta))))
 	p.cs = CSequence(opt.Delta)
@@ -104,8 +105,13 @@ func newT10Plan(n int, opt T10Options) t10Plan {
 // T10Rounds returns the total communication rounds of the Theorem 10
 // machine for the given graph size.
 func T10Rounds(n int, opt T10Options) int {
-	opt = opt.withDefaults(n)
 	return newT10Plan(n, opt).total - 1
+}
+
+// T10Phase2Rounds returns the round count of the Phase 2 forest plan the
+// Theorem 10 machine runs on the shattered components of an n-vertex graph.
+func T10Phase2Rounds(n int, opt T10Options) int {
+	return newT10Plan(n, opt).fplan.Rounds()
 }
 
 // t10Status is the phase-1 broadcast.
@@ -116,9 +122,9 @@ type t10Status struct {
 }
 
 type t10 struct {
-	opt  T10Options
-	plan t10Plan
-	env  sim.Env
+	plans *sim.PlanMemo[t10Plan]
+	plan  *t10Plan
+	env   sim.Env
 
 	id      uint64
 	color   int
@@ -143,7 +149,8 @@ func NewT10Factory(opt T10Options) sim.Factory {
 	if opt.Delta < 9 {
 		panic(fmt.Sprintf("core: Theorem 10 needs Delta >= 9 (√Δ >= 3), got %d", opt.Delta))
 	}
-	return func() sim.Machine { return &t10{opt: opt} }
+	plans := sim.NewPlanMemo(func(n, _ int) t10Plan { return newT10Plan(n, opt) })
+	return func() sim.Machine { return &t10{plans: plans} }
 }
 
 func (m *t10) Init(env sim.Env) {
@@ -151,11 +158,10 @@ func (m *t10) Init(env sim.Env) {
 		panic("core: Theorem 10 is a RandLOCAL algorithm; Config.Randomized required")
 	}
 	m.env = env
-	m.opt = m.opt.withDefaults(env.N)
-	m.plan = newT10Plan(env.N, m.opt)
-	m.id = env.Rand.Uint64()%(1<<m.opt.IDBits) + 1
-	m.palette = make(map[int]struct{}, m.opt.Delta-m.plan.reserve)
-	for c := 1; c <= m.opt.Delta-m.plan.reserve; c++ {
+	m.plan = m.plans.Get(env)
+	m.id = env.Rand.Uint64()%(1<<m.plan.opt.IDBits) + 1
+	m.palette = make(map[int]struct{}, m.plan.opt.Delta-m.plan.reserve)
+	for c := 1; c <= m.plan.opt.Delta-m.plan.reserve; c++ {
 		m.palette[c] = struct{}{}
 	}
 	m.nbr = make([]t10Status, env.Degree)
@@ -191,7 +197,7 @@ func (m *t10) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
 	if m.failed {
 		return nil, true
 	}
-	pl := &m.plan
+	pl := m.plan
 	if step > pl.markBad && step <= pl.forestEnd {
 		return m.forestStep(step, recv)
 	}
@@ -238,7 +244,7 @@ func (m *t10) bidStep(iter int) {
 	// Deterministic palette order: map iteration order must never reach
 	// the RNG, or runs stop being reproducible across engines.
 	psi := make([]int, 0, len(m.palette))
-	for c := 1; c <= m.opt.Delta-m.plan.reserve; c++ {
+	for c := 1; c <= m.plan.opt.Delta-m.plan.reserve; c++ {
 		if _, ok := m.palette[c]; ok {
 			psi = append(psi, c)
 		}
@@ -312,9 +318,9 @@ func (m *t10) filter(i int) {
 			survivors++
 		}
 	}
-	d := float64(m.opt.Delta)
+	d := float64(m.plan.opt.Delta)
 	if i == 1 {
-		if float64(len(m.palette))-float64(survivors) < d/float64(m.opt.PaletteSlack) {
+		if float64(len(m.palette))-float64(survivors) < d/float64(m.plan.opt.PaletteSlack) {
 			m.bad = true
 		}
 		return
@@ -327,17 +333,14 @@ func (m *t10) filter(i int) {
 	}
 }
 
-// startForest builds the embedded Phase 2 machine over the bad vertices.
+// startForest builds the embedded Phase 2 machine over the bad vertices,
+// on the run's shared forest plan.
 func (m *t10) startForest() {
-	fopt := forest.Options{
-		Q:           m.plan.reserve,
-		SizeBound:   m.opt.SizeBound,
-		IDSpace:     1 << m.opt.IDBits,
-		ColorOffset: m.opt.Delta - m.plan.reserve,
+	m.inner = forest.NewMachine(&m.plan.fplan, forest.Options{
+		ColorOffset: m.plan.opt.Delta - m.plan.reserve,
 		IDOf:        func(sim.Env) uint64 { return m.id },
 		Active:      func(sim.Env) bool { return m.bad },
-	}
-	m.inner = forest.NewFactory(fopt)()
+	})
 	m.inner.Init(m.env)
 }
 

@@ -62,16 +62,16 @@ func Colors(outputs []any) []int {
 	return colors
 }
 
-// t11Plan is the globally shared round schedule.
+// t11Plan is the round schedule every machine of a run shares read-only.
 type t11Plan struct {
-	opt T11Options
+	opt T11Options // resolved against n
 	// Bootstrap (random IDs -> base Δ+1 coloring).
 	sched []linial.Family
 	kw    linial.KWPlan
 	kwAt  [][2]int
 	// Phase 1: iterations of length Δ+3 steps each.
 	iters int
-	// Phase 2: inner forest plan.
+	// Phase 2: inner forest plan, handed to each node's forest machine.
 	fplan forest.Plan
 	// Step boundaries (inclusive starts).
 	bootEnd   int // last bootstrap step
@@ -83,10 +83,11 @@ type t11Plan struct {
 }
 
 func newT11Plan(n int, opt T11Options) t11Plan {
+	opt = opt.withDefaults(n)
 	p := t11Plan{opt: opt}
 	idSpace := 1 << opt.IDBits
 	p.sched = linial.Schedule(idSpace, opt.Delta)
-	fp := linial.FixedPoint(idSpace, opt.Delta)
+	fp := linial.FixedPointOf(idSpace, p.sched)
 	if fp > opt.Delta+1 {
 		p.kw = linial.NewKWPlan(fp, opt.Delta+1)
 		for i := range p.kw.Palettes {
@@ -123,7 +124,6 @@ func newT11Plan(n int, opt T11Options) t11Plan {
 // T11Rounds returns the total communication rounds of the Theorem 11
 // machine for the given graph size.
 func T11Rounds(n int, opt T11Options) int {
-	opt = opt.withDefaults(n)
 	return newT11Plan(n, opt).total - 1
 }
 
@@ -140,9 +140,9 @@ type t11Status struct {
 }
 
 type t11 struct {
-	opt  T11Options
-	plan t11Plan
-	env  sim.Env
+	plans *sim.PlanMemo[t11Plan]
+	plan  *t11Plan
+	env   sim.Env
 
 	id     uint64
 	base   int
@@ -173,7 +173,8 @@ func NewT11Factory(opt T11Options) sim.Factory {
 	if opt.Delta < 4 {
 		panic(fmt.Sprintf("core: Theorem 11 needs Delta >= 4, got %d", opt.Delta))
 	}
-	return func() sim.Machine { return &t11{opt: opt} }
+	plans := sim.NewPlanMemo(func(n, _ int) t11Plan { return newT11Plan(n, opt) })
+	return func() sim.Machine { return &t11{plans: plans} }
 }
 
 func (m *t11) Init(env sim.Env) {
@@ -181,9 +182,8 @@ func (m *t11) Init(env sim.Env) {
 		panic("core: Theorem 11 is a RandLOCAL algorithm; Config.Randomized required")
 	}
 	m.env = env
-	m.opt = m.opt.withDefaults(env.N)
-	m.plan = newT11Plan(env.N, m.opt)
-	m.id = env.Rand.Uint64()%(1<<m.opt.IDBits) + 1
+	m.plan = m.plans.Get(env)
+	m.id = env.Rand.Uint64()%(1<<m.plan.opt.IDBits) + 1
 	m.base = int(m.id) - 1
 	m.inU = true
 	m.nbr = make([]t11Status, env.Degree)
@@ -218,7 +218,7 @@ func (m *t11) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
 	if m.failed {
 		return nil, true
 	}
-	pl := &m.plan
+	pl := m.plan
 	// Phase 2's inner forest machine owns the message channel during its
 	// window; everything else speaks t11Status.
 	if step > pl.sDetect && step <= pl.forestEnd {
@@ -282,7 +282,7 @@ func (m *t11) bootstrapStep(step int) {
 // One trailing step (local index iters*(Δ+3)+1) finalizes the last
 // iteration.
 func (m *t11) phase1Step(local int) {
-	d := m.opt.Delta
+	d := m.plan.opt.Delta
 	iter := (local - 1) / (d + 3) // 0-based iteration
 	sub := (local-1)%(d+3) + 1    // 1-based sub-step
 	if iter >= m.plan.iters {
@@ -333,7 +333,7 @@ func (m *t11) finalizeIteration(iter int) {
 		return
 	}
 	if m.inI {
-		m.color = m.opt.Delta - iter
+		m.color = m.plan.opt.Delta - iter
 		m.phase = 1
 		m.inU = false
 		m.inI = false
@@ -364,16 +364,13 @@ func (m *t11) detectS() {
 	}
 }
 
-// startForest builds the embedded Phase 2 machine.
+// startForest builds the embedded Phase 2 machine on the run's shared
+// forest plan.
 func (m *t11) startForest() {
-	fopt := forest.Options{
-		Q:         3,
-		SizeBound: m.opt.SizeBound,
-		IDSpace:   1 << m.opt.IDBits,
-		IDOf:      func(sim.Env) uint64 { return m.id },
-		Active:    func(sim.Env) bool { return m.inS },
-	}
-	m.inner = forest.NewFactory(fopt)()
+	m.inner = forest.NewMachine(&m.plan.fplan, forest.Options{
+		IDOf:   func(sim.Env) uint64 { return m.id },
+		Active: func(sim.Env) bool { return m.inS },
+	})
 	m.inner.Init(m.env)
 }
 
@@ -416,7 +413,7 @@ func (m *t11) harvestForest() {
 // phase3Step 3-classes the leftover U (degree <= 2) via two base-color MIS
 // sweeps, then greedily recolors class by class.
 func (m *t11) phase3Step(local int) {
-	d := m.opt.Delta
+	d := m.plan.opt.Delta
 	switch {
 	case local == 1:
 		// Settle: fresh statuses after the forest window.
@@ -459,15 +456,15 @@ func (m *t11) recolorIfClass(j int) {
 	if !m.inU || m.class3 != j {
 		return
 	}
-	used := make([]bool, m.opt.Delta+1)
+	used := make([]bool, m.plan.opt.Delta+1)
 	for p := range m.nbr {
 		if m.heard[p] {
-			if c := m.nbr[p].Color; c >= 1 && c <= m.opt.Delta {
+			if c := m.nbr[p].Color; c >= 1 && c <= m.plan.opt.Delta {
 				used[c] = true
 			}
 		}
 	}
-	for c := 1; c <= m.opt.Delta; c++ {
+	for c := 1; c <= m.plan.opt.Delta; c++ {
 		if !used[c] {
 			m.color = c
 			m.phase = 3

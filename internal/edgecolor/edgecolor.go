@@ -43,31 +43,33 @@ type Result struct {
 	PortColors []int
 }
 
-// plan is the shared reduction schedule.
+// plan is the reduction schedule every machine of a run shares read-only.
 type plan struct {
-	sched  []linial.Family
-	fp     int
-	kw     linial.KWPlan
-	kwAt   [][2]int
-	target int
+	opt   Options // resolved against the graph
+	sched []linial.Family
+	fp    int
+	kw    linial.KWPlan
+	kwAt  [][2]int
 }
 
-func newPlan(idSpace, delta, target int) plan {
-	deltaL := mathx.Max(1, 2*delta-2)
-	if target == 0 {
-		target = mathx.Max(1, 2*delta-1)
+func newPlan(opt Options, n, maxDeg int) plan {
+	if opt.IDSpace == 0 {
+		opt.IDSpace = n
 	}
-	if target < 2*delta-1 {
-		panic(fmt.Sprintf("edgecolor: target %d below 2Δ-1 = %d", target, 2*delta-1))
+	if opt.Delta == 0 {
+		opt.Delta = maxDeg
 	}
-	k0 := idSpace * idSpace
-	p := plan{
-		sched:  linial.Schedule(k0, deltaL),
-		fp:     linial.FixedPoint(k0, deltaL),
-		target: target,
+	if opt.Target == 0 {
+		opt.Target = mathx.Max(1, 2*opt.Delta-1)
 	}
-	if p.fp > target {
-		p.kw = linial.NewKWPlan(p.fp, target)
+	if opt.Target < 2*opt.Delta-1 {
+		panic(fmt.Sprintf("edgecolor: target %d below 2Δ-1 = %d", opt.Target, 2*opt.Delta-1))
+	}
+	k0 := opt.IDSpace * opt.IDSpace
+	p := plan{opt: opt, sched: linial.Schedule(k0, mathx.Max(1, 2*opt.Delta-2))}
+	p.fp = linial.FixedPointOf(k0, p.sched)
+	if p.fp > opt.Target {
+		p.kw = linial.NewKWPlan(p.fp, opt.Target)
 		for i := range p.kw.Palettes {
 			for j := 0; j < p.kw.PassLen(i); j++ {
 				p.kwAt = append(p.kwAt, [2]int{i, j})
@@ -79,13 +81,7 @@ func newPlan(idSpace, delta, target int) plan {
 
 // Rounds predicts the machine's round count.
 func Rounds(opt Options, n, maxDeg int) int {
-	if opt.IDSpace == 0 {
-		opt.IDSpace = n
-	}
-	if opt.Delta == 0 {
-		opt.Delta = maxDeg
-	}
-	p := newPlan(opt.IDSpace, opt.Delta, opt.Target)
+	p := newPlan(opt, n, maxDeg)
 	return 1 + len(p.sched) + len(p.kwAt)
 }
 
@@ -98,8 +94,8 @@ type msg struct {
 }
 
 type machine struct {
-	opt    Options
-	plan   plan
+	plans  *sim.PlanMemo[plan]
+	plan   *plan
 	env    sim.Env
 	colors []int
 }
@@ -108,7 +104,8 @@ var _ sim.Machine = (*machine)(nil)
 
 // NewFactory returns the deterministic (2Δ-1)-edge-coloring machine.
 func NewFactory(opt Options) sim.Factory {
-	return func() sim.Machine { return &machine{opt: opt} }
+	plans := sim.NewPlanMemo(func(n, maxDeg int) plan { return newPlan(opt, n, maxDeg) })
+	return func() sim.Machine { return &machine{plans: plans} }
 }
 
 func (m *machine) Init(env sim.Env) {
@@ -116,13 +113,7 @@ func (m *machine) Init(env sim.Env) {
 		panic("edgecolor: deterministic machine requires IDs")
 	}
 	m.env = env
-	if m.opt.IDSpace == 0 {
-		m.opt.IDSpace = env.N
-	}
-	if m.opt.Delta == 0 {
-		m.opt.Delta = env.MaxDeg
-	}
-	m.plan = newPlan(m.opt.IDSpace, m.opt.Delta, m.opt.Target)
+	m.plan = m.plans.Get(env)
 	m.colors = make([]int, env.Degree)
 }
 
@@ -165,7 +156,7 @@ func (m *machine) initialColor(a, b uint64) int {
 	if lo > hi {
 		lo, hi = hi, lo
 	}
-	return int(lo-1)*m.opt.IDSpace + int(hi-1)
+	return int(lo-1)*m.plan.opt.IDSpace + int(hi-1)
 }
 
 // reduce recomputes every incident edge's color from the union of both
@@ -177,7 +168,7 @@ func (m *machine) reduce(recv []sim.Message, f func(own int, nbrs []int) int) {
 		if !ok {
 			panic(fmt.Sprintf("edgecolor: expected msg on port %d, got %T", p, recv[p]))
 		}
-		nbrs := make([]int, 0, 2*m.opt.Delta)
+		nbrs := make([]int, 0, 2*m.plan.opt.Delta)
 		for q, c := range m.colors {
 			if q != p {
 				nbrs = append(nbrs, c)

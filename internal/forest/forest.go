@@ -89,11 +89,6 @@ func (o Options) Resolve(n int) Options {
 	return o
 }
 
-// withDefaults resolves the zero values against an environment.
-func (o Options) withDefaults(env sim.Env) Options {
-	return o.Resolve(env.N)
-}
-
 // validate panics on caller errors (not data errors).
 func (o Options) validate() {
 	if o.Q < 3 {
@@ -119,7 +114,10 @@ func PeelRounds(n, a int) int {
 	return l + 1
 }
 
-// Plan is the precomputed, globally shared round schedule of a run.
+// Plan is the precomputed round schedule of a run. Every machine of a run
+// reads the same *Plan and none writes it; it depends on the resolved
+// numeric options (Q, A, SizeBound, IDSpace) only, never on the per-node
+// IDOf/Active hooks or the ColorOffset.
 type Plan struct {
 	Opt   Options
 	Peel  int             // peeling rounds P
@@ -134,7 +132,7 @@ func NewPlan(opt Options) Plan {
 	p := Plan{Opt: opt}
 	p.Peel = PeelRounds(opt.SizeBound, opt.A)
 	p.Sched = linial.Schedule(opt.IDSpace, opt.A)
-	p.FP = linial.FixedPoint(opt.IDSpace, opt.A)
+	p.FP = linial.FixedPointOf(opt.IDSpace, p.Sched)
 	p.HSw = mathx.Max(0, p.FP-(opt.A+1))
 	p.Final = p.Peel * (opt.A + 1)
 	return p
@@ -152,7 +150,16 @@ func (p Plan) Rounds() int {
 // 0 for inactive ones.
 func NewFactory(opt Options) sim.Factory {
 	opt.validate()
-	return func() sim.Machine { return &machine{opt: opt} }
+	plans := sim.NewPlanMemo(func(n, _ int) Plan { return NewPlan(opt.Resolve(n)) })
+	return func() sim.Machine { return &machine{opt: opt, plans: plans} }
+}
+
+// NewMachine returns one forest coloring machine that runs on a plan its
+// caller already holds; Theorems 10 and 11 embed it this way as their
+// Phase 2. The plan fixes Q, A, SizeBound and IDSpace; of opt only the
+// IDOf and Active hooks and the ColorOffset are read.
+func NewMachine(plan *Plan, opt Options) sim.Machine {
+	return &machine{opt: opt, plan: plan}
 }
 
 // status is the single message type; every active vertex broadcasts its
@@ -167,8 +174,9 @@ type status struct {
 }
 
 type machine struct {
-	opt    Options
-	plan   Plan
+	opt    Options // IDOf, Active and ColorOffset; the rest is read from plan.Opt
+	plans  *sim.PlanMemo[Plan]
+	plan   *Plan
 	env    sim.Env
 	active bool
 	id     uint64
@@ -197,8 +205,9 @@ var _ sim.Machine = (*machine)(nil)
 
 func (m *machine) Init(env sim.Env) {
 	m.env = env
-	m.opt = m.opt.withDefaults(env)
-	m.plan = NewPlan(m.opt)
+	if m.plan == nil {
+		m.plan = m.plans.Get(env)
+	}
 	m.active = m.opt.Active == nil || m.opt.Active(env)
 	if m.active {
 		if m.opt.IDOf != nil {
@@ -209,8 +218,8 @@ func (m *machine) Init(env sim.Env) {
 			}
 			m.id = env.ID
 		}
-		if m.id < 1 || m.id > uint64(m.opt.IDSpace) {
-			panic(fmt.Sprintf("forest: ID %d outside 1..%d", m.id, m.opt.IDSpace))
+		if m.id < 1 || m.id > uint64(m.plan.Opt.IDSpace) {
+			panic(fmt.Sprintf("forest: ID %d outside 1..%d", m.id, m.plan.Opt.IDSpace))
 		}
 	}
 	m.nbr = make([]status, env.Degree)
@@ -291,7 +300,7 @@ func (m *machine) peelStep(round int) {
 			unpeeled++
 		}
 	}
-	if unpeeled <= m.opt.A {
+	if unpeeled <= m.plan.Opt.A {
 		m.peeled = true
 		m.layer = round
 	}
@@ -332,15 +341,15 @@ func (m *machine) settleLayers() {
 			m.sameLayer[p] = true
 		}
 	}
-	if parents > m.opt.A {
-		panic(fmt.Sprintf("forest: %d parents exceed threshold A=%d (internal bug)", parents, m.opt.A))
+	if parents > m.plan.Opt.A {
+		panic(fmt.Sprintf("forest: %d parents exceed threshold A=%d (internal bug)", parents, m.plan.Opt.A))
 	}
 	m.hcolor = int(m.id) - 1
 }
 
 // linialStep applies one cover-free reduction against parent colors only.
 func (m *machine) linialStep(f linial.Family) {
-	nbrs := make([]int, 0, m.opt.A)
+	nbrs := make([]int, 0, m.plan.Opt.A)
 	for p := range m.nbr {
 		if m.parentOf[p] {
 			if !m.fresh[p] || m.nbr[p].HColor == m.hcolor {
@@ -362,16 +371,16 @@ func (m *machine) hSweepStep(j int) {
 	if m.hcolor != class {
 		return
 	}
-	used := make([]bool, m.opt.A+1)
+	used := make([]bool, m.plan.Opt.A+1)
 	for p := range m.nbr {
 		if !m.sameLayer[p] || !m.heard[p] {
 			continue
 		}
-		if c := m.nbr[p].HColor; c >= 0 && c <= m.opt.A {
+		if c := m.nbr[p].HColor; c >= 0 && c <= m.plan.Opt.A {
 			used[c] = true
 		}
 	}
-	for c := 0; c <= m.opt.A; c++ {
+	for c := 0; c <= m.plan.Opt.A; c++ {
 		if !used[c] {
 			m.hcolor = c
 			return
@@ -386,24 +395,24 @@ func (m *machine) finalStep(k int) {
 	if m.final != 0 {
 		return
 	}
-	layer := m.plan.Peel - (k-1)/(m.opt.A+1)
-	class := (k - 1) % (m.opt.A + 1)
+	layer := m.plan.Peel - (k-1)/(m.plan.Opt.A+1)
+	class := (k - 1) % (m.plan.Opt.A + 1)
 	if m.layer != layer || m.hcolor != class {
 		return
 	}
-	used := make([]bool, m.opt.Q)
+	used := make([]bool, m.plan.Opt.Q)
 	for p := range m.nbr {
 		if !m.heard[p] {
 			continue
 		}
 		if f := m.nbr[p].Final; f != 0 {
 			idx := f - m.opt.ColorOffset - 1
-			if idx >= 0 && idx < m.opt.Q {
+			if idx >= 0 && idx < m.plan.Opt.Q {
 				used[idx] = true
 			}
 		}
 	}
-	for c := 0; c < m.opt.Q; c++ {
+	for c := 0; c < m.plan.Opt.Q; c++ {
 		if !used[c] {
 			m.final = m.opt.ColorOffset + c + 1
 			return

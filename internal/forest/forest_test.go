@@ -270,3 +270,48 @@ func TestPeelRounds(t *testing.T) {
 		}
 	}
 }
+
+func TestEngineEquivalence(t *testing.T) {
+	r := rng.New(8)
+	g := graph.RandomTree(300, 6, r)
+	assignment := ids.Shuffled(g.N(), r)
+	var prev []int
+	for _, engine := range []sim.Engine{sim.EngineSequential, sim.EngineConcurrent} {
+		res, err := sim.Run(g, sim.Config{IDs: assignment, Engine: engine, MaxRounds: 100000},
+			forest.NewFactory(forest.Options{Q: 4}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur := sim.IntOutputs(res)
+		if prev != nil {
+			for v := range cur {
+				if cur[v] != prev[v] {
+					t.Fatalf("engines disagree at vertex %d: %d vs %d", v, prev[v], cur[v])
+				}
+			}
+		}
+		prev = cur
+	}
+}
+
+// TestFactoryReusedAcrossSizes runs one factory with a size-dependent plan
+// (SizeBound and IDSpace default to n) on two graph sizes and back: every
+// run must follow the plan of its own n.
+func TestFactoryReusedAcrossSizes(t *testing.T) {
+	r := rng.New(12)
+	opt := forest.Options{Q: 3}
+	f := forest.NewFactory(opt)
+	for _, n := range []int{64, 4096, 64} {
+		g := graph.RandomTree(n, 3, r)
+		res, err := sim.Run(g, sim.Config{IDs: ids.Shuffled(n, r), MaxRounds: 100000}, f)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if err := lcl.Coloring(3).Validate(lcl.Instance{G: g}, lcl.IntLabels(sim.IntOutputs(res))); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if want := forest.NewPlan(opt.Resolve(n)).Rounds(); res.Rounds != want {
+			t.Errorf("n=%d: rounds %d, plan %d", n, res.Rounds, want)
+		}
+	}
+}

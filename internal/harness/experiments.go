@@ -153,15 +153,8 @@ func E2DeltaScaling(cfg Config) *Table {
 				panic(fmt.Sprintf("harness: E2 run: %v", err))
 			}
 			colors := core.Colors(res.Outputs)
-			reserve := 0
-			for reserve*reserve < delta {
-				reserve++
-			}
-			fplan := forest.NewPlan(forest.Options{
-				Q: reserve, SizeBound: mathx.Max(32, 8*mathx.CeilLog2(n+1)), IDSpace: 1 << 40,
-			}.Resolve(n))
 			t.AddRow(delta, n, res.Rounds, checkColoring(g, delta, colors),
-				fplan.Rounds(), len(core.CSequence(delta)))
+				core.T10Phase2Rounds(n, opt), len(core.CSequence(delta)))
 		})
 	}
 	cfg.Flush(t)
@@ -502,6 +495,7 @@ func E9Linial(cfg Config) *Table {
 		}
 		cfg.Row(t, func(t *Table) {
 			sched := linial.Schedule(n, delta)
+			fp := linial.FixedPointOf(n, sched)
 			parts := []string{fmt.Sprint(n)}
 			for _, f := range sched {
 				parts = append(parts, fmt.Sprint(f.PaletteSize()))
@@ -515,11 +509,11 @@ func E9Linial(cfg Config) *Table {
 					panic(fmt.Sprintf("harness: E9 run: %v", err))
 				}
 				rounds = res.Rounds
-				if checkColoring(g, linial.FixedPoint(n, delta), sim.IntOutputs(res)) != "yes" {
+				if checkColoring(g, fp, sim.IntOutputs(res)) != "yes" {
 					panic("harness: E9 produced an improper coloring")
 				}
 			}
-			t.AddRow(n, delta, rounds, linial.FixedPoint(n, delta), strings.Join(parts, "→"))
+			t.AddRow(n, delta, rounds, fp, strings.Join(parts, "→"))
 		})
 	}
 	cfg.Flush(t)

@@ -180,9 +180,14 @@ func Schedule(k0, delta int) []Family {
 // FixedPoint returns the final palette size of the iterated reduction, the
 // β·Δ² of Theorem 2.
 func FixedPoint(k0, delta int) int {
-	k := k0
-	for _, f := range Schedule(k0, delta) {
-		k = f.PaletteSize()
+	return FixedPointOf(k0, Schedule(k0, delta))
+}
+
+// FixedPointOf returns the final palette of sched, the Schedule started from
+// palette k0, without recomputing it: k0 itself when sched is empty.
+func FixedPointOf(k0 int, sched []Family) int {
+	if len(sched) == 0 {
+		return k0
 	}
-	return k
+	return sched[len(sched)-1].PaletteSize()
 }

@@ -71,10 +71,7 @@ func (m *Machine) Init(env sim.Env) {
 	if m.color < 0 || m.color >= m.opt.InitialPalette {
 		panic(fmt.Sprintf("linial: initial color %d outside 0..%d", m.color, m.opt.InitialPalette-1))
 	}
-	m.m = m.opt.InitialPalette
-	if len(m.sched) > 0 {
-		m.m = m.sched[len(m.sched)-1].PaletteSize()
-	}
+	m.m = FixedPointOf(m.opt.InitialPalette, m.sched)
 	if m.opt.Target != 0 && m.opt.KW {
 		m.kw = NewKWPlan(m.m, m.opt.Target)
 		for i := range m.kw.Palettes {
@@ -179,10 +176,7 @@ func smallestFree(nbrs []int, limit int) int {
 // length plus the sweep length. Useful for tests and the experiment tables.
 func Rounds(opt Options) int {
 	sched := Schedule(opt.InitialPalette, opt.Delta)
-	m := opt.InitialPalette
-	if len(sched) > 0 {
-		m = sched[len(sched)-1].PaletteSize()
-	}
+	m := FixedPointOf(opt.InitialPalette, sched)
 	sweep := 0
 	if opt.Target != 0 && m > opt.Target {
 		if opt.KW {

@@ -167,8 +167,10 @@ type DetOptions struct {
 	Delta int
 }
 
-// detPlan is the shared schedule of the deterministic machine.
+// detPlan is the schedule every deterministic machine of a run shares
+// read-only.
 type detPlan struct {
+	opt    DetOptions // resolved against the graph
 	sched  []linial.Family
 	fp     int
 	kw     linial.KWPlan
@@ -176,17 +178,23 @@ type detPlan struct {
 	target int // 2Δ-1
 }
 
-func newDetPlan(idSpace, delta int) detPlan {
-	deltaL := mathx.Max(1, 2*delta-2) // line graph degree bound
-	target := mathx.Max(1, 2*delta-1)
-	k0 := idSpace * idSpace
-	p := detPlan{
-		sched:  linial.Schedule(k0, deltaL),
-		fp:     linial.FixedPoint(k0, deltaL),
-		target: target,
+func newDetPlan(opt DetOptions, n, maxDeg int) detPlan {
+	if opt.IDSpace == 0 {
+		opt.IDSpace = n
 	}
-	if p.fp > target {
-		p.kw = linial.NewKWPlan(p.fp, target)
+	if opt.Delta == 0 {
+		opt.Delta = maxDeg
+	}
+	deltaL := mathx.Max(1, 2*opt.Delta-2) // line graph degree bound
+	k0 := opt.IDSpace * opt.IDSpace
+	p := detPlan{
+		opt:    opt,
+		sched:  linial.Schedule(k0, deltaL),
+		target: mathx.Max(1, 2*opt.Delta-1),
+	}
+	p.fp = linial.FixedPointOf(k0, p.sched)
+	if p.fp > p.target {
+		p.kw = linial.NewKWPlan(p.fp, p.target)
 		for i := range p.kw.Palettes {
 			for j := 0; j < p.kw.PassLen(i); j++ {
 				p.kwAt = append(p.kwAt, [2]int{i, j})
@@ -205,8 +213,8 @@ type detMsg struct {
 }
 
 type detMatch struct {
-	opt     DetOptions
-	plan    detPlan
+	plans   *sim.PlanMemo[detPlan]
+	plan    *detPlan
 	env     sim.Env
 	nbrID   []uint64
 	colors  []int // current color of the edge at each port (0-based)
@@ -218,7 +226,8 @@ var _ sim.Machine = (*detMatch)(nil)
 
 // NewDetFactory returns the deterministic maximal matching machine.
 func NewDetFactory(opt DetOptions) sim.Factory {
-	return func() sim.Machine { return &detMatch{opt: opt} }
+	plans := sim.NewPlanMemo(func(n, maxDeg int) detPlan { return newDetPlan(opt, n, maxDeg) })
+	return func() sim.Machine { return &detMatch{plans: plans} }
 }
 
 func (m *detMatch) Init(env sim.Env) {
@@ -226,13 +235,7 @@ func (m *detMatch) Init(env sim.Env) {
 		panic("matching: deterministic machine requires IDs")
 	}
 	m.env = env
-	if m.opt.IDSpace == 0 {
-		m.opt.IDSpace = env.N
-	}
-	if m.opt.Delta == 0 {
-		m.opt.Delta = env.MaxDeg
-	}
-	m.plan = newDetPlan(m.opt.IDSpace, m.opt.Delta)
+	m.plan = m.plans.Get(env)
 	m.nbrID = make([]uint64, env.Degree)
 	m.colors = make([]int, env.Degree)
 	m.matched = -1
@@ -249,7 +252,7 @@ func (m *detMatch) edgeColor0(a, b uint64) int {
 	if lo > hi {
 		lo, hi = hi, lo
 	}
-	return int(lo-1)*m.opt.IDSpace + int(hi-1)
+	return int(lo-1)*m.plan.opt.IDSpace + int(hi-1)
 }
 
 // Step schedule (S = len(sched), K = len(kwAt), T = target):
@@ -313,7 +316,7 @@ func (m *detMatch) applyReduction(recv []sim.Message, reduce func(own int, nbrs 
 			panic(fmt.Sprintf("matching: expected detMsg on port %d, got %T", p, msg))
 		}
 		own := m.colors[p]
-		nbrs := make([]int, 0, 2*m.opt.Delta)
+		nbrs := make([]int, 0, 2*m.plan.opt.Delta)
 		for q, c := range m.colors {
 			if q != p {
 				nbrs = append(nbrs, c)
@@ -362,12 +365,6 @@ func (m *detMatch) Output() any { return lcl.MatchLabel(m.matched) }
 
 // DetRounds predicts the deterministic machine's round count.
 func DetRounds(opt DetOptions, n, maxDeg int) int {
-	if opt.IDSpace == 0 {
-		opt.IDSpace = n
-	}
-	if opt.Delta == 0 {
-		opt.Delta = maxDeg
-	}
-	p := newDetPlan(opt.IDSpace, opt.Delta)
+	p := newDetPlan(opt, n, maxDeg)
 	return 2 + len(p.sched) + len(p.kwAt) + p.target
 }

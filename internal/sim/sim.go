@@ -27,6 +27,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"locality/internal/ids"
@@ -85,8 +86,47 @@ type Machine interface {
 
 // Factory creates a fresh Machine for each node. Machines must not share
 // mutable state through the factory; the concurrent engine will expose such
-// bugs under the race detector.
+// bugs under the race detector. The one thing they may share is an
+// immutable per-run plan obtained from a PlanMemo: data every node of a run
+// would derive identically from the factory's options and the common
+// knowledge Env.N and Env.MaxDeg, built once and never written after.
 type Factory func() Machine
+
+// PlanMemo builds a factory's per-run plan once and hands every machine of
+// the run the same read-only pointer. The plan is a function of (N, MaxDeg)
+// only; the memo keeps the last one it built and rebuilds when a run with a
+// different graph shape calls Get, so a factory reused across graph sizes
+// holds one plan rather than one per size. Get is safe for the concurrent
+// engine's parallel Init; callers must not mutate the returned plan.
+type PlanMemo[P any] struct {
+	build func(n, maxDeg int) P
+
+	mu        sync.Mutex
+	n, maxDeg int
+	plan      func() *P // builds once for (n, maxDeg); a build panic repeats on every call
+}
+
+// NewPlanMemo returns a memo that builds plans with build.
+func NewPlanMemo[P any](build func(n, maxDeg int) P) *PlanMemo[P] {
+	return &PlanMemo[P]{build: build}
+}
+
+// Get returns the plan for env's graph shape, building it on first use.
+// Nodes that arrive while it is being built wait for that one build.
+func (m *PlanMemo[P]) Get(env Env) *P {
+	n, maxDeg := env.N, env.MaxDeg
+	m.mu.Lock()
+	if m.plan == nil || m.n != n || m.maxDeg != maxDeg {
+		m.n, m.maxDeg = n, maxDeg
+		m.plan = sync.OnceValue(func() *P {
+			p := m.build(n, maxDeg)
+			return &p
+		})
+	}
+	plan := m.plan
+	m.mu.Unlock()
+	return plan()
+}
 
 // Engine selects the execution strategy.
 type Engine int

@@ -324,3 +324,69 @@ func TestIntOutputs(t *testing.T) {
 	}()
 	sim.IntOutputs(&sim.Result{Outputs: []any{1, "x"}})
 }
+
+func TestPlanMemoBuildsOncePerGraphShape(t *testing.T) {
+	builds := 0
+	memo := sim.NewPlanMemo(func(n, maxDeg int) [2]int {
+		builds++
+		return [2]int{n, maxDeg}
+	})
+	a := memo.Get(sim.Env{N: 10, MaxDeg: 3, Degree: 1})
+	if b := memo.Get(sim.Env{N: 10, MaxDeg: 3, Degree: 3, ID: 7}); b != a {
+		t.Error("a second node of the same run got a different plan")
+	}
+	if builds != 1 {
+		t.Errorf("%d builds for one graph shape, want 1", builds)
+	}
+	for _, env := range []sim.Env{{N: 20, MaxDeg: 3}, {N: 20, MaxDeg: 4}} {
+		if p := memo.Get(env); *p != [2]int{env.N, env.MaxDeg} {
+			t.Errorf("Get(N=%d, MaxDeg=%d) = %v", env.N, env.MaxDeg, *p)
+		}
+	}
+	if builds != 3 {
+		t.Errorf("%d builds for three graph shapes, want 3", builds)
+	}
+}
+
+// TestPlanMemoConcurrentInit shares one memo across every node of a
+// concurrent-engine run: under -race the parallel Inits must neither race
+// nor see two plans.
+func TestPlanMemoConcurrentInit(t *testing.T) {
+	g := graph.RandomTree(64, 4, rng.New(3))
+	memo := sim.NewPlanMemo(func(n, _ int) []int { return make([]int, n) })
+	plans := make([]*[]int, g.N())
+	f := func() sim.Machine {
+		return &sim.FuncMachine{
+			OnInit: func(env sim.Env) { plans[env.Node] = memo.Get(env) },
+			OnStep: func(int, []sim.Message) ([]sim.Message, bool) { return nil, true },
+		}
+	}
+	if _, err := sim.Run(g, sim.Config{Engine: sim.EngineConcurrent}, f); err != nil {
+		t.Fatal(err)
+	}
+	for v, p := range plans {
+		if p != plans[0] {
+			t.Fatalf("node %d holds plan %p, node 0 holds %p", v, p, plans[0])
+		}
+	}
+	if len(*plans[0]) != g.N() {
+		t.Errorf("plan built for n=%d, graph has %d vertices", len(*plans[0]), g.N())
+	}
+}
+
+// TestPlanMemoBuildPanicRepeats checks that a plan build that panics (a
+// caller error such as an impossible option) fails every node that asks,
+// not only the first.
+func TestPlanMemoBuildPanicRepeats(t *testing.T) {
+	memo := sim.NewPlanMemo(func(n, _ int) int { panic("bad options") })
+	for node := 0; node < 2; node++ {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("node %d got a plan from a build that panicked", node)
+				}
+			}()
+			memo.Get(sim.Env{N: 5})
+		}()
+	}
+}

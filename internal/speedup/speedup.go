@@ -123,7 +123,7 @@ func PowerLinialID(b *view.Ball, d, idSpace, deltaPow int) (int, int) {
 		panic(fmt.Sprintf("speedup: ball radius %d < %d needed for %d power-Linial iterations",
 			b.T, d*len(sched), len(sched)))
 	}
-	fp := linial.FixedPoint(idSpace, deltaPow)
+	fp := linial.FixedPointOf(idSpace, sched)
 	n := b.N()
 	colors := make([]int, n)
 	for u := 0; u < n; u++ {
@@ -247,7 +247,8 @@ func NewTheorem6Plan(tBound func(delta, bits int) int, delta, idBits, checkRadiu
 	d := 2
 	for iter := 0; iter < 64; iter++ {
 		deltaPow := powDegree(delta, d)
-		fp := linial.FixedPoint(idSpace, deltaPow)
+		sched := linial.Schedule(idSpace, deltaPow)
+		fp := linial.FixedPointOf(idSpace, sched)
 		bits := mathx.CeilLog2(fp)
 		if bits < 1 {
 			bits = 1
@@ -258,7 +259,6 @@ func NewTheorem6Plan(tBound func(delta, bits int) int, delta, idBits, checkRadiu
 			next = 1
 		}
 		if next <= d {
-			sched := linial.Schedule(idSpace, deltaPow)
 			return Theorem6Plan{
 				D: d, R: mathx.Max(1, d*len(sched)), BitsOut: bits,
 				DeltaPow: deltaPow, FakeN: 1 << bits, InnerT: t,

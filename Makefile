@@ -68,6 +68,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzFaultPlan -fuzztime=5s ./internal/fault
 	$(GO) test -run='^$$' -fuzz=FuzzIdentityKey -fuzztime=5s ./internal/jobs
 	$(GO) test -run='^$$' -fuzz=FuzzStoreRecord -fuzztime=5s ./internal/store
+	$(GO) test -run='^$$' -fuzz=FuzzReduce -fuzztime=5s ./internal/linial
 
 # Perf trajectory: run the Go benchmarks with allocation reporting, then
 # time every experiment at quick scale and write BENCH_<stamp>.json next to

@@ -100,24 +100,15 @@ func iroot(k, e int) int {
 }
 
 // evalPoly evaluates the polynomial encoding of color c at point x over F_q:
-// the base-q digits of c are the coefficients.
+// the base-q digits of c are the coefficients, least significant first.
 func (f Family) evalPoly(c, x int) int {
-	// Horner over the base-q digits, most significant first.
-	digits := make([]int, f.D+1)
+	y, xi := 0, 1 // xi = x^i mod q
 	for i := 0; i <= f.D; i++ {
-		digits[i] = c % f.Q
+		y = (y + c%f.Q*xi) % f.Q
 		c /= f.Q
-	}
-	y := 0
-	for i := f.D; i >= 0; i-- {
-		y = (y*x + digits[i]) % f.Q
+		xi = xi * x % f.Q
 	}
 	return y
-}
-
-// point returns the i-th element of S_c encoded as an integer in [0, Q²).
-func (f Family) point(c, x int) int {
-	return x*f.Q + f.evalPoly(c, x)
 }
 
 // Reduce returns the new color of a vertex with color own whose neighbors
@@ -125,11 +116,15 @@ func (f Family) point(c, x int) int {
 // must be < K and the effective number of constraining neighbors at most
 // Delta; violations panic, since they indicate a broken caller, not bad
 // user input.
+//
+// The new color is the first point x·Q + p_own(x) of S_own, in increasing
+// x, that no neighbor's set covers. A neighbor's point x'·Q + p_nc(x') can
+// equal it only at x' = x, so the point is covered exactly when some
+// neighbor's polynomial agrees with own's at x.
 func (f Family) Reduce(own int, nbrs []int) int {
 	if own < 0 || own >= f.K {
 		panic(fmt.Sprintf("linial: color %d outside palette 0..%d", own, f.K-1))
 	}
-	covered := make(map[int]struct{}, (f.Delta+1)*f.Q)
 	active := 0
 	for _, nc := range nbrs {
 		if nc < 0 {
@@ -142,18 +137,19 @@ func (f Family) Reduce(own int, nbrs []int) int {
 			panic(fmt.Sprintf("linial: neighbor shares color %d (input coloring improper)", own))
 		}
 		active++
-		for x := 0; x < f.Q; x++ {
-			covered[f.point(nc, x)] = struct{}{}
-		}
 	}
 	if active > f.Delta {
 		panic(fmt.Sprintf("linial: %d constraining neighbors exceed Delta=%d", active, f.Delta))
 	}
+points:
 	for x := 0; x < f.Q; x++ {
-		pt := f.point(own, x)
-		if _, bad := covered[pt]; !bad {
-			return pt
+		y := f.evalPoly(own, x)
+		for _, nc := range nbrs {
+			if nc >= 0 && f.evalPoly(nc, x) == y {
+				continue points
+			}
 		}
+		return x*f.Q + y
 	}
 	// Unreachable by the cover-free property (q > Δ·d).
 	panic("linial: cover-free property violated (internal bug)")

@@ -1,6 +1,7 @@
 package linial_test
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -74,12 +75,26 @@ func TestReduceProperProperty(t *testing.T) {
 
 func TestReducePanicsOnImproperInput(t *testing.T) {
 	fam := linial.NewFamily(100, 3)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Reduce with own color among neighbors did not panic")
+	cases := []struct {
+		name string
+		own  int
+		nbrs []int
+		want string
+	}{
+		{"own outside palette", 100, []int{1}, "color 100 outside palette"},
+		{"neighbor outside palette", 5, []int{1, 100}, "neighbor color 100 outside palette"},
+		{"shared color", 5, []int{1, 5}, "neighbor shares color 5"},
+		{"too many neighbors", 5, []int{1, -1, 2, 3, 4}, "4 constraining neighbors exceed Delta=3"},
+		// Validation runs before any point is scanned, in neighbor order.
+		{"first offender wins", 5, []int{1, 2, 3, 4, 5}, "neighbor shares color 5"},
+	}
+	for _, c := range cases {
+		_, msg := outcome(func() int { return fam.Reduce(c.own, c.nbrs) })
+		if !strings.Contains(msg, c.want) {
+			t.Errorf("%s: Reduce(%d, %v) panicked with %q, want %q", c.name, c.own, c.nbrs, msg, c.want)
 		}
-	}()
-	fam.Reduce(5, []int{5})
+		checkAgainstReference(t, fam, c.own, c.nbrs)
+	}
 }
 
 func TestScheduleConvergesLogStar(t *testing.T) {

@@ -32,15 +32,49 @@ type Options struct {
 type Machine struct {
 	opt   Options
 	env   sim.Env
-	sched []Family
+	plan  *plan
 	color int // current 0-based color
-	m     int // fixed-point palette size
-	kw    KWPlan
-	// kwAt[s] = (pass, substep) for sweep step s (0-based), precomputed.
-	kwAt [][2]int
 }
 
 var _ sim.Machine = (*Machine)(nil)
+
+// plan is everything a machine derives from Options alone. NewFactory builds
+// it once and every machine of the factory shares it read-only.
+type plan struct {
+	sched []Family
+	m     int // fixed-point palette size
+	kw    KWPlan
+	// kwAt[s] = (pass, substep) for KW sweep step s (0-based).
+	kwAt [][2]int
+	// sweep is the number of steps after the schedule: one per swept color
+	// class, or one per KW sub-step.
+	sweep int
+}
+
+func newPlan(opt Options) *plan {
+	p := &plan{sched: Schedule(opt.InitialPalette, opt.Delta)}
+	p.m = FixedPointOf(opt.InitialPalette, p.sched)
+	if opt.Target != 0 && opt.KW {
+		p.kw = NewKWPlan(p.m, opt.Target)
+		for i := range p.kw.Palettes {
+			for j := 0; j < p.kw.PassLen(i); j++ {
+				p.kwAt = append(p.kwAt, [2]int{i, j})
+			}
+		}
+	}
+	if opt.Target != 0 && p.m > opt.Target {
+		if opt.KW {
+			p.sweep = len(p.kwAt)
+		} else {
+			p.sweep = p.m - opt.Target
+		}
+	}
+	return p
+}
+
+// rounds is the round cost of the plan: the schedule length plus the sweep
+// length.
+func (p *plan) rounds() int { return len(p.sched) + p.sweep }
 
 // NewFactory returns a factory of Linial machines. It panics on option
 // errors (misuse by the caller, not runtime input).
@@ -51,9 +85,9 @@ func NewFactory(opt Options) sim.Factory {
 	if opt.Target != 0 && opt.Target < opt.Delta+1 {
 		panic(fmt.Sprintf("linial: Target %d < Delta+1 = %d", opt.Target, opt.Delta+1))
 	}
-	sched := Schedule(opt.InitialPalette, opt.Delta)
+	p := newPlan(opt)
 	return func() sim.Machine {
-		return &Machine{opt: opt, sched: sched}
+		return &Machine{opt: opt, plan: p}
 	}
 }
 
@@ -71,15 +105,6 @@ func (m *Machine) Init(env sim.Env) {
 	if m.color < 0 || m.color >= m.opt.InitialPalette {
 		panic(fmt.Sprintf("linial: initial color %d outside 0..%d", m.color, m.opt.InitialPalette-1))
 	}
-	m.m = FixedPointOf(m.opt.InitialPalette, m.sched)
-	if m.opt.Target != 0 && m.opt.KW {
-		m.kw = NewKWPlan(m.m, m.opt.Target)
-		for i := range m.kw.Palettes {
-			for j := 0; j < m.kw.PassLen(i); j++ {
-				m.kwAt = append(m.kwAt, [2]int{i, j})
-			}
-		}
-	}
 }
 
 // Step implements sim.Machine. Steps 2..len(sched)+1 apply one family each;
@@ -93,23 +118,24 @@ func (m *Machine) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
 		return sim.Broadcast(m.env.Degree, m.color), false
 	}
 	nbrs := decodeColors(recv)
+	p := m.plan
 	reduceIdx := step - 2
 	switch {
-	case reduceIdx < len(m.sched):
-		m.color = m.sched[reduceIdx].Reduce(m.color, nbrs)
+	case reduceIdx < len(p.sched):
+		m.color = p.sched[reduceIdx].Reduce(m.color, nbrs)
 	case m.opt.KW && m.opt.Target != 0:
-		sweepStep := reduceIdx - len(m.sched)
-		if sweepStep >= len(m.kwAt) {
+		sweepStep := reduceIdx - len(p.sched)
+		if sweepStep >= len(p.kwAt) {
 			return nil, true
 		}
-		pass, sub := m.kwAt[sweepStep][0], m.kwAt[sweepStep][1]
-		m.color = m.kw.Recolor(pass, sub, m.color, nbrs)
+		pass, sub := p.kwAt[sweepStep][0], p.kwAt[sweepStep][1]
+		m.color = p.kw.Recolor(pass, sub, m.color, nbrs)
 	default:
-		sweepStep := reduceIdx - len(m.sched) // 0-based sweep step
-		if m.opt.Target == 0 || m.opt.Target >= m.m {
+		sweepStep := reduceIdx - len(p.sched) // 0-based sweep step
+		if m.opt.Target == 0 || m.opt.Target >= p.m {
 			return nil, true
 		}
-		class := m.m - 1 - sweepStep // recolor classes from the top down
+		class := p.m - 1 - sweepStep // recolor classes from the top down
 		if class < m.opt.Target {
 			return nil, true
 		}
@@ -126,17 +152,7 @@ func (m *Machine) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
 
 // totalSteps is the step at which the machine halts: one initial broadcast
 // step, one step per schedule entry, one per sweep class (or KW sub-step).
-func (m *Machine) totalSteps() int {
-	sweep := 0
-	if m.opt.Target != 0 && m.m > m.opt.Target {
-		if m.opt.KW {
-			sweep = len(m.kwAt)
-		} else {
-			sweep = m.m - m.opt.Target
-		}
-	}
-	return 1 + len(m.sched) + sweep
-}
+func (m *Machine) totalSteps() int { return 1 + m.plan.rounds() }
 
 // Output implements sim.Machine: the final color, 1-based.
 func (m *Machine) Output() any { return m.color + 1 }
@@ -174,16 +190,4 @@ func smallestFree(nbrs []int, limit int) int {
 
 // Rounds predicts the round cost of a machine built with opt: the schedule
 // length plus the sweep length. Useful for tests and the experiment tables.
-func Rounds(opt Options) int {
-	sched := Schedule(opt.InitialPalette, opt.Delta)
-	m := FixedPointOf(opt.InitialPalette, sched)
-	sweep := 0
-	if opt.Target != 0 && m > opt.Target {
-		if opt.KW {
-			sweep = NewKWPlan(m, opt.Target).Rounds()
-		} else {
-			sweep = m - opt.Target
-		}
-	}
-	return len(sched) + sweep
-}
+func Rounds(opt Options) int { return newPlan(opt).rounds() }

@@ -367,9 +367,10 @@ func NewSlowColoringFactory(delta int, epsNum, epsDen int) func(idBits int) sim.
 		}
 		colorRounds := linial.Rounds(lopt)
 		idle := idleRounds(delta, idBits, epsNum, epsDen)
+		inner := linial.NewFactory(lopt)
 		return func() sim.Machine {
 			return &slowColoring{
-				inner:      linial.NewFactory(lopt)(),
+				inner:      inner(),
 				innerSteps: colorRounds + 1,
 				idle:       idle,
 			}

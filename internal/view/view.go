@@ -7,7 +7,9 @@
 //
 //   - Collector is a (sub-)machine that gathers the radius-t ball of every
 //     vertex in exactly t communication rounds, using names (IDs) to stitch
-//     flooded records together.
+//     flooded records together. Each round a vertex floods only the records
+//     it added or enriched since its previous flood; see Collector for why
+//     that yields the same ball as re-flooding everything it knows.
 //   - Ball.SimulateCenter re-executes an arbitrary Machine on a collected
 //     ball and reproduces the center's t-round output exactly. This is what
 //     lets the speedup transforms (Theorems 6 and 8) and the Theorem 5
@@ -27,7 +29,7 @@ package view
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"locality/internal/rng"
 	"locality/internal/sim"
@@ -61,22 +63,37 @@ type stepOneMsg struct {
 	SenderPort int
 }
 
-// floodMsg is the payload of all later rounds: everything the sender knows.
+// floodMsg is the payload of all later rounds: the records the sender added
+// or enriched since its previous flood, sorted by name. The engines share one
+// floodMsg across all receivers, so Recs is never written after sending.
 type floodMsg struct {
 	Recs []Record
 }
 
 // Collector gathers the radius-T ball of one vertex. It is written as an
 // embeddable phase: composite machines call Step and, when it reports done,
-// read Ball. Use AsMachine for a standalone run.
+// read Ball. Use NewCollectMachineFactory for a standalone run.
 //
 // The collector occupies steps 1..T+1 of its machine's life (T communication
 // rounds; the final step only absorbs the last messages).
+//
+// It floods what changed since its last flood: the first flood (step 2)
+// carries the enriched self record and the step-1 neighbours, every later one
+// the records merge added or enriched while absorbing that step. Every port
+// still gets one floodMsg per round, possibly empty, so message and round
+// counts match full flooding. The known sets also match full flooding
+// exactly, name collisions included: merge only moves a name from absent to
+// bare to enriched, so re-merging a record merged before is a no-op, and a
+// sender's current record for a name was delivered at the step it became
+// current — the only step at which it could change the receiver.
 type Collector struct {
 	t     int
 	env   sim.Env
 	name  uint64
 	known map[uint64]Record
+	// changed holds the names merge added or enriched since the last flood,
+	// unsorted and possibly repeated; nil once collection is done.
+	changed []uint64
 }
 
 // NewCollector returns a collector for radius t at a vertex whose unique
@@ -97,6 +114,7 @@ func NewCollector(t int, name uint64, env sim.Env) *Collector {
 func (c *Collector) Step(step int, recv []sim.Message) (send []sim.Message, done bool) {
 	c.absorb(step, recv)
 	if step > c.t {
+		c.changed = nil
 		return nil, true
 	}
 	if step == 1 {
@@ -107,19 +125,26 @@ func (c *Collector) Step(step int, recv []sim.Message) (send []sim.Message, done
 		}
 		return send, false
 	}
-	// Flood everything known, in deterministic order (map iteration order
-	// must not leak into messages: the engines are compared byte-for-byte).
-	recs := make([]Record, 0, len(c.known))
-	for _, r := range c.known {
-		recs = append(recs, r)
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Name < recs[j].Name })
-	msg := floodMsg{Recs: recs}
+	var msg sim.Message = floodMsg{Recs: c.delta()}
 	send = make([]sim.Message, c.env.Degree)
 	for p := range send {
 		send[p] = msg
 	}
 	return send, false
+}
+
+// delta returns the records changed since the last flood, sorted by name so
+// that no map order leaks into messages (the engines are compared
+// byte-for-byte), and starts a new change set.
+func (c *Collector) delta() []Record {
+	slices.Sort(c.changed)
+	names := slices.Compact(c.changed)
+	recs := make([]Record, len(names))
+	for i, name := range names {
+		recs[i] = c.known[name]
+	}
+	c.changed = c.changed[:0]
+	return recs
 }
 
 // absorb merges received records; step-1 messages additionally wire up the
@@ -138,6 +163,7 @@ func (c *Collector) absorb(step int, recv []sim.Message) {
 			c.merge(som.Rec)
 		}
 		c.known[c.name] = self
+		c.changed = append(c.changed, c.name)
 		return
 	}
 	for _, m := range recv {
@@ -154,11 +180,13 @@ func (c *Collector) absorb(step int, recv []sim.Message) {
 	}
 }
 
-// merge keeps the most informative record per name.
+// merge keeps the most informative record per name and notes a change for
+// the next flood.
 func (c *Collector) merge(r Record) {
 	old, exists := c.known[r.Name]
 	if !exists || (!old.enriched() && r.enriched()) {
 		c.known[r.Name] = r
+		c.changed = append(c.changed, r.Name)
 	}
 }
 

@@ -75,7 +75,7 @@ func FuzzStoreRecord(f *testing.F) {
 // FuzzDecodeRecord throws raw bytes at the frame decoder: it must never
 // panic and must never claim to consume more bytes than it was given.
 func FuzzDecodeRecord(f *testing.F) {
-	if frame, err := encodeRecord(record{Key: "k", Output: "v", Batches: 1}); err == nil {
+	if frame, err := encodeRecord(record{Key: []byte("k"), Output: []byte("v"), Batches: 1}); err == nil {
 		f.Add(frame)
 		f.Add(frame[:len(frame)-1])
 	}

@@ -56,7 +56,7 @@ import (
 // encoding (or the meaning of any encoded field, including the identity key
 // schema upstream) changes: a store opened under a different version is
 // invalidated wholesale rather than reinterpreted.
-const SchemaVersion = "locality-store/v1"
+const SchemaVersion = "locality-store/v2"
 
 const (
 	versionFile = "VERSION"
@@ -119,9 +119,12 @@ type Result struct {
 // record is the persisted payload. The key is embedded so a read can verify
 // the index entry still points at the record it was built from, and the
 // stored-at stamp is operator telemetry (never read back into results).
+// Key and Output are bytes, which encoding/json writes as base64, so they
+// round-trip exactly even when they are not valid UTF-8 (a JSON string
+// would replace each invalid byte with U+FFFD).
 type record struct {
-	Key             string `json:"key"`
-	Output          string `json:"output"`
+	Key             []byte `json:"key"`
+	Output          []byte `json:"output"`
 	Batches         int    `json:"batches"`
 	StoredUnixNanos int64  `json:"stored_unix_nanos"`
 }
@@ -302,7 +305,7 @@ func (s *Store) loadSegments() error {
 			if derr != nil {
 				break
 			}
-			s.index[rec.Key] = entry{seq: seq, off: int64(off), n: n}
+			s.index[string(rec.Key)] = entry{seq: seq, off: int64(off), n: n}
 			off += n
 			good = int64(off)
 		}
@@ -364,13 +367,13 @@ func (s *Store) Get(key string) (Result, bool) {
 	buf := make([]byte, e.n)
 	_, rerr := seg.f.ReadAt(buf, e.off)
 	rec, _, derr := decodeRecord(buf)
-	if rerr != nil || derr != nil || rec.Key != key {
+	if rerr != nil || derr != nil || string(rec.Key) != key {
 		delete(s.index, key)
 		s.metrics.misses.Inc()
 		return Result{}, false
 	}
 	s.metrics.hits.Inc()
-	return Result{Output: rec.Output, Batches: rec.Batches}, true
+	return Result{Output: string(rec.Output), Batches: rec.Batches}, true
 }
 
 // Put stores the result under key, rolling the active segment at the
@@ -380,7 +383,7 @@ func (s *Store) Get(key string) (Result, bool) {
 // persistence).
 func (s *Store) Put(key string, res Result) {
 	frame, err := encodeRecord(record{
-		Key: key, Output: res.Output, Batches: res.Batches, StoredUnixNanos: nowNanos(),
+		Key: []byte(key), Output: []byte(res.Output), Batches: res.Batches, StoredUnixNanos: nowNanos(),
 	})
 	if err != nil {
 		return

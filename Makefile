@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint lint-fast lint-sarif race race-kernel cluster fuzz-smoke bench experiments load store trace
+.PHONY: all build test vet lint lint-fast race fuzz-smoke bench experiments load
 
 all: build test
 
@@ -15,12 +15,12 @@ vet:
 
 # Static gate (CI, tier 1): standard go vet plus localvet, the in-repo
 # multichecker that enforces the LOCAL-model determinism & purity contract
-# (see DESIGN.md, "Model purity & static enforcement" and §11). Runs against
-# the committed baseline: grandfathered findings are tolerated while they
-# burn down, anything new exits non-zero.
+# (see DESIGN.md, "Model purity & static enforcement" and §11). One
+# module-wide run gates (any finding exits non-zero and is listed on
+# stderr) and writes localvet.sarif for code-scanning upload.
 lint:
 	$(GO) vet ./...
-	$(GO) run ./cmd/localvet -baseline .localvet-baseline.json ./...
+	$(GO) run ./cmd/localvet -format sarif ./... > localvet.sarif
 
 # Changed-package lint for the edit loop: runs localvet only on packages
 # whose files differ from origin's main (falling back to HEAD for a detached
@@ -31,33 +31,22 @@ lint-fast:
 	dirs=$$(git diff --name-only $$base -- '*.go' | xargs -r -n1 dirname | sort -u \
 	        | while read d; do [ -d "$$d" ] && echo "./$$d"; done); \
 	if [ -z "$$dirs" ]; then echo "lint-fast: no changed Go packages"; \
-	else echo "lint-fast: $$dirs"; $(GO) run ./cmd/localvet -baseline .localvet-baseline.json $$dirs; fi
+	else echo "lint-fast: $$dirs"; $(GO) run ./cmd/localvet $$dirs; fi
 
-# SARIF artifact for CI code-scanning upload and PR annotation.
-lint-sarif:
-	$(GO) run ./cmd/localvet -baseline .localvet-baseline.json -format sarif ./... > localvet.sarif; \
-	code=$$?; [ $$code -le 1 ] && exit 0 || exit $$code
-
-# Full-module race gate: every package under the race detector. The
-# goroutine-per-node kernel packages are the likeliest offenders, but
-# harness/experiment drivers spawn runs too, so CI sweeps everything.
+# The one race gate: every package under the race detector. That covers
+# the goroutine-per-node kernel (internal/sim, internal/fault), the sharded
+# cluster and its multi-process kill-a-shard e2e (internal/cluster,
+# TestCluster*), the result store and its daemon integration tests
+# (internal/store, TestStore*, TestRetention*), the tracing differentials
+# and trace e2e (internal/obs/trace, cmd/localtrace, TestClusterTraceE2E)
+# and the in-process multi-tenant fairness e2e. With TRACE_ARTIFACT_DIR
+# set, TestClusterTraceE2E exports the merged per-process span artifacts
+# there and localtrace re-validates them from the command line — the same
+# binary a human would point at a production trace directory (DESIGN.md
+# §14).
 race:
 	$(GO) test -race ./...
-
-# Narrower historical gate kept for fast local iteration on the kernel.
-race-kernel:
-	$(GO) vet ./...
-	$(GO) test -race ./internal/sim/... ./internal/fault/...
-
-# Cluster gate (CI): the fault-tolerant sharded mode under the race
-# detector — coordinator merge/failover units, the in-process front-end
-# wire test, and the multi-process kill-a-shard e2e that SIGKILLs one
-# worker localityd mid-sweep and asserts the merged table is byte-identical
-# with zero batches lost (DESIGN.md §10) — asserted on the coordinator's
-# cluster.sweep span as well as on /metrics.
-cluster:
-	$(GO) test -race -count=1 ./internal/cluster ./internal/fault
-	$(GO) test -race -count=1 -run 'TestCluster' -v ./cmd/localityd
+	@if [ -n "$$TRACE_ARTIFACT_DIR" ]; then $(GO) run ./cmd/localtrace "$$TRACE_ARTIFACT_DIR"; fi
 
 # Short fuzz sweep (CI smoke, not a soak): each target runs for a few
 # seconds. `go test -fuzz` accepts one target per invocation, hence one run
@@ -70,7 +59,8 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzStoreRecord -fuzztime=5s ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzReduce -fuzztime=5s ./internal/linial
 
-# Perf trajectory: run the Go benchmarks with allocation reporting, then
+# Perf trajectory: run the Go benchmarks (benchmarks only: the tests run
+# in make test and make race) with allocation reporting, then
 # time every experiment at quick scale and write BENCH_<stamp>.json next to
 # the checked-in baseline (failing on a >25% ns/op regression when one
 # exists; tune with -bench-regress — see cmd/localbench/bench.go), and
@@ -78,50 +68,22 @@ fuzz-smoke:
 # span per batch, with its round counts) and check with localtrace that
 # it assembles without orphans.
 bench:
-	$(GO) test -bench=. -benchtime=1x -benchmem ./...
+	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem ./...
 	$(GO) run ./cmd/localbench -bench-json
 	rm -rf bench-trace
 	$(GO) run ./cmd/localbench -quick -trace-dir bench-trace > /dev/null
 	$(GO) run ./cmd/localtrace bench-trace > /dev/null
 
-# Multi-tenant load gate (CI): the fairness e2e under the race detector,
-# then the full out-of-process workload — build a localityd, spawn it with
-# a two-tenant quota file, run the seeded localload phases (solo, contended,
-# duplicate, stream, SIGTERM chaos-drain), gate the fairness ratio and the
-# bucket-quantized p99s against the lexically latest LOAD_*.json baseline
-# in loadbaseline/, and write this run's artifact next to it (DESIGN.md §12).
+# Multi-tenant load gate (CI): the full out-of-process workload — build a
+# localityd, spawn it with a two-tenant quota file, run the seeded
+# localload phases (solo, contended, duplicate, stream, SIGTERM
+# chaos-drain), gate the fairness ratio and the bucket-quantized p99s
+# against the lexically latest LOAD_*.json baseline in loadbaseline/, and
+# write this run's artifact next to it (DESIGN.md §12). The in-process
+# fairness e2e (TestMultiTenantFairnessE2E) runs in make race.
 load:
-	$(GO) test -race -count=1 -run 'TestMultiTenantFairnessE2E' -v ./cmd/localityd
 	$(GO) build -o /tmp/localityd-load ./cmd/localityd
 	$(GO) run ./cmd/localload -spawn -localityd-bin /tmp/localityd-load -artifact-dir loadbaseline
-
-# Result-store gate (CI): the content-addressed cache under the race
-# detector — segment encode/decode, torn-tail and corruption recovery,
-# eviction, concurrent access — plus the pool/daemon integration tests:
-# the byte-identity differential (incl. kill-and-reopen), cache-hit SSE
-# replay, retention eviction, and the across-restart HTTP serving test
-# (DESIGN.md §13).
-store:
-	$(GO) test -race -count=1 ./internal/store
-	$(GO) test -race -count=1 -run 'TestStore|TestRetention' ./internal/jobs ./cmd/localityd
-
-# Trace gate (CI): end-to-end deterministic tracing (DESIGN.md §14). The
-# obsinert + nowallclock analyzers prove the tracer stays inert and its
-# wall-clock reads confined to the sanctioned leaf; the trace package and
-# localtrace CLI tests run under the race detector; then the tracing
-# differentials, the check that batch.commit spans account for every
-# simulator round (at 1 and 4 row workers), and the multi-process
-# kill-a-shard trace e2e run — every
-# process appends spans to one shared directory, and the causal tree must
-# assemble with zero orphaned spans. With TRACE_ARTIFACT_DIR set, the e2e
-# exports the merged per-process artifacts there and localtrace re-validates
-# them from the command line — the same binary a human would point at a
-# production trace directory is the final arbiter of the gate.
-trace:
-	$(GO) run ./cmd/localvet -only obsinert,nowallclock ./...
-	$(GO) test -race -count=1 ./internal/obs/trace ./cmd/localtrace
-	$(GO) test -race -count=1 -run 'TestTracerByteIdentity|TestBatchCommitRoundCounts|TestTraceHeaderConstantsAgree|TestRouteLatencyCoversEventsAndCheckpoint|TestSubmitExemplarLinksTrace|TestClusterTraceE2E' -v ./internal/jobs ./cmd/localityd
-	@if [ -n "$$TRACE_ARTIFACT_DIR" ]; then $(GO) run ./cmd/localtrace "$$TRACE_ARTIFACT_DIR"; fi
 
 # Regenerate the full-scale EXPERIMENTS.md tables (takes minutes).
 experiments:

@@ -14,8 +14,8 @@ package main
 // record and a torn final line, both of which the loader tolerates.
 //
 // When TRACE_ARTIFACT_DIR names a directory, the merged artifacts are
-// copied there — CI uploads them and runs localtrace over the copy as
-// the trace gate.
+// copied there — make race then runs localtrace over the copy, and CI
+// uploads it.
 
 import (
 	"bufio"

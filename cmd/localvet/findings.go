@@ -11,8 +11,8 @@ import (
 
 // A Finding is one diagnostic in driver form: analyzer, module-relative
 // file, position and message. File is slash-separated and relative to the
-// module root so findings — and the baseline keys built from them — are
-// stable across checkouts and working directories.
+// module root so findings are stable across checkouts and working
+// directories.
 type Finding struct {
 	Analyzer string `json:"analyzer"`
 	File     string `json:"file"`
@@ -119,7 +119,7 @@ type sarifRegion struct {
 }
 
 // writeSARIF renders findings as a SARIF 2.1.0 log. Every configured
-// analyzer appears as a rule even when clean, so burndown dashboards can
+// analyzer appears as a rule even when clean, so code-scanning views can
 // distinguish "checked and clean" from "not checked".
 func writeSARIF(w io.Writer, analyzers []*analysis.Analyzer, fs []Finding) error {
 	rules := make([]sarifRule, 0, len(analyzers))

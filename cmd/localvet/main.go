@@ -18,12 +18,13 @@
 //
 // Usage:
 //
-//	localvet [-only a,b] [-format text|json|sarif] [-baseline file [-write-baseline]] [package-pattern]
+//	localvet [-only a,b] [-format text|json|sarif] [package-pattern]
 //
 // The only supported patterns are "./..." (the whole module, the default)
-// and module-relative directories like ./internal/mis. Exit status: 0 clean
-// (or every finding grandfathered by the baseline), 1 new findings, 2
-// operational error.
+// and module-relative directories like ./internal/mis. Exit status: 0
+// clean, 1 findings, 2 operational error. With -format json or sarif the
+// findings are also listed as text on stderr, so one run can both gate and
+// write a machine-readable report (make lint writes localvet.sarif).
 package main
 
 import (
@@ -191,8 +192,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
 	list := fs.Bool("list", false, "list analyzers and exit")
 	format := fs.String("format", "text", "output format: text, json or sarif")
-	baselinePath := fs.String("baseline", "", "baseline file: suppress grandfathered findings, fail only on new ones")
-	writeBL := fs.Bool("write-baseline", false, "write current findings to the -baseline file and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -208,10 +207,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "text", "json", "sarif":
 	default:
 		fmt.Fprintf(stderr, "localvet: unknown format %q (valid: text, json, sarif)\n", *format)
-		return 2
-	}
-	if *writeBL && *baselinePath == "" {
-		fmt.Fprintf(stderr, "localvet: -write-baseline requires -baseline FILE\n")
 		return 2
 	}
 	if *only != "" {
@@ -317,34 +312,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	sortFindings(findings)
 
-	if *writeBL {
-		if failed {
-			fmt.Fprintf(stderr, "localvet: refusing to write baseline after load/run errors\n")
-			return 2
-		}
-		if err := writeBaseline(*baselinePath, findings); err != nil {
-			fmt.Fprintf(stderr, "localvet: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "localvet: wrote %d finding(s) to %s\n", len(findings), *baselinePath)
-		return 0
-	}
-
-	suppressed := 0
-	if *baselinePath != "" {
-		counts, err := loadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(stderr, "localvet: %v\n", err)
-			return 2
-		}
-		var stale []baselineEntry
-		findings, suppressed, stale = applyBaseline(findings, counts)
-		for _, e := range stale {
-			fmt.Fprintf(stderr, "localvet: stale baseline entry (fixed? shrink the baseline): %s: %s: %s (x%d)\n",
-				e.File, e.Analyzer, e.Message, e.Count)
-		}
-	}
-
 	var werr error
 	switch *format {
 	case "text":
@@ -362,11 +329,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case failed:
 		return 2
 	case len(findings) > 0:
-		if suppressed > 0 {
-			fmt.Fprintf(stderr, "localvet: %d new finding(s), %d grandfathered\n", len(findings), suppressed)
-		} else {
-			fmt.Fprintf(stderr, "localvet: %d finding(s)\n", len(findings))
+		if *format != "text" {
+			writeText(stderr, findings)
 		}
+		fmt.Fprintf(stderr, "localvet: %d finding(s)\n", len(findings))
 		return 1
 	}
 	return 0

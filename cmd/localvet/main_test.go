@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -118,47 +117,9 @@ func TestRunSARIF(t *testing.T) {
 	if len(run0.Results) == 0 || run0.Results[0].RuleID != "norawrand" {
 		t.Fatalf("unexpected SARIF results: %+v", run0.Results)
 	}
-}
-
-// TestRunBaseline exercises the grandfathering round-trip: -write-baseline
-// captures the fixture's findings, a second run against that baseline is
-// clean (exit 0), and a baseline entry matching nothing is reported stale.
-func TestRunBaseline(t *testing.T) {
-	dir := t.TempDir()
-	bl := filepath.Join(dir, "baseline.json")
-	fixture := "../../internal/analysis/testdata/src/norawrand"
-
-	var stdout, stderr strings.Builder
-	if code := run([]string{"-only", "norawrand", "-baseline", bl, "-write-baseline", fixture}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-write-baseline exited %d\nstderr: %s", code, stderr.String())
-	}
-
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-only", "norawrand", "-baseline", bl, fixture}, &stdout, &stderr); code != 0 {
-		t.Fatalf("baselined run exited %d, want 0\nstdout: %s\nstderr: %s",
-			code, stdout.String(), stderr.String())
-	}
-	if stdout.String() != "" {
-		t.Fatalf("grandfathered findings still printed:\n%s", stdout.String())
-	}
-
-	// A clean package against the same baseline: nothing matches, so every
-	// entry is stale — reported, but not a failure.
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-only", "norawrand", "-baseline", bl, "../../internal/rng"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("stale-baseline run exited %d, want 0\nstderr: %s", code, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "stale baseline entry") {
-		t.Fatalf("expected stale-entry warnings, got:\n%s", stderr.String())
-	}
-}
-
-// TestWriteBaselineRequiresPath checks the flag dependency.
-func TestWriteBaselineRequiresPath(t *testing.T) {
-	var stdout, stderr strings.Builder
-	if code := run([]string{"-write-baseline"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("run exited %d, want 2", code)
+	// The same run lists its findings as text on stderr, so a gate that
+	// writes SARIF still shows what failed.
+	if !strings.Contains(stderr.String(), ": norawrand: ") {
+		t.Errorf("SARIF run did not list its findings on stderr:\n%s", stderr.String())
 	}
 }

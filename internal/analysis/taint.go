@@ -157,8 +157,8 @@ func (t *TaintSet) DirectSource(n *FuncNode, k TaintKind) *Source {
 //
 //	sim.Run -> sim.RunContext -> sim.runConcurrent -> time.NewTimer (concurrent.go:186)
 //
-// Positions are basename:line so the string is stable across checkouts
-// (baseline keys include messages).
+// Positions are basename:line so the string, and with it every finding's
+// message, is stable across checkouts.
 func (t *TaintSet) Chain(n *FuncNode, k TaintKind) string {
 	fset := n.Pkg.Fset
 	var parts []string

@@ -244,3 +244,28 @@ func TestFairnessRatioGuards(t *testing.T) {
 		}
 	}
 }
+
+// TestFairnessVerdictFloor pins the fairness verdict around its noise
+// floor: a ratio over the bound fails whenever solo p99 reaches the floor,
+// is ignored below it, and well-behaved sheds fail on either side.
+func TestFairnessVerdictFloor(t *testing.T) {
+	cases := []struct {
+		solo, ratio float64
+		sheds       int
+		want        bool
+	}{
+		{199, 2.5, 0, false},              // the production gate's scale
+		{ratioFloorMillis, 2.5, 0, false}, // at the floor the ratio counts
+		{199, 2, 0, true},
+		{0.4, 2.25, 0, true}, // sub-millisecond stub noise
+		{0.4, 1, 1, false},
+		{199, 1, 1, false},
+		{overflowMillis, math.MaxFloat64, 0, false},
+	}
+	for _, c := range cases {
+		if got := fairnessHolds(c.solo, c.ratio, 2, c.sheds); got != c.want {
+			t.Errorf("fairnessHolds(solo %v, ratio %v, max 2, sheds %d) = %v, want %v",
+				c.solo, c.ratio, c.sheds, got, c.want)
+		}
+	}
+}

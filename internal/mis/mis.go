@@ -152,12 +152,48 @@ type DetOptions struct {
 	Delta int
 }
 
+// resolve fills the zero fields of opt from the graph shape.
+func (opt DetOptions) resolve(n, maxDeg int) DetOptions {
+	if opt.IDSpace == 0 {
+		opt.IDSpace = n
+	}
+	if opt.Delta == 0 {
+		opt.Delta = maxDeg
+	}
+	return opt
+}
+
+// linialOptions is the inner Linial+KW run: IDs to a (Δ+1)-coloring.
+func (opt DetOptions) linialOptions() linial.Options {
+	return linial.Options{
+		InitialPalette: opt.IDSpace,
+		Delta:          opt.Delta,
+		Target:         opt.Delta + 1,
+		KW:             true,
+	}
+}
+
+// detPlan is what every det machine of a run shares: the resolved options,
+// the inner Linial factory (which holds Linial's own plan) and the step at
+// which the inner machine halts.
+type detPlan struct {
+	opt    DetOptions
+	linial sim.Factory
+	linSt  int
+}
+
+func newDetPlan(opt DetOptions, n, maxDeg int) detPlan {
+	opt = opt.resolve(n, maxDeg)
+	lopt := opt.linialOptions()
+	return detPlan{opt: opt, linial: linial.NewFactory(lopt), linSt: linial.Rounds(lopt) + 1}
+}
+
 // det runs Linial+KW to a (Δ+1)-coloring, then sweeps the color classes.
 type det struct {
-	opt    DetOptions
+	plans  *sim.PlanMemo[detPlan]
+	plan   *detPlan
 	env    sim.Env
 	linial sim.Machine
-	linSt  int // step at which the inner Linial machine halts
 	color  int
 	st     state
 }
@@ -166,26 +202,15 @@ var _ sim.Machine = (*det)(nil)
 
 // NewDetFactory returns the deterministic MIS machine.
 func NewDetFactory(opt DetOptions) sim.Factory {
-	return func() sim.Machine { return &det{opt: opt} }
+	plans := sim.NewPlanMemo(func(n, maxDeg int) detPlan { return newDetPlan(opt, n, maxDeg) })
+	return func() sim.Machine { return &det{plans: plans} }
 }
 
 func (m *det) Init(env sim.Env) {
 	m.env = env
-	if m.opt.IDSpace == 0 {
-		m.opt.IDSpace = env.N
-	}
-	if m.opt.Delta == 0 {
-		m.opt.Delta = env.MaxDeg
-	}
-	lopt := linial.Options{
-		InitialPalette: m.opt.IDSpace,
-		Delta:          m.opt.Delta,
-		Target:         m.opt.Delta + 1,
-		KW:             true,
-	}
-	m.linial = linial.NewFactory(lopt)()
+	m.plan = m.plans.Get(env)
+	m.linial = m.plan.linial()
 	m.linial.Init(env)
-	m.linSt = linial.Rounds(lopt) + 1
 	m.st = stateUndecided
 }
 
@@ -195,12 +220,12 @@ type detMsg struct {
 }
 
 func (m *det) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
-	if step <= m.linSt {
+	if step <= m.plan.linSt {
 		send, done := m.linial.Step(step, recv)
 		if done {
 			m.color = m.linial.Output().(int) // 1-based
 		}
-		if step < m.linSt {
+		if step < m.plan.linSt {
 			return send, false
 		}
 		// Transition step: start the sweep broadcasting our state.
@@ -219,11 +244,11 @@ func (m *det) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
 			m.st = stateOut
 		}
 	}
-	class := step - m.linSt
+	class := step - m.plan.linSt
 	if m.st == stateUndecided && m.color == class {
 		m.st = stateIn
 	}
-	if class > m.opt.Delta+1 {
+	if class > m.plan.opt.Delta+1 {
 		if m.st == stateUndecided {
 			panic("mis: vertex undecided after all classes (internal bug)")
 		}
@@ -236,20 +261,9 @@ func (m *det) Output() any { return m.st == stateIn }
 
 // DetRounds predicts the deterministic machine's round count.
 func DetRounds(opt DetOptions, n, maxDeg int) int {
-	if opt.IDSpace == 0 {
-		opt.IDSpace = n
-	}
-	if opt.Delta == 0 {
-		opt.Delta = maxDeg
-	}
-	lopt := linial.Options{
-		InitialPalette: opt.IDSpace,
-		Delta:          opt.Delta,
-		Target:         opt.Delta + 1,
-		KW:             true,
-	}
+	opt = opt.resolve(n, maxDeg)
 	// linial steps (rounds+1 including its final absorb step) then Δ+2
 	// sweep steps; the machine halts at step linSt + Δ+2, so rounds are
 	// linSt + Δ + 1.
-	return linial.Rounds(lopt) + 1 + opt.Delta + 1
+	return linial.Rounds(opt.linialOptions()) + 1 + opt.Delta + 1
 }

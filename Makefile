@@ -13,12 +13,16 @@ test:
 vet:
 	$(GO) vet ./...
 
-# Static gate (CI, tier 1): standard go vet plus localvet, the in-repo
-# multichecker that enforces the LOCAL-model determinism & purity contract
-# (see DESIGN.md, "Model purity & static enforcement" and §11). One
-# module-wide run gates (any finding exits non-zero and is listed on
-# stderr) and writes localvet.sarif for code-scanning upload.
+# Static gate (CI, tier 1): gofmt (any Go file outside testdata/ and the
+# dot-directories that gofmt -l lists fails the gate), standard go vet, and
+# localvet, the in-repo multichecker that enforces the LOCAL-model
+# determinism & purity contract (see DESIGN.md, "Model purity & static
+# enforcement" and §11). One module-wide localvet run gates (any finding
+# exits non-zero and is listed on stderr) and writes localvet.sarif for
+# code-scanning upload.
 lint:
+	@unformatted=$$($$($(GO) env GOROOT)/bin/gofmt -l $$(find . -name '*.go' -not -path '*/testdata/*' -not -path './.*')) || exit 1; \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/localvet -format sarif ./... > localvet.sarif
 
@@ -78,12 +82,13 @@ bench:
 # localityd, spawn it with a two-tenant quota file, run the seeded
 # localload phases (solo, contended, duplicate, stream, SIGTERM
 # chaos-drain), gate the fairness ratio and the bucket-quantized p99s
-# against the lexically latest LOAD_*.json baseline in loadbaseline/, and
-# write this run's artifact next to it (DESIGN.md §12). The in-process
-# fairness e2e (TestMultiTenantFairnessE2E) runs in make race.
+# against the lexically latest committed LOAD_*.json baseline in
+# loadbaseline/, and write this run's artifact to the gitignored
+# load-artifacts/ (DESIGN.md §12), so one run never gates the next. The
+# in-process fairness e2e (TestMultiTenantFairnessE2E) runs in make race.
 load:
 	$(GO) build -o /tmp/localityd-load ./cmd/localityd
-	$(GO) run ./cmd/localload -spawn -localityd-bin /tmp/localityd-load -artifact-dir loadbaseline
+	$(GO) run ./cmd/localload -spawn -localityd-bin /tmp/localityd-load -baseline-dir loadbaseline -artifact-dir load-artifacts
 
 # Regenerate the full-scale EXPERIMENTS.md tables (takes minutes).
 experiments:

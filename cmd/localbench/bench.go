@@ -124,9 +124,9 @@ func latestBaseline(dir string) (string, error) {
 
 // regression describes one experiment exceeding the ns/op threshold.
 type regression struct {
-	experiment       string
-	baseline, now    float64
-	pctChange        float64
+	experiment    string
+	baseline, now float64
+	pctChange     float64
 }
 
 // compareBaseline flags entries whose ns/op regressed by more than pct

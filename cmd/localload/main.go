@@ -2,9 +2,11 @@
 // (internal/load) against a localityd and gates the result: the fairness
 // verdict (an abusive tenant must not degrade a well-behaved tenant's p99
 // beyond the configured ratio, with zero well-behaved sheds), the phase
-// invariants (idempotent dedup, clean SSE termination), and — when an
-// artifact directory holds a prior run — a p99 regression gate against the
-// lexically latest LOAD_*.json baseline.
+// invariants (idempotent dedup, clean SSE termination), and — when a
+// baseline directory is given — a p99 regression gate against the
+// lexically latest LOAD_*.json there. The run's own LOAD_<stamp>.json goes
+// to a separate artifact directory, so a run never becomes the baseline of
+// the next one.
 //
 // Two modes:
 //
@@ -57,7 +59,8 @@ func main() {
 		abuseExp     = flag.String("abuse-experiment", "E8", "experiment the abusive flood submits (short by default: admission pressure, not CPU occupation)")
 		fairRatio    = flag.Float64("fairness-ratio", 2, "max contended/solo p99 ratio for the fairness verdict")
 		floodPause   = flag.Duration("flood-pause", 10*time.Millisecond, "pace between each abusive client's submits (lower = harsher flood)")
-		artifactDir  = flag.String("artifact-dir", "", "directory for LOAD_<stamp>.json artifacts and the baseline gate (empty = no artifact)")
+		baselineDir  = flag.String("baseline-dir", "", "directory whose lexically latest LOAD_*.json is the baseline of the regression gate (empty = no gate)")
+		artifactDir  = flag.String("artifact-dir", "", "directory this run's LOAD_<stamp>.json is written to (empty = no artifact)")
 		baseRatio    = flag.Float64("baseline-ratio", load.DefaultBaselineRatio, "max bucket-quantized p99 ratio vs the latest baseline artifact (0 = skip the gate)")
 		spawnWorkers = flag.Int("spawn-workers", 4, "worker count for the spawned daemon")
 		version      = flag.Bool("version", false, "print build version and exit")
@@ -123,19 +126,19 @@ func main() {
 		}
 	}
 
-	if *artifactDir != "" {
-		basePath, base, err := load.Latest(*artifactDir)
+	if *baselineDir != "" && *baseRatio > 0 {
+		basePath, base, err := load.Latest(*baselineDir)
 		if err != nil {
 			log.Fatalf("reading baseline: %v", err)
 		}
-		if *baseRatio > 0 {
-			if err := load.CompareBaseline(res, base, *baseRatio); err != nil {
-				log.Printf("GATE FAIL vs %s: %v", basePath, err)
-				ok = false
-			} else if base != nil {
-				log.Printf("baseline gate OK vs %s", filepath.Base(basePath))
-			}
+		if err := load.CompareBaseline(res, base, *baseRatio); err != nil {
+			log.Printf("GATE FAIL vs %s: %v", basePath, err)
+			ok = false
+		} else if base != nil {
+			log.Printf("baseline gate OK vs %s", filepath.Base(basePath))
 		}
+	}
+	if *artifactDir != "" {
 		path, err := load.Write(*artifactDir, res)
 		if err != nil {
 			log.Fatalf("writing artifact: %v", err)

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"reflect"
 	"testing"
 
 	"locality/internal/core"
@@ -86,49 +87,90 @@ func TestT11RoundsMatchPlanAndScaleLogLog(t *testing.T) {
 	}
 }
 
-func TestT11EngineEquivalence(t *testing.T) {
-	r := rng.New(9)
-	g := graph.RandomTree(200, 8, r)
-	var prev []int
+// engineResults runs f on g under both engines and fails unless the two
+// Results — rounds, per-node halt rounds, message count and outputs — are
+// identical. The sequential engine skips the steps of sleeping nodes (see
+// sim.Sleeper); the concurrent engine steps every live node, so this pins
+// the T10/T11 sleep windows to the reference semantics.
+func engineResults(t *testing.T, g *graph.Graph, seed uint64, f sim.Factory) *sim.Result {
+	t.Helper()
+	var prev *sim.Result
 	for _, engine := range []sim.Engine{sim.EngineSequential, sim.EngineConcurrent} {
-		res, err := sim.Run(g, sim.Config{Randomized: true, Seed: 13, Engine: engine, MaxRounds: 1 << 20},
-			core.NewT11Factory(core.T11Options{Delta: 8}))
+		res, err := sim.Run(g, sim.Config{Randomized: true, Seed: seed, Engine: engine, MaxRounds: 1 << 20}, f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cur := core.Colors(res.Outputs)
-		if prev != nil {
-			for v := range cur {
-				if cur[v] != prev[v] {
-					t.Fatalf("engines disagree at vertex %d: %d vs %d", v, prev[v], cur[v])
+		if prev != nil && !reflect.DeepEqual(prev, res) {
+			if prev.Rounds != res.Rounds || prev.MessagesSent != res.MessagesSent {
+				t.Fatalf("engines disagree: rounds %d vs %d, messages %d vs %d",
+					prev.Rounds, res.Rounds, prev.MessagesSent, res.MessagesSent)
+			}
+			for v := range res.Outputs {
+				if prev.HaltRound[v] != res.HaltRound[v] || prev.Outputs[v] != res.Outputs[v] {
+					t.Fatalf("engines disagree at vertex %d: halt %d vs %d, output %+v vs %+v",
+						v, prev.HaltRound[v], res.HaltRound[v], prev.Outputs[v], res.Outputs[v])
 				}
 			}
+			t.Fatal("engines disagree")
 		}
-		prev = cur
+		prev = res
+	}
+	return prev
+}
+
+func TestT11EngineEquivalence(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		g     *graph.Graph
+		delta int
+		wantS bool
+	}{
+		{"delta8", graph.RandomTree(200, 8, rng.New(9)), 8, false},
+		// With Δ = 4 Phase 1 peels a single color class, so S is non-empty:
+		// vertices outside S sleep through Phase 2 while their S neighbors
+		// run the forest coloring and send to them.
+		{"delta4", graph.RandomTree(200, 4, rng.New(9)), 4, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			res := engineResults(t, c.g, 13, core.NewT11Factory(core.T11Options{Delta: c.delta}))
+			inS := 0
+			for _, o := range res.Outputs {
+				if o.(core.T11Result).InS {
+					inS++
+				}
+			}
+			if c.wantS && inS == 0 {
+				t.Fatal("S is empty: Phase 2 colored nothing")
+			}
+		})
 	}
 }
 
 func TestT10EngineEquivalence(t *testing.T) {
 	g := graph.RandomTree(200, 16, rng.New(10))
-	var prev []core.T10Result
-	for _, engine := range []sim.Engine{sim.EngineSequential, sim.EngineConcurrent} {
-		res, err := sim.Run(g, sim.Config{Randomized: true, Seed: 14, Engine: engine, MaxRounds: 1 << 20},
-			core.NewT10Factory(core.T10Options{Delta: 16}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cur := make([]core.T10Result, len(res.Outputs))
-		for v, o := range res.Outputs {
-			cur[v] = o.(core.T10Result)
-		}
-		if prev != nil {
-			for v := range cur {
-				if cur[v] != prev[v] {
-					t.Fatalf("engines disagree at vertex %d: %+v vs %+v", v, prev[v], cur[v])
+	for _, c := range []struct {
+		name    string
+		opt     core.T10Options
+		wantBad bool
+	}{
+		{"default", core.T10Options{Delta: 16}, false},
+		// A tight Filtering(1) threshold marks vertices bad, so good
+		// vertices sleep through Phase 2 while their bad neighbors run the
+		// forest coloring and send to them.
+		{"slack2", core.T10Options{Delta: 16, PaletteSlack: 2}, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			res := engineResults(t, g, 14, core.NewT10Factory(c.opt))
+			bad := 0
+			for _, o := range res.Outputs {
+				if o.(core.T10Result).Bad {
+					bad++
 				}
 			}
-		}
-		prev = cur
+			if c.wantBad && bad == 0 {
+				t.Fatal("the bad set is empty: Phase 2 colored nothing")
+			}
+		})
 	}
 }
 

@@ -126,12 +126,14 @@ type t10 struct {
 	plan  *t10Plan
 	env   sim.Env
 
-	id      uint64
-	color   int
-	phase   int
-	bad     bool
-	palette map[int]struct{} // Ψ
-	bid     []int
+	id       uint64
+	color    int
+	phase    int
+	bad      bool
+	palette  []bool // Ψ: palette[c] reports whether color c is still available
+	paletteN int    // |Ψ|
+	taken    []bool // resolveStep's scratch set of colors bid by neighbors
+	bid      []int
 
 	inner  sim.Machine
 	innerD bool
@@ -142,7 +144,10 @@ type t10 struct {
 	fresh []bool
 }
 
-var _ sim.Machine = (*t10)(nil)
+var (
+	_ sim.Machine = (*t10)(nil)
+	_ sim.Sleeper = (*t10)(nil)
+)
 
 // NewT10Factory returns the Theorem 10 ColorBidding machine.
 func NewT10Factory(opt T10Options) sim.Factory {
@@ -160,10 +165,14 @@ func (m *t10) Init(env sim.Env) {
 	m.env = env
 	m.plan = m.plans.Get(env)
 	m.id = env.Rand.Uint64()%(1<<m.plan.opt.IDBits) + 1
-	m.palette = make(map[int]struct{}, m.plan.opt.Delta-m.plan.reserve)
-	for c := 1; c <= m.plan.opt.Delta-m.plan.reserve; c++ {
-		m.palette[c] = struct{}{}
+	// Colors 1..Δ-√Δ; index 0 is unused in both sets.
+	k := m.plan.opt.Delta - m.plan.reserve + 1
+	sets := make([]bool, 2*k)
+	m.palette, m.taken = sets[:k:k], sets[k:]
+	for c := 1; c < k; c++ {
+		m.palette[c] = true
 	}
+	m.paletteN = k - 1
 	m.nbr = make([]t10Status, env.Degree)
 	m.heard = make([]bool, env.Degree)
 	m.fresh = make([]bool, env.Degree)
@@ -241,11 +250,11 @@ func (m *t10) bidStep(iter int) {
 	if m.color != 0 || m.bad {
 		return
 	}
-	// Deterministic palette order: map iteration order must never reach
-	// the RNG, or runs stop being reproducible across engines.
-	psi := make([]int, 0, len(m.palette))
-	for c := 1; c <= m.plan.opt.Delta-m.plan.reserve; c++ {
-		if _, ok := m.palette[c]; ok {
+	// Ascending palette order, so the RNG draws are the same on every
+	// engine.
+	psi := make([]int, 0, m.paletteN)
+	for c, ok := range m.palette {
+		if ok {
 			psi = append(psi, c)
 		}
 	}
@@ -272,23 +281,21 @@ func (m *t10) resolveStep() {
 	if m.color != 0 || m.bad || len(m.bid) == 0 {
 		return
 	}
-	taken := make(map[int]struct{})
 	for p := range m.nbr {
 		if !m.fresh[p] || !m.nbr[p].Participating {
 			continue
 		}
 		for _, c := range m.nbr[p].Bid {
-			taken[c] = struct{}{}
+			m.taken[c] = true
 		}
 	}
 	best := 0
 	for _, c := range m.bid {
-		if _, clash := taken[c]; !clash {
-			if best == 0 || c < best {
-				best = c
-			}
+		if !m.taken[c] && (best == 0 || c < best) {
+			best = c
 		}
 	}
+	clear(m.taken)
 	if best != 0 {
 		m.color = best
 		m.phase = 1
@@ -300,8 +307,9 @@ func (m *t10) resolveStep() {
 // neighbors from Ψ.
 func (m *t10) updatePaletteAndNeighbors() {
 	for p := range m.nbr {
-		if m.heard[p] && m.nbr[p].Color != 0 {
-			delete(m.palette, m.nbr[p].Color)
+		if c := m.nbr[p].Color; m.heard[p] && c > 0 && c < len(m.palette) && m.palette[c] {
+			m.palette[c] = false
+			m.paletteN--
 		}
 	}
 }
@@ -320,7 +328,7 @@ func (m *t10) filter(i int) {
 	}
 	d := float64(m.plan.opt.Delta)
 	if i == 1 {
-		if float64(len(m.palette))-float64(survivors) < d/float64(m.plan.opt.PaletteSlack) {
+		if float64(m.paletteN)-float64(survivors) < d/float64(m.plan.opt.PaletteSlack) {
 			m.bad = true
 		}
 		return
@@ -334,12 +342,17 @@ func (m *t10) filter(i int) {
 }
 
 // startForest builds the embedded Phase 2 machine over the bad vertices,
-// on the run's shared forest plan.
+// on the run's shared forest plan. A good vertex builds none: outside the
+// forest's induced subgraph it would halt at its first step, sending
+// nothing and drawing no randomness, so it is done from the start.
 func (m *t10) startForest() {
+	if !m.bad {
+		m.innerD = true
+		return
+	}
 	m.inner = forest.NewMachine(&m.plan.fplan, forest.Options{
 		ColorOffset: m.plan.opt.Delta - m.plan.reserve,
 		IDOf:        func(sim.Env) uint64 { return m.id },
-		Active:      func(sim.Env) bool { return m.bad },
 	})
 	m.inner.Init(m.env)
 }
@@ -357,6 +370,15 @@ func (m *t10) forestStep(step int, recv []sim.Message) ([]sim.Message, bool) {
 		m.innerD = true
 	}
 	return send, false
+}
+
+// SleepUntil implements sim.Sleeper: once the inner forest machine is done,
+// every step up to the harvest step is a no-op.
+func (m *t10) SleepUntil() int {
+	if m.innerD {
+		return m.plan.forestEnd + 1
+	}
+	return 0
 }
 
 func (m *t10) harvestForest() {

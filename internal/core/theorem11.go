@@ -166,7 +166,10 @@ type t11 struct {
 	fresh []bool
 }
 
-var _ sim.Machine = (*t11)(nil)
+var (
+	_ sim.Machine = (*t11)(nil)
+	_ sim.Sleeper = (*t11)(nil)
+)
 
 // NewT11Factory returns the Theorem 11 Δ-coloring machine.
 func NewT11Factory(opt T11Options) sim.Factory {
@@ -364,12 +367,17 @@ func (m *t11) detectS() {
 	}
 }
 
-// startForest builds the embedded Phase 2 machine on the run's shared
-// forest plan.
+// startForest builds the embedded Phase 2 machine over S on the run's
+// shared forest plan. A vertex outside S builds none: outside the forest's
+// induced subgraph it would halt at its first step, sending nothing and
+// drawing no randomness, so it is done from the start.
 func (m *t11) startForest() {
+	if !m.inS {
+		m.innerD = true
+		return
+	}
 	m.inner = forest.NewMachine(&m.plan.fplan, forest.Options{
-		IDOf:   func(sim.Env) uint64 { return m.id },
-		Active: func(sim.Env) bool { return m.inS },
+		IDOf: func(sim.Env) uint64 { return m.id },
 	})
 	m.inner.Init(m.env)
 }
@@ -390,6 +398,15 @@ func (m *t11) forestStep(step int, recv []sim.Message) ([]sim.Message, bool) {
 		m.innerD = true
 	}
 	return send, false
+}
+
+// SleepUntil implements sim.Sleeper: once the inner forest machine is done,
+// every step up to the harvest step is a no-op.
+func (m *t11) SleepUntil() int {
+	if m.innerD {
+		return m.plan.forestEnd + 1
+	}
+	return 0
 }
 
 // harvestForest reads Phase 2's output.

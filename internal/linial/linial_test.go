@@ -245,6 +245,17 @@ func TestRoundsPrediction(t *testing.T) {
 	if got := linial.Rounds(opt); got != want {
 		t.Errorf("Rounds = %d, want %d", got, want)
 	}
+	// NewFactoryRounds reports the same count from its one plan build.
+	for _, o := range []linial.Options{
+		opt,
+		{InitialPalette: 1 << 16, Delta: 3},
+		{InitialPalette: 1 << 20, Delta: 5, Target: 6, KW: true},
+		{InitialPalette: 2, Delta: 1, Target: 2},
+	} {
+		if _, got := linial.NewFactoryRounds(o); got != linial.Rounds(o) {
+			t.Errorf("%+v: NewFactoryRounds reports %d rounds, Rounds %d", o, got, linial.Rounds(o))
+		}
+	}
 }
 
 func TestKWPlanShape(t *testing.T) {

@@ -79,6 +79,13 @@ func (p *plan) rounds() int { return len(p.sched) + p.sweep }
 // NewFactory returns a factory of Linial machines. It panics on option
 // errors (misuse by the caller, not runtime input).
 func NewFactory(opt Options) sim.Factory {
+	f, _ := NewFactoryRounds(opt)
+	return f
+}
+
+// NewFactoryRounds is NewFactory that also returns Rounds(opt), read off the
+// plan the factory's machines share instead of a second build of it.
+func NewFactoryRounds(opt Options) (sim.Factory, int) {
 	if opt.InitialPalette < 1 {
 		panic("linial: InitialPalette must be >= 1")
 	}
@@ -88,7 +95,7 @@ func NewFactory(opt Options) sim.Factory {
 	p := newPlan(opt)
 	return func() sim.Machine {
 		return &Machine{opt: opt, plan: p}
-	}
+	}, p.rounds()
 }
 
 // Init implements sim.Machine.

@@ -184,8 +184,8 @@ type detPlan struct {
 
 func newDetPlan(opt DetOptions, n, maxDeg int) detPlan {
 	opt = opt.resolve(n, maxDeg)
-	lopt := opt.linialOptions()
-	return detPlan{opt: opt, linial: linial.NewFactory(lopt), linSt: linial.Rounds(lopt) + 1}
+	lin, rounds := linial.NewFactoryRounds(opt.linialOptions())
+	return detPlan{opt: opt, linial: lin, linSt: rounds + 1}
 }
 
 // det runs Linial+KW to a (Δ+1)-coloring, then sweeps the color classes.

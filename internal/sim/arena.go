@@ -20,9 +20,11 @@ package sim
 //     "allocate fresh" (the historical behavior).
 type Arena struct {
 	machines []Machine
+	sleepers []Sleeper
 	inboxes  [][]Message
 	msgs     []Message
 	done     []bool
+	wake     []int
 	chans    [][]chan Message
 	chanFlat []chan Message
 }
@@ -37,11 +39,28 @@ func grow[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// sequential acquires the runSequential working set for g: the machine
-// table, the two port-indexed inbox buffers (carved out of one flat message
-// backing), and the halted flags — all cleared. A nil arena degrades to
-// plain allocation.
-func (a *Arena) sequential(g Topology) (machines []Machine, cur, next [][]Message, done []bool) {
+// seqBufs is runSequential's working set for one run.
+type seqBufs struct {
+	machines []Machine
+	// sleepers[v] is machines[v] when it implements Sleeper, else nil; the
+	// engine fills it once after Init.
+	sleepers []Sleeper
+	// cur and next are the two port-indexed inbox buffers; curFlat and
+	// nextFlat are their flat backings, so clearing a whole buffer is one
+	// clear.
+	cur, next         [][]Message
+	curFlat, nextFlat []Message
+	done              []bool
+	// wake[v] is the first step at which a sleeping node v is stepped
+	// again; 0 (or any step already reached) means v is awake.
+	wake []int
+}
+
+// sequential acquires the runSequential working set for g: the machine and
+// sleeper tables, the two port-indexed inbox buffers (carved out of one flat
+// message backing), the halted flags and the wake steps — all cleared. A
+// nil arena degrades to plain allocation.
+func (a *Arena) sequential(g Topology) seqBufs {
 	n := g.N()
 	sumDeg := 0
 	for v := 0; v < n; v++ {
@@ -52,20 +71,33 @@ func (a *Arena) sequential(g Topology) (machines []Machine, cur, next [][]Messag
 	}
 	a.machines = grow(a.machines, n)
 	clear(a.machines[:cap(a.machines)]) // drop machine refs beyond n too
+	a.sleepers = grow(a.sleepers, n)
+	clear(a.sleepers[:cap(a.sleepers)])
 	a.msgs = grow(a.msgs, 2*sumDeg)
 	clear(a.msgs)
 	a.done = grow(a.done, n)
 	clear(a.done)
+	a.wake = grow(a.wake, n)
+	clear(a.wake)
 	a.inboxes = grow(a.inboxes, 2*n)
-	cur, next = a.inboxes[:n], a.inboxes[n:]
+	b := seqBufs{
+		machines: a.machines,
+		sleepers: a.sleepers,
+		cur:      a.inboxes[:n],
+		next:     a.inboxes[n:],
+		curFlat:  a.msgs[:sumDeg],
+		nextFlat: a.msgs[sumDeg:],
+		done:     a.done,
+		wake:     a.wake,
+	}
 	off := 0
 	for v := 0; v < n; v++ {
 		deg := g.Degree(v)
-		cur[v] = a.msgs[off : off+deg : off+deg]
-		next[v] = a.msgs[off+sumDeg : off+sumDeg+deg : off+sumDeg+deg]
+		b.cur[v] = b.curFlat[off : off+deg : off+deg]
+		b.next[v] = b.nextFlat[off : off+deg : off+deg]
 		off += deg
 	}
-	return a.machines, cur, next, a.done
+	return b
 }
 
 // concurrent acquires runConcurrent's coordinator-side working set: the

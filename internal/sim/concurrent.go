@@ -104,7 +104,7 @@ func runConcurrent(ctx context.Context, g Topology, cfg Config, f Factory) (*Res
 				var send []Message
 				if !done {
 					var ne *NodeError
-					send, done, ne = stepGuarded(m, v, round, recv)
+					send, done, _, ne = stepGuarded(m, nil, v, round, recv)
 					switch {
 					case ne != nil:
 						st.fault = ne

@@ -92,17 +92,21 @@ func initGuarded(m Machine, node int, env Env) (ne *NodeError) {
 	return nil
 }
 
-// stepGuarded runs m.Step, converting a panic into a structured fault (the
+// stepGuarded runs m.Step and, when s is non-nil and the node did not halt,
+// s.SleepUntil, converting a panic in either into a structured fault (the
 // node is then treated as halted with nothing sent).
-func stepGuarded(m Machine, node, round int, recv []Message) (send []Message, done bool, ne *NodeError) {
+func stepGuarded(m Machine, s Sleeper, node, round int, recv []Message) (send []Message, done bool, wake int, ne *NodeError) {
 	defer func() {
 		if r := recover(); r != nil {
-			send, done = nil, true
+			send, done, wake = nil, true, 0
 			ne = &NodeError{Node: node, Round: round, Value: r, Stack: debug.Stack(), kind: ErrNodePanic}
 		}
 	}()
 	send, done = m.Step(round, recv)
-	return send, done, nil
+	if !done && s != nil {
+		wake = s.SleepUntil()
+	}
+	return send, done, wake, nil
 }
 
 // outputGuarded runs m.Output, converting a panic into a structured fault.

@@ -8,7 +8,10 @@ import (
 
 // runSequential executes all nodes in index order within one goroutine,
 // double-buffering the per-port inboxes. It is the deterministic fast path
-// used by benchmarks.
+// used by benchmarks. A node whose machine implements Sleeper is not
+// stepped while it sleeps; it stays live, and messages sent to it meanwhile
+// are delivered into its inbox and discarded unread, so every Result field
+// and RoundStats value is what stepping it would have produced.
 //
 // Misbehaving machines never crash the process: panics and over-degree
 // sends surface as *NodeError. Because the sweep visits nodes in index
@@ -24,13 +27,16 @@ func runSequential(ctx context.Context, g Topology, cfg Config, f Factory) (*Res
 
 	// The working buffers come from the caller's arena when one is set;
 	// haltRound is always fresh because the Result keeps it.
-	machines, inboxCur, inboxNext, done := cfg.Arena.sequential(g)
+	b := cfg.Arena.sequential(g)
+	machines, sleepers, done, wake := b.machines, b.sleepers, b.done, b.wake
+	inboxCur, inboxNext := b.cur, b.next
 	haltRound := make([]int, n)
 	for v := 0; v < n; v++ {
 		machines[v] = f()
 		if ne := initGuarded(machines[v], v, makeEnv(g, cfg, maxDeg, v)); ne != nil {
 			return nil, ne
 		}
+		sleepers[v], _ = machines[v].(Sleeper)
 	}
 
 	res := &Result{HaltRound: haltRound}
@@ -50,10 +56,10 @@ func runSequential(ctx context.Context, g Topology, cfg Config, f Factory) (*Res
 		active := live
 		var roundMsgs, roundBytes int64
 		for v := 0; v < n; v++ {
-			if done[v] {
-				continue
+			if done[v] || wake[v] > step {
+				continue // halted, or asleep: its Step would be a no-op
 			}
-			send, nodeDone, ne := stepGuarded(machines[v], v, step, inboxCur[v])
+			send, nodeDone, wakeAt, ne := stepGuarded(machines[v], sleepers[v], v, step, inboxCur[v])
 			if ne != nil {
 				return nil, ne
 			}
@@ -78,12 +84,13 @@ func runSequential(ctx context.Context, g Topology, cfg Config, f Factory) (*Res
 				haltRound[v] = step - 1
 				live--
 			}
+			wake[v] = wakeAt
 		}
-		// Swap buffers; clear the new next.
+		// Swap buffers; clear the new next, discarding the mail that
+		// sleeping nodes skipped.
 		inboxCur, inboxNext = inboxNext, inboxCur
-		for v := 0; v < n; v++ {
-			clearMessages(inboxNext[v])
-		}
+		b.curFlat, b.nextFlat = b.nextFlat, b.curFlat
+		clear(b.nextFlat)
 		// Progress hooks: the step completed for every node (faulted steps
 		// return above, matching the concurrent engine's fault-free-only
 		// notification).
@@ -105,10 +112,4 @@ func runSequential(ctx context.Context, g Topology, cfg Config, f Factory) (*Res
 		res.Outputs[v] = out
 	}
 	return res, nil
-}
-
-func clearMessages(ms []Message) {
-	for i := range ms {
-		ms[i] = nil
-	}
 }

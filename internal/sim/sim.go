@@ -77,11 +77,34 @@ type Env struct {
 // consumed the round-(s-1) messages and produced only the output. In
 // particular a machine that halts at its first Step is a 0-round algorithm
 // in the sense of Theorem 4 (output is a function of Env alone). Result
-// fields report this rounds convention, not raw steps.
+// fields report this rounds convention, not raw steps. A node that is
+// asleep (see Sleeper) is still live: it counts toward Rounds until it
+// halts.
 type Machine interface {
 	Init(env Env)
 	Step(round int, recv []Message) (send []Message, done bool)
 	Output() any
+}
+
+// Sleeper is an optional Machine extension that lets the sequential engine
+// skip a node's idle steps, so a run costs time in proportion to the nodes
+// doing work rather than to n × rounds.
+//
+// The contract: after a Step at step r that did not halt, SleepUntil
+// returns a step w. If w > r+1, the machine promises that every Step at a
+// step in (r, w) would return (nil, false) and change no state, whatever it
+// received; the sequential engine then does not call Step until step w.
+// Any w <= r+1 means "step me as usual". The engine checks for Sleeper once
+// per node after Init.
+//
+// A sleeping node is live, not halted: messages sent to it are delivered
+// into its inbox as usual (and discarded unread, as its no-op Steps would
+// have discarded them), and it counts toward Result.Rounds, HaltRound,
+// MessagesSent and RoundStats exactly as if it had been stepped. The
+// concurrent engine ignores Sleeper and steps every live node; it is the
+// reference semantics the sequential engine is tested against.
+type Sleeper interface {
+	SleepUntil() int
 }
 
 // Factory creates a fresh Machine for each node. Machines must not share
@@ -197,8 +220,9 @@ type RoundStats struct {
 	// Bytes approximates the payload bytes of those messages (see
 	// MessageBytes); 0-cost message types contribute nothing.
 	Bytes int64
-	// Active is the number of nodes that executed Step this round (live at
-	// the start of the step).
+	// Active is the number of nodes live at the start of the step. Sleeping
+	// nodes (see Sleeper) count as active even where the sequential engine
+	// skipped their Step.
 	Active int
 	// Halted is the cumulative number of halted nodes at the end of the
 	// step.

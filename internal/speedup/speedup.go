@@ -365,9 +365,8 @@ func NewSlowColoringFactory(delta int, epsNum, epsDen int) func(idBits int) sim.
 			Target:         delta + 1,
 			KW:             true,
 		}
-		colorRounds := linial.Rounds(lopt)
+		inner, colorRounds := linial.NewFactoryRounds(lopt)
 		idle := idleRounds(delta, idBits, epsNum, epsDen)
-		inner := linial.NewFactory(lopt)
 		return func() sim.Machine {
 			return &slowColoring{
 				inner:      inner(),

@@ -1,36 +1,100 @@
 // Package locality_test hosts the benchmark harness: one benchmark per
-// experiment in DESIGN.md's index (E1–E11). Each benchmark executes the
-// same driver that generates the corresponding EXPERIMENTS.md table (quick
-// scale, so `go test -bench=.` completes in minutes) and reports the
-// headline metric of its experiment via b.ReportMetric, in addition to
-// wall-clock time.
+// experiment of the quick suite (E1–E13, A1–A3) plus the raw kernel
+// throughput. Each experiment benchmark executes the same driver that
+// generates the corresponding EXPERIMENTS.md table (quick scale, so
+// `go test -bench=.` completes in seconds), reports the headline metric of
+// its experiment via b.ReportMetric, and fails when its allocations per op
+// leave allocBudget's band. ns/op is reported, never gated: it measures the
+// host as much as the code.
 //
 // Regenerate the full-scale tables with: go run ./cmd/localbench
 package locality_test
 
 import (
+	"fmt"
+	"math"
+	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 
 	"locality"
 	"locality/internal/harness"
 )
 
-// runExperiment executes a driver b.N times and returns the last table.
+// allocBudgetGo is the Go minor release allocBudget was measured on. The
+// runtime and standard library allocate differently across releases, so a
+// run under any other minor fails rather than compare counts.
+const allocBudgetGo = "go1.24"
+
+// allocTolerance is the relative band around each budget. Between runs on
+// one toolchain a count moves by at most 0.04%; one extra allocation per
+// sequential-engine Step moves E1 and E3 by over 40%.
+const allocTolerance = 0.02
+
+// allocBudget is each experiment's allocs/op at quick scale, seed 2016,
+// under allocBudgetGo. The band is two-sided: a change that cuts
+// allocations lowers its budget in the same diff, so the history of this
+// literal is the suite's perf trajectory.
+var allocBudget = map[string]float64{
+	"E1":  6_569_970,
+	"E2":  197_134,
+	"E3":  14_538_810,
+	"E4":  22_499,
+	"E5":  801_660,
+	"E6":  50_985,
+	"E7":  146_003,
+	"E8":  152_160,
+	"E9":  37_620,
+	"E10": 3_849_430,
+	"E11": 128_698,
+	"E12": 310_332,
+	"E13": 386_708,
+	"A1":  626_130,
+	"A2":  2_505_733,
+	"A3":  464_425,
+}
+
+// allocVerdict returns why allocs (per op, under the runtime.Version
+// string goVersion) fails budget, or "" when it is within the band.
+func allocVerdict(goVersion string, allocs, budget float64) string {
+	if goVersion != allocBudgetGo && !strings.HasPrefix(goVersion, allocBudgetGo+".") {
+		return fmt.Sprintf("allocation budget was measured on %s, this run is %s", allocBudgetGo, goVersion)
+	}
+	if dev := (allocs - budget) / budget; math.Abs(dev) > allocTolerance {
+		return fmt.Sprintf("%.0f allocs/op is %+.1f%% off the budget of %.0f (band ±%g%%)",
+			allocs, 100*dev, budget, 100*allocTolerance)
+	}
+	return ""
+}
+
+// runExperiment executes a driver b.N times, gates its allocs/op against
+// allocBudget, and returns the last table.
 func runExperiment(b *testing.B, id string) *harness.Table {
 	b.Helper()
 	driver, ok := harness.ByID(id)
 	if !ok {
-		b.Fatalf("unknown experiment %s", id)
+		driver, ok = harness.ByIDSupplementary(id)
 	}
+	budget, budgeted := allocBudget[id]
+	if !ok || !budgeted {
+		b.Fatalf("experiment %s: registered %t, budgeted %t", id, ok, budgeted)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	var t *harness.Table
 	for i := 0; i < b.N; i++ {
 		t = driver(harness.Config{Quick: true, Seed: 2016})
 	}
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / float64(b.N)
+	if msg := allocVerdict(runtime.Version(), allocs, budget); msg != "" {
+		b.Fatalf("%s: %s", id, msg)
+	}
 	return t
 }
 
-// lastInt parses the cell at (last row, col) as a float metric.
+// lastCell parses the cell at (last row, col) as a float metric.
 func lastCell(b *testing.B, t *harness.Table, col int) float64 {
 	b.Helper()
 	if len(t.Rows) == 0 {
@@ -42,6 +106,58 @@ func lastCell(b *testing.B, t *harness.Table, col int) float64 {
 		b.Fatalf("cell %q not numeric: %v", row[col], err)
 	}
 	return v
+}
+
+func TestAllocVerdict(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		goVersion string
+		allocs    float64
+		pass      bool
+	}{
+		{"on budget", "go1.24.0", 1000, true},
+		{"patch release", "go1.24.3", 1000, true},
+		{"+2.1%", "go1.24.0", 1021, false},
+		{"-2.1%", "go1.24.0", 979, false},
+		{"other minor", "go1.25.0", 1000, false},
+	} {
+		if msg := allocVerdict(tc.goVersion, tc.allocs, 1000); (msg == "") != tc.pass {
+			t.Errorf("%s: verdict %q, want pass=%t", tc.name, msg, tc.pass)
+		}
+	}
+	if msg := allocVerdict("go1.25.0", 1000, 1000); !strings.Contains(msg, allocBudgetGo) || !strings.Contains(msg, "go1.25.0") {
+		t.Errorf("toolchain verdict %q must name both %s and go1.25.0", msg, allocBudgetGo)
+	}
+}
+
+// TestAllocBudgetCoversSuite: the budget names exactly the experiment IDs
+// the two registries resolve, so no experiment runs unbudgeted and no
+// budget outlives its experiment.
+func TestAllocBudgetCoversSuite(t *testing.T) {
+	var registered []string
+	for _, prefix := range []string{"E", "A"} {
+		for n := 0; n < 100; n++ {
+			id := prefix + strconv.Itoa(n)
+			_, ok := harness.ByID(id)
+			if !ok {
+				_, ok = harness.ByIDSupplementary(id)
+			}
+			if ok {
+				registered = append(registered, id)
+			}
+		}
+	}
+	if len(registered) != 16 {
+		t.Errorf("registries resolve %d experiments %v, want the 16 of the quick suite", len(registered), registered)
+	}
+	for _, id := range registered {
+		if _, ok := allocBudget[id]; !ok {
+			t.Errorf("experiment %s has no allocation budget", id)
+		}
+	}
+	if len(allocBudget) != len(registered) {
+		t.Errorf("budget names %d experiments, registries resolve %d", len(allocBudget), len(registered))
+	}
 }
 
 // BenchmarkE1Separation reproduces the headline: randomized vs
@@ -154,47 +270,26 @@ func benchKernel(b *testing.B, engine locality.Engine) {
 // BenchmarkE12FaultTolerance reproduces the graceful-degradation table
 // (fault plans vs constraint satisfaction and retry attempts).
 func BenchmarkE12FaultTolerance(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		driver, ok := harness.ByIDSupplementary("E12")
-		if !ok {
-			b.Fatal("E12 missing")
-		}
-		driver(harness.Config{Quick: true, Seed: 2016})
-	}
+	runExperiment(b, "E12")
 }
 
 // BenchmarkE13Indistinguishability reproduces the high-girth-balls-are-trees
 // check.
 func BenchmarkE13Indistinguishability(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		driver, ok := harness.ByIDSupplementary("E13")
-		if !ok {
-			b.Fatal("E13 missing")
-		}
-		driver(harness.Config{Quick: true, Seed: 2016})
-	}
+	runExperiment(b, "E13")
 }
 
 // BenchmarkA1KWvsSweep reproduces the color-reduction ablation.
 func BenchmarkA1KWvsSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		driver, _ := harness.ByIDSupplementary("A1")
-		driver(harness.Config{Quick: true, Seed: 2016})
-	}
+	runExperiment(b, "A1")
 }
 
 // BenchmarkA2PeelThreshold reproduces the peeling-threshold ablation.
 func BenchmarkA2PeelThreshold(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		driver, _ := harness.ByIDSupplementary("A2")
-		driver(harness.Config{Quick: true, Seed: 2016})
-	}
+	runExperiment(b, "A2")
 }
 
 // BenchmarkA3SizeBound reproduces the Phase-2 size-bound ablation.
 func BenchmarkA3SizeBound(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		driver, _ := harness.ByIDSupplementary("A3")
-		driver(harness.Config{Quick: true, Seed: 2016})
-	}
+	runExperiment(b, "A3")
 }

@@ -5,7 +5,6 @@
 // Usage:
 //
 //	localbench [-experiment=E1|...|E13|all] [-quick] [-seed N] [-workers N] [-format text|csv|markdown] [-trace-dir DIR]
-//	localbench -bench-json [-bench-dir DIR] [-bench-regress PCT] [-seed N] [-workers N]
 //
 // Full mode (the default) matches the EXPERIMENTS.md record and takes a few
 // minutes; -quick shrinks every sweep to run in seconds. -workers computes
@@ -13,10 +12,9 @@
 // writes the run's span trace (localbench.trace.jsonl, read by
 // cmd/localtrace): one batch.commit span per committed row batch, with its
 // wall time and simulator round, message and byte counts — the tables
-// themselves are byte-identical with or without it. -bench-json times every
-// experiment at quick scale, writes BENCH_<stamp>.json, and — when an
-// earlier artifact exists in -bench-dir — exits nonzero on a
-// >-bench-regress% ns/op regression (see bench.go).
+// themselves are byte-identical with or without it. Timing and the
+// allocation budget live in the Go benchmarks (bench_test.go at the module
+// root, run by make bench).
 package main
 
 import (
@@ -45,21 +43,13 @@ func run() int {
 		workers    = flag.Int("workers", 1, "parallel row workers per sweep (output is identical at any count)")
 		format     = flag.String("format", "text", "output format: text, csv or markdown")
 		traceDir   = flag.String("trace-dir", "", "directory for the JSONL span trace artifact (empty = tracing disabled)")
-
-		benchJSON    = flag.Bool("bench-json", false, "benchmark every experiment at quick scale and write BENCH_<stamp>.json")
-		benchDir     = flag.String("bench-dir", ".", "directory for BENCH_*.json artifacts (and where the baseline is looked up)")
-		benchRegress = flag.Float64("bench-regress", 25, "fail on ns/op regressions above this percentage vs the latest baseline (0 disables)")
-		version      = flag.Bool("version", false, "print build version and exit")
+		version    = flag.Bool("version", false, "print build version and exit")
 	)
 	flag.Parse()
 
 	if *version {
 		fmt.Printf("localbench %s %s %s/%s\n", obs.Version(), runtime.Version(), runtime.GOOS, runtime.GOARCH)
 		return 0
-	}
-
-	if *benchJSON {
-		return runBenchJSON(*benchDir, *seed, *workers, *benchRegress)
 	}
 
 	cfg := harness.Config{Quick: *quick, Seed: *seed, Workers: *workers}
@@ -83,7 +73,7 @@ func run() int {
 	default:
 		driver, ok := harness.ByID(*experiment)
 		if !ok {
-			driver, ok = harness.ByIDSupplementary(strings.ToUpper(*experiment))
+			driver, ok = harness.ByIDSupplementary(*experiment)
 		}
 		if !ok {
 			fmt.Fprintf(os.Stderr, "localbench: unknown experiment %q (want E1..E13, A1..A3 or all)\n", *experiment)
@@ -124,7 +114,9 @@ func openTrace(dir, experiment string, cfg harness.Config) (*trace.Tracer, harne
 		"quick", strconv.FormatBool(cfg.Quick),
 		"workers", strconv.Itoa(cfg.Workers),
 	)
-	spec := jobs.Spec{Experiment: experiment, Quick: cfg.Quick, Seed: cfg.Seed}
+	// IDs are case-insensitive; the trace ID hashes the canonical one, as
+	// localityd's does.
+	spec := jobs.Spec{Experiment: strings.ToUpper(experiment), Quick: cfg.Quick, Seed: cfg.Seed}
 	root.JoinTrace(trace.IDFromIdentity(spec.IdentityKey()))
 	root.End()
 	return tr, trace.NewObserver(tr, root.Context()), nil

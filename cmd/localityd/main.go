@@ -57,6 +57,7 @@ import (
 	"os/signal"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -257,7 +258,9 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	spec := jobs.Spec{
-		Experiment: req.Experiment,
+		// Canonical before the IdentityKey call below, so the trace ID
+		// agrees with the pool's dedup and store keys for "e1" and "E1".
+		Experiment: strings.ToUpper(req.Experiment),
 		Quick:      req.Quick,
 		Seed:       req.Seed,
 		Timeout:    time.Duration(req.TimeoutMS) * time.Millisecond,

@@ -88,10 +88,10 @@ func wallclockAllowFuncs() []string {
 //   - leafExemptions (above) holds every function that may touch a
 //     nondeterminism source; everything reachable above those leaves is
 //     machine-checked clean by nondetflow.
-//   - internal/jobs, internal/cluster, internal/load, cmd/localityd,
-//     cmd/localbench and cmd/localload may read the clock: the supervision
-//     layer's job deadlines, drain grace periods, request timeouts, bench
-//     timings and load-test latency observations are wall-clock by nature.
+//   - internal/jobs, internal/cluster, internal/load, cmd/localityd and
+//     cmd/localload may read the clock: the supervision layer's job
+//     deadlines, drain grace periods, request timeouts and load-test
+//     latency observations are wall-clock by nature.
 //     Experiment results stay deterministic — the clock only bounds
 //     *whether* a sweep finishes, never what it computes. (The load
 //     engine's *workload* is still seed-deterministic; only its measured
@@ -118,7 +118,6 @@ func contractAnalyzers() []*analysis.Analyzer {
 		"locality/internal/cluster",
 		"locality/internal/load",
 		"locality/cmd/localityd",
-		"locality/cmd/localbench",
 		"locality/cmd/localload",
 	}
 	return []*analysis.Analyzer{
@@ -151,7 +150,6 @@ func contractAnalyzers() []*analysis.Analyzer {
 				"locality/internal/analysis",
 				"locality/internal/load",
 				"locality/cmd/localityd",
-				"locality/cmd/localbench",
 				"locality/cmd/localload",
 				"locality/cmd/localvet",
 			},

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"strings"
 
 	"locality/internal/core"
 
@@ -32,7 +33,8 @@ func AllSupplementary(cfg Config) []*Table {
 	}
 }
 
-// ByIDSupplementary resolves the supplementary drivers.
+// ByIDSupplementary resolves the supplementary drivers (E12, E13, A1..A3),
+// case-insensitively like ByID.
 func ByIDSupplementary(id string) (func(Config) *Table, bool) {
 	m := map[string]func(Config) *Table{
 		"E12": E12FaultTolerance,
@@ -41,7 +43,7 @@ func ByIDSupplementary(id string) (func(Config) *Table, bool) {
 		"A2":  A2PeelThreshold,
 		"A3":  A3SizeBound,
 	}
-	f, ok := m[id]
+	f, ok := m[strings.ToUpper(id)]
 	return f, ok
 }
 

@@ -101,8 +101,10 @@ func TestSupplementaryExperimentsQuick(t *testing.T) {
 }
 
 func TestByIDSupplementary(t *testing.T) {
-	if _, ok := harness.ByIDSupplementary("A1"); !ok {
-		t.Error("A1 not found")
+	for _, id := range []string{"A1", "a1", "e12"} {
+		if _, ok := harness.ByIDSupplementary(id); !ok {
+			t.Errorf("%s not found", id)
+		}
 	}
 	if _, ok := harness.ByIDSupplementary("E1"); ok {
 		t.Error("E1 should not be in the supplementary registry")

@@ -55,6 +55,38 @@ func TestIdempotentSubmitDedups(t *testing.T) {
 	}
 }
 
+// TestIdempotentExperimentCaseInsensitive: experiment IDs resolve
+// case-insensitively in both registries, and the pool canonicalizes them
+// before hashing the identity, so "e1" dedups onto an "E1" job and "e12"
+// is admitted as E12.
+func TestIdempotentExperimentCaseInsensitive(t *testing.T) {
+	p := jobs.New(jobs.Options{Workers: 2, Idempotent: true})
+	defer closePool(t, p)
+
+	first, err := p.SubmitTenant("", jobs.Spec{Experiment: "E1", Quick: true, Seed: 7})
+	if err != nil {
+		t.Fatalf("submit E1: %v", err)
+	}
+	dup, err := p.SubmitTenant("", jobs.Spec{Experiment: "e1", Quick: true, Seed: 7})
+	if err != nil || !dup.Deduped || dup.ID != first.ID {
+		t.Fatalf("e1 after E1: %+v, %v; want deduped onto %s", dup, err, first.ID)
+	}
+	supp, err := p.SubmitTenant("", jobs.Spec{Experiment: "e12", Quick: true, Seed: 7})
+	if err != nil || supp.Deduped {
+		t.Fatalf("e12: %+v, %v; want admitted", supp, err)
+	}
+	if j, _ := p.Get(supp.ID); j.Spec.Experiment != "E12" {
+		t.Errorf("e12 job holds experiment %q, want the canonical E12", j.Spec.Experiment)
+	}
+	if err := p.Cancel(first.ID); err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, p, first.ID)
+	if j := waitTerminal(t, p, supp.ID); j.State != jobs.StateSucceeded {
+		t.Fatalf("e12 job: %s %q", j.State, j.Error)
+	}
+}
+
 // TestIdempotentCancelledRecomputes: a cancelled job must not satisfy later
 // submissions — the caller asked for the result and never got one.
 func TestIdempotentCancelledRecomputes(t *testing.T) {

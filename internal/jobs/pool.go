@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -281,6 +282,9 @@ func (p *Pool) SubmitTenant(apiKey string, spec Spec) (SubmitResult, error) {
 // identity, so re-submitting the same spec yields the same trace ID on
 // every process that ever touches it.
 func (p *Pool) SubmitTenantSpan(parent trace.SpanContext, apiKey string, spec Spec) (SubmitResult, error) {
+	// Experiment IDs resolve case-insensitively; canonicalize before the
+	// identity is hashed so "e1" and "E1" share dedup, store and trace keys.
+	spec.Experiment = strings.ToUpper(spec.Experiment)
 	var asp *trace.Span
 	if tr := p.opts.Tracer; tr != nil {
 		if parent.Trace == "" {

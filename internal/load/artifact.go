@@ -10,8 +10,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-
-	"locality/internal/artifact"
+	"sort"
 )
 
 // Write persists res as <dir>/LOAD_<stamp>.json and returns the path.
@@ -44,14 +43,25 @@ func Write(dir string, res *Result) (string, error) {
 	return path, nil
 }
 
-// Latest loads the lexically latest usable LOAD_*.json artifact in dir
-// (zero-length debris is skipped — see internal/artifact). A missing
-// directory or an empty one returns ("", nil, nil): no baseline is not an
-// error, it is the first run.
+// Latest loads the lexically latest usable LOAD_*.json artifact in dir.
+// Zero-length files are skipped: a crashed writer's debris is not a
+// baseline, and the newest usable artifact behind it still is. A missing
+// directory or one with no usable artifact returns ("", nil, nil): no
+// baseline is not an error, it is the first run.
 func Latest(dir string) (string, *Result, error) {
-	path, err := artifact.Latest(dir, "LOAD")
-	if err != nil || path == "" {
+	paths, err := filepath.Glob(filepath.Join(dir, "LOAD_*.json"))
+	if err != nil {
 		return "", nil, err
+	}
+	sort.Strings(paths)
+	path := ""
+	for i := len(paths) - 1; i >= 0 && path == ""; i-- {
+		if info, err := os.Stat(paths[i]); err == nil && !info.IsDir() && info.Size() > 0 {
+			path = paths[i]
+		}
+	}
+	if path == "" {
+		return "", nil, nil
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {

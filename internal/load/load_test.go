@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -226,6 +227,61 @@ func TestArtifactRoundTripAndBaseline(t *testing.T) {
 	}
 	if _, _, err := Latest(dir); err == nil {
 		t.Error("wrong-schema baseline loaded")
+	}
+}
+
+// writeArtifact writes a raw file into dir; content "" is a crashed
+// writer's zero-length debris.
+func writeArtifact(t *testing.T, dir, name, content string) {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+var validArtifact = fmt.Sprintf(`{"schema":%q}`, Schema)
+
+func TestLatestPicksLexicallyLast(t *testing.T) {
+	dir := t.TempDir()
+	writeArtifact(t, dir, "LOAD_20260101T000000Z.json", validArtifact)
+	writeArtifact(t, dir, "LOAD_20260301T000000Z.json", validArtifact)
+	writeArtifact(t, dir, "LOAD_20260201T000000Z.json", validArtifact)
+	got, _, err := Latest(dir)
+	if err != nil || filepath.Base(got) != "LOAD_20260301T000000Z.json" {
+		t.Fatalf("Latest = %q, %v", got, err)
+	}
+}
+
+func TestLatestSkipsZeroLength(t *testing.T) {
+	dir := t.TempDir()
+	writeArtifact(t, dir, "LOAD_20260101T000000Z.json", validArtifact)
+	writeArtifact(t, dir, "LOAD_20260301T000000Z.json", "")
+	got, _, err := Latest(dir)
+	if err != nil || filepath.Base(got) != "LOAD_20260101T000000Z.json" {
+		t.Fatalf("Latest = %q, %v; want the non-empty predecessor", got, err)
+	}
+}
+
+func TestLatestIgnoresNonMatching(t *testing.T) {
+	dir := t.TempDir()
+	writeArtifact(t, dir, "LOAD_20260101T000000Z.json", validArtifact)
+	writeArtifact(t, dir, "OTHER_20260301T000000Z.json", "{}")
+	writeArtifact(t, dir, "notes.json", "{}")
+	got, _, err := Latest(dir)
+	if err != nil || filepath.Base(got) != "LOAD_20260101T000000Z.json" {
+		t.Fatalf("Latest = %q, %v", got, err)
+	}
+}
+
+func TestLatestEmptyAndMissing(t *testing.T) {
+	dir := t.TempDir()
+	if got, base, err := Latest(filepath.Join(dir, "nope")); got != "" || base != nil || err != nil {
+		t.Fatalf("missing dir: %q, %v, %v", got, base, err)
+	}
+	// All candidates zero-length: no usable baseline.
+	writeArtifact(t, dir, "LOAD_20260101T000000Z.json", "")
+	if got, base, err := Latest(dir); got != "" || base != nil || err != nil {
+		t.Fatalf("all-empty dir: %q, %v, %v", got, base, err)
 	}
 }
 

@@ -10,8 +10,8 @@
 // decision — hot paths call obs only through fire-and-forget hooks (a rule
 // the localvet obsinert analyzer enforces statically), every metric type is
 // nil-receiver safe so "telemetry off" is a nil pointer and zero work, and
-// rendered tables, checkpoints and BENCH artifacts are byte-identical with
-// telemetry on or off (differentially test-asserted).
+// rendered tables and checkpoints are byte-identical with telemetry on or
+// off (differentially test-asserted).
 //
 // The package reads no clock: histograms observe durations their callers
 // measured. The layer's only sanctioned clock file is trace/clock.go (a

@@ -92,8 +92,9 @@ func TestArenaReuseMatchesFresh(t *testing.T) {
 }
 
 // BenchmarkSequentialRing reports the kernel's per-run cost with and without
-// buffer reuse; -benchmem makes the allocs/op delta visible, and
-// cmd/localbench -bench-json records the trajectory.
+// buffer reuse; -benchmem makes the allocs/op delta visible. The gated
+// trajectory is the per-experiment allocation budget in the module root's
+// bench_test.go.
 func BenchmarkSequentialRing(b *testing.B) {
 	g := graph.Ring(1024)
 	b.Run("arena", func(b *testing.B) {

@@ -37,22 +37,22 @@ const allocTolerance = 0.02
 // allocations lowers its budget in the same diff, so the history of this
 // literal is the suite's perf trajectory.
 var allocBudget = map[string]float64{
-	"E1":  6_569_970,
-	"E2":  197_134,
-	"E3":  14_538_810,
+	"E1":  3_657_206,
+	"E2":  122_990,
+	"E3":  8_807_023,
 	"E4":  22_499,
-	"E5":  801_660,
-	"E6":  50_985,
-	"E7":  146_003,
-	"E8":  152_160,
-	"E9":  37_620,
-	"E10": 3_849_430,
-	"E11": 128_698,
-	"E12": 310_332,
+	"E5":  699_506,
+	"E6":  34_982,
+	"E7":  76_440,
+	"E8":  129_662,
+	"E9":  33_518,
+	"E10": 3_703_570,
+	"E11": 19_186,
+	"E12": 201_414,
 	"E13": 386_708,
-	"A1":  626_130,
-	"A2":  2_505_733,
-	"A3":  464_425,
+	"A1":  321_732,
+	"A2":  1_277_958,
+	"A3":  302_292,
 }
 
 // allocVerdict returns why allocs (per op, under the runtime.Version

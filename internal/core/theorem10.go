@@ -133,7 +133,9 @@ type t10 struct {
 	palette  []bool // Ψ: palette[c] reports whether color c is still available
 	paletteN int    // |Ψ|
 	taken    []bool // resolveStep's scratch set of colors bid by neighbors
-	bid      []int
+	// bid is allocated afresh at every bid: neighbors keep the slice in
+	// their nbr[p].Bid, so it must never be written after it is sent.
+	bid []int
 
 	inner  sim.Machine
 	innerD bool
@@ -142,6 +144,7 @@ type t10 struct {
 	nbr   []t10Status
 	heard []bool
 	fresh []bool
+	send  []sim.Message // reused status broadcast
 }
 
 var (
@@ -236,7 +239,7 @@ func (m *t10) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
 	if m.failed {
 		return nil, true
 	}
-	return sim.Broadcast(m.env.Degree, m.statusNow()), false
+	return sim.BroadcastInto(&m.send, m.env.Degree, m.statusNow()), false
 }
 
 // bidStep is sub-step A of iteration iter: apply the previous iteration's
@@ -250,26 +253,28 @@ func (m *t10) bidStep(iter int) {
 	if m.color != 0 || m.bad {
 		return
 	}
-	// Ascending palette order, so the RNG draws are the same on every
-	// engine.
-	psi := make([]int, 0, m.paletteN)
-	for c, ok := range m.palette {
-		if ok {
-			psi = append(psi, c)
-		}
-	}
-	if len(psi) == 0 {
+	if m.paletteN == 0 {
 		m.bad = true
 		return
 	}
-	ci := m.plan.cs[iter-1]
+	// Ψ is scanned in ascending color order, so the RNG draws are the same
+	// on every engine; scanning the palette in place allocates nothing.
 	if iter == 1 {
-		m.bid = []int{psi[m.env.Rand.Intn(len(psi))]}
-		return
+		k := m.env.Rand.Intn(m.paletteN) // draw the k-th color of Ψ
+		for c, ok := range m.palette {
+			if ok {
+				if k == 0 {
+					m.bid = []int{c}
+					return
+				}
+				k--
+			}
+		}
+		panic("core: |Ψ| disagrees with the palette (internal bug)")
 	}
-	prob := ci / float64(len(psi))
-	for _, c := range psi {
-		if m.env.Rand.Bernoulli(prob) {
+	prob := m.plan.cs[iter-1] / float64(m.paletteN)
+	for c, ok := range m.palette {
+		if ok && m.env.Rand.Bernoulli(prob) {
 			m.bid = append(m.bid, c)
 		}
 	}

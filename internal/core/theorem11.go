@@ -164,6 +164,7 @@ type t11 struct {
 	nbr   []t11Status
 	heard []bool
 	fresh []bool
+	send  []sim.Message // reused status broadcast
 }
 
 var (
@@ -247,7 +248,7 @@ func (m *t11) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
 	if m.failed {
 		return nil, true
 	}
-	return sim.Broadcast(m.env.Degree, m.statusNow()), false
+	return sim.BroadcastInto(&m.send, m.env.Degree, m.statusNow()), false
 }
 
 // bootstrapStep runs random-ID Linial + KW to a (Δ+1)-coloring.

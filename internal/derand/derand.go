@@ -276,7 +276,8 @@ func PriorityMIS(bits int) Algorithm {
 type prioMIS struct {
 	env  sim.Env
 	word uint64
-	st   int // 0 undecided, 1 in, 2 out
+	st   int           // 0 undecided, 1 in, 2 out
+	send []sim.Message // reused priority broadcast
 }
 
 var _ sim.Machine = (*prioMIS)(nil)
@@ -320,9 +321,9 @@ func (m *prioMIS) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
 		// n+2 guarantees termination even with blocking ties (the stuck
 		// vertices output "undecided" = out, and the verifier reports the
 		// maximality violation).
-		return sim.Broadcast(m.env.Degree, prioMsg{Word: m.word, St: m.st}), true
+		return sim.BroadcastInto(&m.send, m.env.Degree, prioMsg{Word: m.word, St: m.st}), true
 	}
-	return sim.Broadcast(m.env.Degree, prioMsg{Word: m.word, St: m.st}), false
+	return sim.BroadcastInto(&m.send, m.env.Degree, prioMsg{Word: m.word, St: m.st}), false
 }
 
 func (m *prioMIS) Output() any { return m.st == 1 }

@@ -19,12 +19,13 @@ func echoOnce(haltStep int) sim.Factory {
 	return func() sim.Machine {
 		var env sim.Env
 		var got [][]sim.Message
+		var send []sim.Message
 		return &sim.FuncMachine{
 			OnInit: func(e sim.Env) { env = e },
 			OnStep: func(round int, recv []sim.Message) ([]sim.Message, bool) {
 				got = append(got, append([]sim.Message(nil), recv...))
 				if round == 1 {
-					return sim.Broadcast(env.Degree, "token"), false
+					return sim.BroadcastInto(&send, env.Degree, "token"), false
 				}
 				return nil, round >= haltStep
 			},

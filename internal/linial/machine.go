@@ -33,7 +33,8 @@ type Machine struct {
 	opt   Options
 	env   sim.Env
 	plan  *plan
-	color int // current 0-based color
+	color int           // current 0-based color
+	send  []sim.Message // reused color broadcast
 }
 
 var _ sim.Machine = (*Machine)(nil)
@@ -122,7 +123,7 @@ func (m *Machine) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
 			// Nothing to reduce: the initial coloring is already final.
 			return nil, true
 		}
-		return sim.Broadcast(m.env.Degree, m.color), false
+		return sim.BroadcastInto(&m.send, m.env.Degree, m.color), false
 	}
 	nbrs := decodeColors(recv)
 	p := m.plan
@@ -154,7 +155,7 @@ func (m *Machine) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
 	if step >= m.totalSteps() {
 		return nil, true
 	}
-	return sim.Broadcast(m.env.Degree, m.color), false
+	return sim.BroadcastInto(&m.send, m.env.Degree, m.color), false
 }
 
 // totalSteps is the step at which the machine halts: one initial broadcast

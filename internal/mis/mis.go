@@ -62,6 +62,7 @@ type luby struct {
 	prio   uint64
 	nbrSt  []state
 	phases int
+	send   []sim.Message // reused state broadcast
 }
 
 var _ sim.Machine = (*luby)(nil)
@@ -123,7 +124,7 @@ func (m *luby) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
 	}
 	if m.st != stateUndecided {
 		// Announce the final state once more, then halt.
-		return sim.Broadcast(m.env.Degree, lubyMsg{State: m.st}), true
+		return sim.BroadcastInto(&m.send, m.env.Degree, lubyMsg{State: m.st}), true
 	}
 	if step/2 >= m.phases {
 		return nil, true // budget exhausted: fail visibly (remain undecided)
@@ -131,15 +132,15 @@ func (m *luby) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
 	if step%2 == 0 {
 		// Sub-step A: draw a fresh priority (nonzero so 0 can mean "lost").
 		m.prio = m.env.Rand.Uint64() | 1
-		return sim.Broadcast(m.env.Degree, lubyMsg{State: m.st, Priority: m.prio}), false
+		return sim.BroadcastInto(&m.send, m.env.Degree, lubyMsg{State: m.st, Priority: m.prio}), false
 	}
 	// Sub-step B: if still holding a nonzero priority, all undecided
 	// neighbors were smaller: join.
 	if m.prio != 0 {
 		m.st = stateIn
-		return sim.Broadcast(m.env.Degree, lubyMsg{State: m.st}), true
+		return sim.BroadcastInto(&m.send, m.env.Degree, lubyMsg{State: m.st}), true
 	}
-	return sim.Broadcast(m.env.Degree, lubyMsg{State: m.st}), false
+	return sim.BroadcastInto(&m.send, m.env.Degree, lubyMsg{State: m.st}), false
 }
 
 func (m *luby) Output() any { return m.st == stateIn }
@@ -196,6 +197,7 @@ type det struct {
 	linial sim.Machine
 	color  int
 	st     state
+	send   []sim.Message // reused state broadcast
 }
 
 var _ sim.Machine = (*det)(nil)
@@ -229,7 +231,7 @@ func (m *det) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
 			return send, false
 		}
 		// Transition step: start the sweep broadcasting our state.
-		return sim.Broadcast(m.env.Degree, detMsg{State: m.st}), false
+		return sim.BroadcastInto(&m.send, m.env.Degree, detMsg{State: m.st}), false
 	}
 	// Sweep: class c = step - linSt.
 	for _, msg := range recv {
@@ -254,7 +256,7 @@ func (m *det) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
 		}
 		return nil, true
 	}
-	return sim.Broadcast(m.env.Degree, detMsg{State: m.st}), false
+	return sim.BroadcastInto(&m.send, m.env.Degree, detMsg{State: m.st}), false
 }
 
 func (m *det) Output() any { return m.st == stateIn }

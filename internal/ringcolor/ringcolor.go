@@ -181,6 +181,7 @@ type twoColor struct {
 	env     sim.Env
 	bestID  uint64
 	bestHop int
+	send    []sim.Message // reused claim broadcast
 }
 
 var _ sim.Machine = (*twoColor)(nil)
@@ -223,7 +224,7 @@ func (m *twoColor) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
 	if step > m.env.N {
 		return nil, true
 	}
-	return sim.Broadcast(m.env.Degree, claim{ID: m.bestID, Hop: m.bestHop}), false
+	return sim.BroadcastInto(&m.send, m.env.Degree, claim{ID: m.bestID, Hop: m.bestHop}), false
 }
 
 func (m *twoColor) Output() any { return m.bestHop%2 + 1 }

@@ -1,5 +1,10 @@
 package sim
 
+import (
+	"fmt"
+	"math"
+)
+
 // Arena is caller-owned scratch memory for the simulator kernel. A harness
 // that runs many simulations back to back (a sweep row's trial loop, a
 // benchmark) passes the same *Arena in Config.Arena and the kernel reuses
@@ -25,6 +30,7 @@ type Arena struct {
 	msgs     []Message
 	done     []bool
 	wake     []int
+	slots    []int32
 	chans    [][]chan Message
 	chanFlat []chan Message
 }
@@ -39,32 +45,45 @@ func grow[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// seqBufs is runSequential's working set for one run.
+// seqBufs is runSequential's working set for one run. Inboxes live in flat
+// port-indexed message buffers: node v's port p is slot off[v]+p.
 type seqBufs struct {
 	machines []Machine
 	// sleepers[v] is machines[v] when it implements Sleeper, else nil; the
 	// engine fills it once after Init.
 	sleepers []Sleeper
-	// cur and next are the two port-indexed inbox buffers; curFlat and
-	// nextFlat are their flat backings, so clearing a whole buffer is one
-	// clear.
-	cur, next         [][]Message
-	curFlat, nextFlat []Message
-	done              []bool
+	// cur holds the mail delivered for this step, next the mail being sent
+	// during it.
+	cur, next []Message
+	// off[v] is node v's first slot; route[off[v]+p] is the slot that a
+	// message sent on v's port p lands in: off[u]+rev for the neighbor u
+	// at that port, whose port rev is the same edge.
+	off, route []int32
+	// curW and nextW list the slots written into cur and next, so a swap
+	// clears only those slots instead of the whole buffer. Each slot is
+	// written at most once per step, so neither list outgrows its sumDeg
+	// capacity.
+	curW, nextW []int32
+	done        []bool
 	// wake[v] is the first step at which a sleeping node v is stepped
 	// again; 0 (or any step already reached) means v is awake.
 	wake []int
 }
 
 // sequential acquires the runSequential working set for g: the machine and
-// sleeper tables, the two port-indexed inbox buffers (carved out of one flat
-// message backing), the halted flags and the wake steps — all cleared. A
-// nil arena degrades to plain allocation.
-func (a *Arena) sequential(g Topology) seqBufs {
+// sleeper tables, the two flat inbox buffers, the slot offsets, the route
+// table and the two write lists (all four carved out of one int32
+// backing), the halted flags and the wake steps, all cleared. A nil arena
+// degrades to plain allocation. It fails only when g has more ports than
+// an int32 slot index can address.
+func (a *Arena) sequential(g Topology) (seqBufs, error) {
 	n := g.N()
 	sumDeg := 0
 	for v := 0; v < n; v++ {
 		sumDeg += g.Degree(v)
+	}
+	if sumDeg > math.MaxInt32 {
+		return seqBufs{}, fmt.Errorf("sim: %d ports exceed the sequential engine's int32 slot index", sumDeg)
 	}
 	if a == nil {
 		a = &Arena{}
@@ -79,25 +98,33 @@ func (a *Arena) sequential(g Topology) seqBufs {
 	clear(a.done)
 	a.wake = grow(a.wake, n)
 	clear(a.wake)
-	a.inboxes = grow(a.inboxes, 2*n)
+	a.slots = grow(a.slots, n+3*sumDeg)
+	s := a.slots
 	b := seqBufs{
 		machines: a.machines,
 		sleepers: a.sleepers,
-		cur:      a.inboxes[:n],
-		next:     a.inboxes[n:],
-		curFlat:  a.msgs[:sumDeg],
-		nextFlat: a.msgs[sumDeg:],
+		cur:      a.msgs[:sumDeg],
+		next:     a.msgs[sumDeg:],
+		off:      s[:n:n],
+		route:    s[n : n+sumDeg : n+sumDeg],
+		curW:     s[n+sumDeg : n+sumDeg : n+2*sumDeg],
+		nextW:    s[n+2*sumDeg : n+2*sumDeg : n+3*sumDeg],
 		done:     a.done,
 		wake:     a.wake,
 	}
 	off := 0
 	for v := 0; v < n; v++ {
-		deg := g.Degree(v)
-		b.cur[v] = b.curFlat[off : off+deg : off+deg]
-		b.next[v] = b.nextFlat[off : off+deg : off+deg]
-		off += deg
+		b.off[v] = int32(off)
+		off += g.Degree(v)
 	}
-	return b
+	for v := 0; v < n; v++ {
+		o := b.off[v]
+		for p := int32(0); p < int32(g.Degree(v)); p++ {
+			u, rev := g.NeighborPort(v, int(p))
+			b.route[o+p] = b.off[u] + int32(rev)
+		}
+	}
+	return b, nil
 }
 
 // concurrent acquires runConcurrent's coordinator-side working set: the

@@ -21,13 +21,14 @@ import (
 func panicAt(node, step int) sim.Factory {
 	return func() sim.Machine {
 		var env sim.Env
+		var send []sim.Message
 		return &sim.FuncMachine{
 			OnInit: func(e sim.Env) { env = e },
 			OnStep: func(round int, recv []sim.Message) ([]sim.Message, bool) {
 				if env.Node == node && round == step {
 					panic("boom")
 				}
-				return sim.Broadcast(env.Degree, round), false
+				return sim.BroadcastInto(&send, env.Degree, round), false
 			},
 		}
 	}

@@ -60,11 +60,18 @@ func (m *FuncMachine) Output() any {
 	return nil
 }
 
-// Broadcast fills a fresh send slice with the same message on every port.
-func Broadcast(degree int, msg Message) []Message {
-	send := make([]Message, degree)
+// BroadcastInto sets the first degree entries of *buf to msg, reallocating
+// *buf only when its capacity is below degree, and returns them as the send
+// slice. A machine that passes the same buffer on every Step broadcasts
+// without allocating; the Machine no-retain rule makes the reuse safe.
+func BroadcastInto(buf *[]Message, degree int, msg Message) []Message {
+	if cap(*buf) < degree {
+		*buf = make([]Message, degree)
+	}
+	send := (*buf)[:degree]
 	for p := range send {
 		send[p] = msg
 	}
+	*buf = send
 	return send
 }

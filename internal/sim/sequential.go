@@ -7,8 +7,10 @@ import (
 )
 
 // runSequential executes all nodes in index order within one goroutine,
-// double-buffering the per-port inboxes. It is the deterministic fast path
-// used by benchmarks. A node whose machine implements Sleeper is not
+// double-buffering the per-port inboxes. Delivery is one store per message
+// through the arena's route table, and each step clears only the inbox
+// slots that were written. It is the deterministic fast path used by
+// benchmarks. A node whose machine implements Sleeper is not
 // stepped while it sleeps; it stays live, and messages sent to it meanwhile
 // are delivered into its inbox and discarded unread, so every Result field
 // and RoundStats value is what stepping it would have produced.
@@ -27,9 +29,13 @@ func runSequential(ctx context.Context, g Topology, cfg Config, f Factory) (*Res
 
 	// The working buffers come from the caller's arena when one is set;
 	// haltRound is always fresh because the Result keeps it.
-	b := cfg.Arena.sequential(g)
+	b, err := cfg.Arena.sequential(g)
+	if err != nil {
+		return nil, err
+	}
 	machines, sleepers, done, wake := b.machines, b.sleepers, b.done, b.wake
-	inboxCur, inboxNext := b.cur, b.next
+	cur, next, curW, nextW := b.cur, b.next, b.curW, b.nextW
+	off, route := b.off, b.route
 	haltRound := make([]int, n)
 	for v := 0; v < n; v++ {
 		machines[v] = f()
@@ -54,29 +60,32 @@ func runSequential(ctx context.Context, g Topology, cfg Config, f Factory) (*Res
 		}
 		res.Rounds = step - 1
 		active := live
-		var roundMsgs, roundBytes int64
+		var roundBytes int64
 		for v := 0; v < n; v++ {
 			if done[v] || wake[v] > step {
 				continue // halted, or asleep: its Step would be a no-op
 			}
-			send, nodeDone, wakeAt, ne := stepGuarded(machines[v], sleepers[v], v, step, inboxCur[v])
+			o, deg := off[v], g.Degree(v)
+			recv := cur[o : int(o)+deg : int(o)+deg]
+			send, nodeDone, wakeAt, ne := stepGuarded(machines[v], sleepers[v], v, step, recv)
 			if ne != nil {
 				return nil, ne
 			}
-			deg := g.Degree(v)
 			if len(send) > deg {
 				return nil, overSendError(v, step, len(send), deg)
 			}
-			for p := 0; p < len(send); p++ {
-				if send[p] == nil {
+			// The machine may reuse send in its next Step, so every entry
+			// is copied into next now.
+			ports := route[o : int(o)+len(send)]
+			for p, msg := range send {
+				if msg == nil {
 					continue
 				}
-				u, rev := g.NeighborPort(v, p)
-				inboxNext[u][rev] = send[p]
-				res.MessagesSent++
+				slot := ports[p]
+				next[slot] = msg
+				nextW = append(nextW, slot)
 				if stats {
-					roundMsgs++
-					roundBytes += MessageBytes(send[p])
+					roundBytes += MessageBytes(msg)
 				}
 			}
 			if nodeDone {
@@ -86,11 +95,17 @@ func runSequential(ctx context.Context, g Topology, cfg Config, f Factory) (*Res
 			}
 			wake[v] = wakeAt
 		}
-		// Swap buffers; clear the new next, discarding the mail that
-		// sleeping nodes skipped.
-		inboxCur, inboxNext = inboxNext, inboxCur
-		b.curFlat, b.nextFlat = b.nextFlat, b.curFlat
-		clear(b.nextFlat)
+		roundMsgs := int64(len(nextW))
+		res.MessagesSent += roundMsgs
+		// Swap buffers, then clear the slots the new next still holds from
+		// the step before: the mail this step consumed, and the mail that
+		// sleeping nodes skipped. The other slots are already nil.
+		cur, next = next, cur
+		curW, nextW = nextW, curW
+		for _, slot := range nextW {
+			next[slot] = nil
+		}
+		nextW = nextW[:0]
 		// Progress hooks: the step completed for every node (faulted steps
 		// return above, matching the concurrent engine's fault-free-only
 		// notification).

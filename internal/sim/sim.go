@@ -70,6 +70,20 @@ type Env struct {
 // and the node halts: Step is not called again and the node sends nothing in
 // later steps. Output is read after the run completes.
 //
+// No-retain rule. An engine is done with a returned send slice before it
+// calls that node's next Step: the sequential engine copies each entry into
+// the next inbox, and the concurrent engine pushes each entry into its
+// channel before the round barrier. A machine may therefore overwrite its
+// previous send slice in its next Step, and keep one reused buffer per node
+// (see BroadcastInto). A wrapper that returns an inner machine's send slice,
+// or copies it into a buffer of its own, keeps the rule. The message values
+// are different: receivers may keep them (the fault layer replays old ones
+// as duplicates), so a sent value must never be mutated afterwards, nor may
+// anything it points to. In the other direction, recv belongs to the
+// engine: a machine reads it during Step and neither writes it nor keeps
+// the slice (the sequential engine clears only the inbox slots it wrote, so
+// a value written into recv could be read again two steps later).
+//
 // Round accounting. The paper's model is: in round r a processor computes
 // and sends; messages are delivered before round r+1; the output may be
 // computed from everything received, for free. A machine that halts at step

@@ -22,6 +22,7 @@ type floodMin struct {
 	min   uint64
 	known int // rounds since last improvement
 	limit int
+	send  []sim.Message
 }
 
 func newFloodMin(limit int) sim.Factory {
@@ -54,7 +55,7 @@ func (m *floodMin) Step(round int, recv []sim.Message) ([]sim.Message, bool) {
 	if m.known >= m.limit {
 		return nil, true
 	}
-	return sim.Broadcast(m.env.Degree, m.min), false
+	return sim.BroadcastInto(&m.send, m.env.Degree, m.min), false
 }
 
 func (m *floodMin) Output() any { return m.min }
@@ -182,13 +183,14 @@ func TestHaltedNodeStopsSending(t *testing.T) {
 	}
 	factory := func() sim.Machine {
 		var env sim.Env
+		var send []sim.Message
 		rec := &record{}
 		return &sim.FuncMachine{
 			OnInit: func(e sim.Env) { env = e },
 			OnStep: func(round int, recv []sim.Message) ([]sim.Message, bool) {
 				if env.ID == 1 {
 					// Halts immediately, final message still delivered.
-					return sim.Broadcast(env.Degree, "token"), true
+					return sim.BroadcastInto(&send, env.Degree, "token"), true
 				}
 				switch round {
 				case 2:
@@ -248,12 +250,12 @@ func TestMessageToCorrectPort(t *testing.T) {
 	g := graph.Star(4)
 	factory := func() sim.Machine {
 		var env sim.Env
-		var seen []sim.Message
+		var send, seen []sim.Message
 		return &sim.FuncMachine{
 			OnInit: func(e sim.Env) { env = e },
 			OnStep: func(round int, recv []sim.Message) ([]sim.Message, bool) {
 				if round == 1 {
-					return sim.Broadcast(env.Degree, env.ID), false
+					return sim.BroadcastInto(&send, env.Degree, env.ID), false
 				}
 				seen = append([]sim.Message(nil), recv...)
 				return nil, true

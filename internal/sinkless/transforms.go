@@ -39,6 +39,10 @@ type orientFromColoring struct {
 	nbrTie    []uint64
 	nbrKnown  []bool
 	announced bool
+	// innerRecv and send are reused every step: the unwrapped inbox handed
+	// to the inner machine, and the outgoing wrapped traffic.
+	innerRecv []sim.Message
+	send      []sim.Message
 }
 
 var _ sim.Machine = (*orientFromColoring)(nil)
@@ -70,11 +74,14 @@ func (m *orientFromColoring) Init(env sim.Env) {
 	m.nbrColor = make([]int, env.Degree)
 	m.nbrTie = make([]uint64, env.Degree)
 	m.nbrKnown = make([]bool, env.Degree)
+	m.innerRecv = make([]sim.Message, env.Degree)
+	m.send = make([]sim.Message, env.Degree)
 }
 
 func (m *orientFromColoring) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
 	// Split the traffic.
-	innerRecv := make([]sim.Message, m.env.Degree)
+	innerRecv := m.innerRecv
+	clear(innerRecv)
 	for p, msg := range recv {
 		if msg == nil {
 			continue
@@ -102,7 +109,8 @@ func (m *orientFromColoring) Step(step int, recv []sim.Message) ([]sim.Message, 
 			m.color = c
 			// Fall through to announce the final color this step.
 		} else {
-			out := make([]sim.Message, m.env.Degree)
+			out := m.send
+			clear(out)
 			for p := range out {
 				if p < len(send) && send[p] != nil {
 					out[p] = wrapped{Inner: send[p]}
@@ -113,7 +121,7 @@ func (m *orientFromColoring) Step(step int, recv []sim.Message) ([]sim.Message, 
 	}
 	if !m.announced {
 		m.announced = true
-		return sim.Broadcast(m.env.Degree, wrapped{Final: true, Color: m.color, Tie: m.tie}), false
+		return sim.BroadcastInto(&m.send, m.env.Degree, wrapped{Final: true, Color: m.color, Tie: m.tie}), false
 	}
 	// Done once all neighbors' final colors are in.
 	for p := 0; p < m.env.Degree; p++ {

@@ -212,12 +212,13 @@ func TestRandomizedReplay(t *testing.T) {
 	factory := func() sim.Machine {
 		var env sim.Env
 		var out uint64
+		var send []sim.Message
 		return &sim.FuncMachine{
 			OnInit: func(e sim.Env) { env = e },
 			OnStep: func(step int, recv []sim.Message) ([]sim.Message, bool) {
 				switch step {
 				case 1:
-					return sim.Broadcast(env.Degree, streamFor(env.ID).Uint64()), false
+					return sim.BroadcastInto(&send, env.Degree, streamFor(env.ID).Uint64()), false
 				default:
 					for _, m := range recv {
 						out ^= m.(uint64)

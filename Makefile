@@ -62,6 +62,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzIdentityKey -fuzztime=5s ./internal/jobs
 	$(GO) test -run='^$$' -fuzz=FuzzStoreRecord -fuzztime=5s ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzReduce -fuzztime=5s ./internal/linial
+	$(GO) test -run='^$$' -fuzz=FuzzReduction -fuzztime=5s ./internal/linial
 	$(GO) test -run='^$$' -fuzz=FuzzRouteTable -fuzztime=5s ./internal/sim
 
 # Perf trajectory: run the Go benchmarks (benchmarks only: the tests run

@@ -65,10 +65,8 @@ func Colors(outputs []any) []int {
 // t11Plan is the round schedule every machine of a run shares read-only.
 type t11Plan struct {
 	opt T11Options // resolved against n
-	// Bootstrap (random IDs -> base Δ+1 coloring).
-	sched []linial.Family
-	kw    linial.KWPlan
-	kwAt  [][2]int
+	// Bootstrap (random IDs -> base Δ+1 coloring): Linial, then KW.
+	boot linial.Reduction
 	// Phase 1: iterations of length Δ+3 steps each.
 	iters int
 	// Phase 2: inner forest plan, handed to each node's forest machine.
@@ -85,23 +83,12 @@ type t11Plan struct {
 func newT11Plan(n int, opt T11Options) t11Plan {
 	opt = opt.withDefaults(n)
 	p := t11Plan{opt: opt}
-	idSpace := 1 << opt.IDBits
-	p.sched = linial.Schedule(idSpace, opt.Delta)
-	fp := linial.FixedPointOf(idSpace, p.sched)
-	if fp > opt.Delta+1 {
-		p.kw = linial.NewKWPlan(fp, opt.Delta+1)
-		for i := range p.kw.Palettes {
-			for j := 0; j < p.kw.PassLen(i); j++ {
-				p.kwAt = append(p.kwAt, [2]int{i, j})
-			}
-		}
-	}
+	p.boot = linial.NewReduction(1<<opt.IDBits, opt.Delta, opt.Delta+1, true)
 	p.iters = mathx.Max(0, opt.Delta-3) // colors Δ down to 4
 	// Step layout:
 	//   1:                      draw ID, broadcast
-	//   2..1+S:                 Linial reductions
-	//   2+S..1+S+K:             KW passes
-	p.bootEnd = 1 + len(p.sched) + len(p.kwAt)
+	//   2..1+B:                 bootstrap reduction steps
+	p.bootEnd = 1 + p.boot.Steps()
 	//   each phase-1 iteration: Δ+3 steps; one trailing finalize step.
 	p.p1End = p.bootEnd + p.iters*(opt.Delta+3) + 1
 	//   S detection consumes the finalize broadcasts.
@@ -161,10 +148,11 @@ type t11 struct {
 
 	class3 int
 
-	nbr   []t11Status
-	heard []bool
-	fresh []bool
-	send  []sim.Message // reused status broadcast
+	nbr      []t11Status
+	heard    []bool
+	fresh    []bool
+	send     []sim.Message // reused status broadcast
+	baseNbrs []int         // reused bootstrap neighbor colors
 }
 
 var (
@@ -256,7 +244,7 @@ func (m *t11) bootstrapStep(step int) {
 	if step == 1 {
 		return // just broadcast the initial ID-derived color
 	}
-	nbrs := make([]int, 0, m.env.Degree)
+	nbrs := m.baseNbrs[:0]
 	for p := range m.nbr {
 		if !m.fresh[p] {
 			continue
@@ -267,14 +255,8 @@ func (m *t11) bootstrapStep(step int) {
 		}
 		nbrs = append(nbrs, m.nbr[p].Base)
 	}
-	s := len(m.plan.sched)
-	if step <= 1+s {
-		m.base = m.plan.sched[step-2].Reduce(m.base, nbrs)
-		return
-	}
-	idx := step - 2 - s
-	pass, sub := m.plan.kwAt[idx][0], m.plan.kwAt[idx][1]
-	m.base = m.plan.kw.Recolor(pass, sub, m.base, nbrs)
+	m.baseNbrs = nbrs
+	m.base = m.plan.boot.Apply(step-2, m.base, nbrs)
 }
 
 // phase1Step runs the seeded-MIS peeling. Iterations have Δ+3 sub-steps:

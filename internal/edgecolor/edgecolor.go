@@ -43,16 +43,16 @@ type Result struct {
 	PortColors []int
 }
 
-// plan is the reduction schedule every machine of a run shares read-only.
-type plan struct {
-	opt   Options // resolved against the graph
-	sched []linial.Family
-	fp    int
-	kw    linial.KWPlan
-	kwAt  [][2]int
+// Plan is the reduction schedule every machine of a run shares read-only.
+type Plan struct {
+	opt Options // resolved against the graph
+	red linial.Reduction
 }
 
-func newPlan(opt Options, n, maxDeg int) plan {
+// NewPlan resolves opt against a graph with n vertices and maximum degree
+// maxDeg and plans the line-graph reduction: Theorem 2 from the IDSpace²
+// palette on line-graph degree 2Δ-2, then Kuhn–Wattenhofer down to Target.
+func NewPlan(opt Options, n, maxDeg int) Plan {
 	if opt.IDSpace == 0 {
 		opt.IDSpace = n
 	}
@@ -66,23 +66,19 @@ func newPlan(opt Options, n, maxDeg int) plan {
 		panic(fmt.Sprintf("edgecolor: target %d below 2Δ-1 = %d", opt.Target, 2*opt.Delta-1))
 	}
 	k0 := opt.IDSpace * opt.IDSpace
-	p := plan{opt: opt, sched: linial.Schedule(k0, mathx.Max(1, 2*opt.Delta-2))}
-	p.fp = linial.FixedPointOf(k0, p.sched)
-	if p.fp > opt.Target {
-		p.kw = linial.NewKWPlan(p.fp, opt.Target)
-		for i := range p.kw.Palettes {
-			for j := 0; j < p.kw.PassLen(i); j++ {
-				p.kwAt = append(p.kwAt, [2]int{i, j})
-			}
-		}
-	}
-	return p
+	return Plan{opt: opt, red: linial.NewReduction(k0, mathx.Max(1, 2*opt.Delta-2), opt.Target, true)}
 }
+
+// Rounds is the round count of a machine on p.
+func (p *Plan) Rounds() int { return 1 + p.red.Steps() }
+
+// Palette is the resolved Target: final colors lie in 1..Palette().
+func (p *Plan) Palette() int { return p.opt.Target }
 
 // Rounds predicts the machine's round count.
 func Rounds(opt Options, n, maxDeg int) int {
-	p := newPlan(opt, n, maxDeg)
-	return 1 + len(p.sched) + len(p.kwAt)
+	p := NewPlan(opt, n, maxDeg)
+	return p.Rounds()
 }
 
 // msg is the per-port broadcast: the sender's incident edge colors plus the
@@ -94,18 +90,27 @@ type msg struct {
 }
 
 type machine struct {
-	plans  *sim.PlanMemo[plan]
-	plan   *plan
+	plans  *sim.PlanMemo[Plan]
+	plan   *Plan
 	env    sim.Env
-	colors []int
+	colors []int         // never written after it is sent; each step builds a new one
+	nbrs   []int         // reused line-graph neighbor colors of one edge
+	out    []sim.Message // reused send slice
 }
 
 var _ sim.Machine = (*machine)(nil)
 
 // NewFactory returns the deterministic (2Δ-1)-edge-coloring machine.
 func NewFactory(opt Options) sim.Factory {
-	plans := sim.NewPlanMemo(func(n, maxDeg int) plan { return newPlan(opt, n, maxDeg) })
+	plans := sim.NewPlanMemo(func(n, maxDeg int) Plan { return NewPlan(opt, n, maxDeg) })
 	return func() sim.Machine { return &machine{plans: plans} }
+}
+
+// NewMachine returns one edge-coloring machine that runs on a plan its
+// caller already holds; deterministic maximal matching embeds it this way.
+// The machine's final colors are its Output at step Rounds()+1.
+func NewMachine(plan *Plan) sim.Machine {
+	return &machine{plan: plan}
 }
 
 func (m *machine) Init(env sim.Env) {
@@ -113,34 +118,29 @@ func (m *machine) Init(env sim.Env) {
 		panic("edgecolor: deterministic machine requires IDs")
 	}
 	m.env = env
-	m.plan = m.plans.Get(env)
-	m.colors = make([]int, env.Degree)
+	if m.plans != nil {
+		m.plan = m.plans.Get(env)
+	}
 }
 
+// Step: step 1 broadcasts the vertex ID, step 2 derives the initial edge
+// colors from the ID pairs, and step s >= 3 applies reduction step s-3
+// to every incident edge; the machine halts once the last one is applied.
 func (m *machine) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
-	s, k := len(m.plan.sched), len(m.plan.kwAt)
+	n := m.plan.red.Steps()
 	switch {
 	case step == 1:
 		return m.send(true), false
 	case step == 2:
+		m.colors = make([]int, m.env.Degree)
 		for p, raw := range recv {
 			mm := raw.(msg)
 			m.colors[p] = m.initialColor(m.env.ID, mm.ID)
 		}
 		return m.send(false), false
-	case step <= 2+s:
-		fam := m.plan.sched[step-3]
-		m.reduce(recv, fam.Reduce)
-		if step == 2+s && k == 0 {
-			return nil, true
-		}
-		return m.send(false), false
-	case step <= 2+s+k:
-		pass, sub := m.plan.kwAt[step-3-s][0], m.plan.kwAt[step-3-s][1]
-		m.reduce(recv, func(own int, nbrs []int) int {
-			return m.plan.kw.Recolor(pass, sub, own, nbrs)
-		})
-		if step == 2+s+k {
+	case step <= 2+n:
+		m.reduce(step-3, recv)
+		if step == 2+n {
 			return nil, true
 		}
 		return m.send(false), false
@@ -159,16 +159,16 @@ func (m *machine) initialColor(a, b uint64) int {
 	return int(lo-1)*m.plan.opt.IDSpace + int(hi-1)
 }
 
-// reduce recomputes every incident edge's color from the union of both
-// endpoints' incident colors.
-func (m *machine) reduce(recv []sim.Message, f func(own int, nbrs []int) int) {
+// reduce applies reduction step i to every incident edge, from the union
+// of both endpoints' incident colors.
+func (m *machine) reduce(i int, recv []sim.Message) {
 	next := make([]int, m.env.Degree)
 	for p := range next {
 		mm, ok := recv[p].(msg)
 		if !ok {
 			panic(fmt.Sprintf("edgecolor: expected msg on port %d, got %T", p, recv[p]))
 		}
-		nbrs := make([]int, 0, 2*m.plan.opt.Delta)
+		nbrs := m.nbrs[:0]
 		for q, c := range m.colors {
 			if q != p {
 				nbrs = append(nbrs, c)
@@ -179,21 +179,24 @@ func (m *machine) reduce(recv []sim.Message, f func(own int, nbrs []int) int) {
 				nbrs = append(nbrs, c)
 			}
 		}
-		next[p] = f(m.colors[p], nbrs)
+		m.nbrs = nbrs
+		next[p] = m.plan.red.Apply(i, m.colors[p], nbrs)
 	}
 	m.colors = next
 }
 
+// send broadcasts the incident edge colors; every port shares the one
+// slice, which is never written again.
 func (m *machine) send(withID bool) []sim.Message {
-	out := make([]sim.Message, m.env.Degree)
-	for p := range out {
-		mm := msg{ThisPort: p, EdgeColors: append([]int(nil), m.colors...)}
+	m.out = m.out[:0]
+	for p := 0; p < m.env.Degree; p++ {
+		mm := msg{ThisPort: p, EdgeColors: m.colors}
 		if withID {
 			mm.ID = m.env.ID
 		}
-		out[p] = mm
+		m.out = append(m.out, mm)
 	}
-	return out
+	return m.out
 }
 
 func (m *machine) Output() any {

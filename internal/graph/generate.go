@@ -199,11 +199,6 @@ type EdgeColoredGraph struct {
 	NumColors int
 }
 
-// ColorAtPort returns the color of the edge at the given port of v.
-func (g *EdgeColoredGraph) ColorAtPort(v, port int) int {
-	return g.Colors[g.Ports(v)[port].Edge]
-}
-
 // VerifyEdgeColoring checks the properness invariant; generators call it and
 // tests call it on mutated inputs.
 func (g *EdgeColoredGraph) VerifyEdgeColoring() error {
@@ -231,7 +226,8 @@ func (g *EdgeColoredGraph) VerifyEdgeColoring() error {
 // permutation model: the union of d uniformly random perfect matchings, with
 // matching index c giving edge color c+1 — a proper d-edge coloring for
 // free, exactly as the lower-bound instances of Theorem 4 require.
-// Permutation d-tuples creating parallel edges are rejected and resampled.
+// Each matching repairs its parallel edges by random transpositions; one
+// that exhausts its repair budget is completed along augmenting paths.
 func RandomRegularBipartite(half, d int, r *rng.Source) *EdgeColoredGraph {
 	if half < 1 || d < 1 || d > half {
 		panic(fmt.Sprintf("graph: RandomRegularBipartite(half=%d, d=%d) invalid", half, d))
@@ -239,7 +235,8 @@ func RandomRegularBipartite(half, d int, r *rng.Source) *EdgeColoredGraph {
 	// Sample the d matchings sequentially; each starts as a uniform random
 	// permutation whose conflicts with already-placed edges are repaired by
 	// random transpositions (whole-tuple rejection would succeed with
-	// probability only about e^{-d(d-1)/2}).
+	// probability only about e^{-d(d-1)/2}). The repair can stall on
+	// near-complete graphs, hence the budget and completeMatching.
 	used := make([]map[int]struct{}, half)
 	for i := range used {
 		used[i] = make(map[int]struct{}, d)
@@ -249,7 +246,8 @@ func RandomRegularBipartite(half, d int, r *rng.Source) *EdgeColoredGraph {
 		perm := r.Perm(half)
 		for attempt := 0; ; attempt++ {
 			if attempt > 1000*(half+d) {
-				panic("graph: RandomRegularBipartite matching repair stalled")
+				completeMatching(perm, used)
+				break
 			}
 			conflict := -1
 			for i := 0; i < half; i++ {
@@ -282,6 +280,48 @@ func RandomRegularBipartite(half, d int, r *rng.Source) *EdgeColoredGraph {
 		panic(fmt.Sprintf("graph: permutation model produced improper coloring: %v", err))
 	}
 	return g
+}
+
+// completeMatching makes perm a perfect matching that avoids the edges in
+// used: rows whose edge is unused keep it, and every other row is matched
+// along an augmenting path (Kuhn's algorithm). After c matchings the unused
+// edges form a (half-c)-regular bipartite graph, which by Hall's theorem
+// has a perfect matching, so the search always succeeds while c < half.
+func completeMatching(perm []int, used []map[int]struct{}) {
+	half := len(perm)
+	owner := make([]int, half) // owner[j] is the row matched to column j, or -1
+	for j := range owner {
+		owner[j] = -1
+	}
+	var unmatched []int
+	for i, j := range perm {
+		if _, dup := used[i][j]; dup {
+			unmatched = append(unmatched, i)
+			continue
+		}
+		owner[j] = i
+	}
+	var seen []bool
+	var augment func(i int) bool
+	augment = func(i int) bool {
+		for j := 0; j < half; j++ {
+			if _, dup := used[i][j]; dup || seen[j] {
+				continue
+			}
+			seen[j] = true
+			if owner[j] < 0 || augment(owner[j]) {
+				perm[i], owner[j] = j, i
+				return true
+			}
+		}
+		return false
+	}
+	for _, i := range unmatched {
+		seen = make([]bool, half)
+		if !augment(i) {
+			panic("graph: RandomRegularBipartite found no perfect matching (internal bug)")
+		}
+	}
 }
 
 // HighGirthRegular samples d-regular bipartite edge-colored graphs from the

@@ -134,6 +134,28 @@ func TestRandomRegularBipartite(t *testing.T) {
 	}
 }
 
+// TestRandomRegularBipartiteDense covers near-complete inputs, where the
+// random transposition repair used to stall and panic: every seed must
+// yield a properly edge-colored d-regular bipartite graph.
+func TestRandomRegularBipartiteDense(t *testing.T) {
+	for _, tc := range []struct{ half, d int }{{20, 18}, {10, 10}, {6, 5}, {1, 1}} {
+		for seed := uint64(0); seed < 20; seed++ {
+			g := RandomRegularBipartite(tc.half, tc.d, rng.New(seed))
+			if g.M() != tc.d*tc.half {
+				t.Fatalf("half=%d d=%d seed %d: m=%d", tc.half, tc.d, seed, g.M())
+			}
+			for v := 0; v < g.N(); v++ {
+				if g.Degree(v) != tc.d {
+					t.Fatalf("half=%d d=%d seed %d: vertex %d degree %d", tc.half, tc.d, seed, v, g.Degree(v))
+				}
+			}
+			if err := g.VerifyEdgeColoring(); err != nil {
+				t.Fatalf("half=%d d=%d seed %d: %v", tc.half, tc.d, seed, err)
+			}
+		}
+	}
+}
+
 func TestVerifyEdgeColoringCatchesMutations(t *testing.T) {
 	g := RandomRegularBipartite(8, 3, rng.New(4))
 	// Corrupt: give two edges at vertex 0 the same color.

@@ -49,23 +49,10 @@ func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
 // The returned slice is shared; callers must not modify it.
 func (g *Graph) Ports(v int) []Half { return g.adj[v] }
 
-// Neighbor returns the half-edge at the given port of v.
-func (g *Graph) Neighbor(v, port int) Half { return g.adj[v][port] }
-
 // EdgeEndpoints returns the two endpoints of edge id e (u < v).
 // It costs O(1) via the endpoint table built at construction.
 func (g *Graph) EdgeEndpoints(e int) (int, int) {
 	return g.edges[e][0], g.edges[e][1]
-}
-
-// HasEdge reports whether vertices u and v are adjacent, in O(deg(u)).
-func (g *Graph) HasEdge(u, v int) bool {
-	for _, h := range g.adj[u] {
-		if h.To == v {
-			return true
-		}
-	}
-	return false
 }
 
 // Builder accumulates edges and produces a validated Graph.

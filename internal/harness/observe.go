@@ -9,7 +9,7 @@ import "locality/internal/sim"
 // caller attaches via Config.Obs. internal/obs/trace supplies the one
 // production implementation (trace.Observer, which turns each committed
 // batch into a batch.commit span carrying its round counts); tests attach
-// recording observers. The contract mirrors sim.Config.OnRound: an
+// recording observers. The contract mirrors sim.Config.OnRoundStats: an
 // observer is strictly fire-and-forget — it must not mutate tables, and a
 // sweep's rendered bytes, checkpoints and OnBatch sequence are identical
 // with or without one (differentially test-asserted in obs_test.go).

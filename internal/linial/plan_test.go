@@ -44,9 +44,9 @@ func TestMachinesShareOnePlan(t *testing.T) {
 		if got, want := res.Rounds, Rounds(opt); got != want {
 			t.Errorf("engine %d: run took %d rounds, shared plan predicts %d", engine, got, want)
 		}
-		if len(ms[0].plan.kwAt) != ms[0].plan.kw.Rounds() {
-			t.Errorf("engine %d: shared plan lists %d KW steps, KW plan has %d rounds",
-				engine, len(ms[0].plan.kwAt), ms[0].plan.kw.Rounds())
+		if red := ms[0].plan; len(red.kwAt) != red.kw.Rounds() {
+			t.Errorf("engine %d: shared reduction lists %d KW steps, KW plan has %d rounds",
+				engine, len(red.kwAt), red.kw.Rounds())
 		}
 	}
 }

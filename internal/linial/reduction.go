@@ -1,0 +1,82 @@
+package linial
+
+// Reduction is the step schedule of the deterministic color reduction:
+// Theorem 2's iterated Linial families down to the fixed point, optionally
+// finished to a target palette, either by a Kuhn–Wattenhofer sweep or by
+// recoloring one color class per step from the top down. Every algorithm
+// that runs Theorem 2 (the standalone Machine, the line-graph edge
+// coloring, Theorem 11's bootstrap) steps through one Reduction, which a
+// run builds once and its machines share read-only.
+type Reduction struct {
+	sched  []Family
+	fp     int // fixed-point palette of sched
+	target int // final palette; 0 means stop at the fixed point
+	kw     KWPlan
+	// kwAt[s] = (pass, substep) of KW sweep step s (0-based).
+	kwAt [][2]int
+	// sweep is the number of steps after sched: one per KW sub-step, or
+	// one per color class above target.
+	sweep int
+}
+
+// NewReduction plans the reduction of a k0-coloring on graphs of maximum
+// degree delta. target = 0 stops at the fixed point; a positive target
+// (at least delta+1, which the caller checks) appends a sweep down to
+// target colors, the Kuhn–Wattenhofer block reduction when kw is set and
+// the one-class-per-step sweep when it is not.
+func NewReduction(k0, delta, target int, kw bool) Reduction {
+	r := Reduction{sched: Schedule(k0, delta), target: target}
+	r.fp = FixedPointOf(k0, r.sched)
+	if target == 0 || r.fp <= target {
+		return r
+	}
+	if !kw {
+		r.sweep = r.fp - target
+		return r
+	}
+	r.kw = NewKWPlan(r.fp, target)
+	for i := range r.kw.Palettes {
+		for j := 0; j < r.kw.PassLen(i); j++ {
+			r.kwAt = append(r.kwAt, [2]int{i, j})
+		}
+	}
+	r.sweep = len(r.kwAt)
+	return r
+}
+
+// Steps is the number of reduction steps, one communication round each.
+func (r *Reduction) Steps() int { return len(r.sched) + r.sweep }
+
+// Apply returns a vertex's color after reduction step i (0-based, below
+// Steps()), given its color own and its neighbors' colors nbrs (entries
+// < 0 are ignored). Colors are 0-based. nbrs is read, never retained.
+func (r *Reduction) Apply(i, own int, nbrs []int) int {
+	if i < len(r.sched) {
+		return r.sched[i].Reduce(own, nbrs)
+	}
+	i -= len(r.sched)
+	if r.kwAt != nil {
+		return r.kw.Recolor(r.kwAt[i][0], r.kwAt[i][1], own, nbrs)
+	}
+	if own == r.fp-1-i { // classes are recolored from the top down
+		return smallestFree(nbrs, r.target)
+	}
+	return own
+}
+
+// smallestFree returns the smallest color in 0..limit-1 not present in nbrs.
+// It panics if none is free (cannot happen when limit > len(nbrs)).
+func smallestFree(nbrs []int, limit int) int {
+	used := make([]bool, limit)
+	for _, nc := range nbrs {
+		if nc >= 0 && nc < limit {
+			used[nc] = true
+		}
+	}
+	for c := 0; c < limit; c++ {
+		if !used[c] {
+			return c
+		}
+	}
+	panic("linial: no free color in sweep (degree exceeds Target-1?)")
+}

@@ -6,9 +6,8 @@
 //   - A RandLOCAL proposal algorithm (Israeli–Itai style): unmatched
 //     vertices flip sender/receiver coins, senders propose to a random
 //     unmatched neighbor, receivers accept one proposal. O(log n) whp.
-//   - A DetLOCAL algorithm via Linial on the line graph: vertices jointly
-//     simulate their incident edges, reduce the edge coloring from the
-//     ID-pair palette to 2Δ-1 colors (Theorem 2 + Kuhn–Wattenhofer), then
+//   - A DetLOCAL algorithm on top of package edgecolor: (2Δ-1)-edge-color
+//     the graph (Linial on the line graph, then Kuhn–Wattenhofer), then
 //     sweep the color classes, adding an edge when both endpoints are
 //     free. O(log* n + Δ log Δ + Δ) rounds, deterministic.
 //
@@ -19,8 +18,8 @@ package matching
 import (
 	"fmt"
 
+	"locality/internal/edgecolor"
 	"locality/internal/lcl"
-	"locality/internal/linial"
 	"locality/internal/mathx"
 	"locality/internal/sim"
 )
@@ -159,7 +158,7 @@ func (m *randMatch) broadcast(msg randMsg) []sim.Message {
 
 func (m *randMatch) Output() any { return lcl.MatchLabel(m.matched) }
 
-// DetOptions configures the deterministic line-graph machine.
+// DetOptions configures the deterministic machine.
 type DetOptions struct {
 	// IDSpace bounds the vertex IDs (1..IDSpace); 0 means Env.N.
 	IDSpace int
@@ -167,66 +166,29 @@ type DetOptions struct {
 	Delta int
 }
 
-// detPlan is the schedule every deterministic machine of a run shares
-// read-only.
-type detPlan struct {
-	opt    DetOptions // resolved against the graph
-	sched  []linial.Family
-	fp     int
-	kw     linial.KWPlan
-	kwAt   [][2]int
-	target int // 2Δ-1
+func newDetPlan(opt DetOptions, n, maxDeg int) edgecolor.Plan {
+	return edgecolor.NewPlan(edgecolor.Options{IDSpace: opt.IDSpace, Delta: opt.Delta}, n, maxDeg)
 }
 
-func newDetPlan(opt DetOptions, n, maxDeg int) detPlan {
-	if opt.IDSpace == 0 {
-		opt.IDSpace = n
-	}
-	if opt.Delta == 0 {
-		opt.Delta = maxDeg
-	}
-	deltaL := mathx.Max(1, 2*opt.Delta-2) // line graph degree bound
-	k0 := opt.IDSpace * opt.IDSpace
-	p := detPlan{
-		opt:    opt,
-		sched:  linial.Schedule(k0, deltaL),
-		target: mathx.Max(1, 2*opt.Delta-1),
-	}
-	p.fp = linial.FixedPointOf(k0, p.sched)
-	if p.fp > p.target {
-		p.kw = linial.NewKWPlan(p.fp, p.target)
-		for i := range p.kw.Palettes {
-			for j := 0; j < p.kw.PassLen(i); j++ {
-				p.kwAt = append(p.kwAt, [2]int{i, j})
-			}
-		}
-	}
-	return p
-}
-
-// detMsg is the per-port message of the deterministic machine.
-type detMsg struct {
-	ID         uint64
-	EdgeColors []int // sender's incident edge colors in its port order
-	ThisPort   int   // sender's port index for this edge
-	Matched    bool
-}
+// sweepMsg is the class-sweep broadcast.
+type sweepMsg struct{ Matched bool }
 
 type detMatch struct {
-	plans   *sim.PlanMemo[detPlan]
-	plan    *detPlan
+	plans   *sim.PlanMemo[edgecolor.Plan]
+	plan    *edgecolor.Plan
+	ec      sim.Machine // the embedded edge coloring
 	env     sim.Env
-	nbrID   []uint64
-	colors  []int // current color of the edge at each port (0-based)
+	colors  []int // final 1-based color of the edge at each port
 	matched int
 	nbrFree []bool
+	send    []sim.Message // reused sweep broadcast
 }
 
 var _ sim.Machine = (*detMatch)(nil)
 
 // NewDetFactory returns the deterministic maximal matching machine.
 func NewDetFactory(opt DetOptions) sim.Factory {
-	plans := sim.NewPlanMemo(func(n, maxDeg int) detPlan { return newDetPlan(opt, n, maxDeg) })
+	plans := sim.NewPlanMemo(func(n, maxDeg int) edgecolor.Plan { return newDetPlan(opt, n, maxDeg) })
 	return func() sim.Machine { return &detMatch{plans: plans} }
 }
 
@@ -236,8 +198,8 @@ func (m *detMatch) Init(env sim.Env) {
 	}
 	m.env = env
 	m.plan = m.plans.Get(env)
-	m.nbrID = make([]uint64, env.Degree)
-	m.colors = make([]int, env.Degree)
+	m.ec = edgecolor.NewMachine(m.plan)
+	m.ec.Init(env)
 	m.matched = -1
 	m.nbrFree = make([]bool, env.Degree)
 	for p := range m.nbrFree {
@@ -245,126 +207,53 @@ func (m *detMatch) Init(env sim.Env) {
 	}
 }
 
-// edgeColor0 derives the initial line-graph color of an edge from its
-// endpoint IDs: the rank of the ordered pair in the IDSpace² palette.
-func (m *detMatch) edgeColor0(a, b uint64) int {
-	lo, hi := a, b
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	return int(lo-1)*m.plan.opt.IDSpace + int(hi-1)
-}
-
-// Step schedule (S = len(sched), K = len(kwAt), T = target):
-//
-//	step 1:            broadcast ID
-//	step 2:            derive initial edge colors; broadcast color vectors
-//	steps 3..2+S:      Linial reduction on the line graph
-//	steps 3+S..2+S+K:  Kuhn–Wattenhofer passes
-//	then T steps:      class sweep; class c matches free-free edges
+// Step runs the edge coloring through step E = edgecolor's Rounds()+1, at
+// which its colors are final, then sweeps the classes: step E+c matches a
+// free edge of color c to a free neighbor, for c = 1..Palette() (2Δ-1),
+// and the step after the last class halts once it has heard it.
 func (m *detMatch) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
-	s, k := len(m.plan.sched), len(m.plan.kwAt)
-	switch {
-	case step == 1:
-		return m.sendVectors(true), false
-	case step == 2:
-		for p, msg := range recv {
-			dm := msg.(detMsg)
-			m.nbrID[p] = dm.ID
-			m.colors[p] = m.edgeColor0(m.env.ID, dm.ID)
-		}
-		return m.sendVectors(false), false
-	case step <= 2+s:
-		fam := m.plan.sched[step-3]
-		m.applyReduction(recv, func(own int, nbrs []int) int {
-			return fam.Reduce(own, nbrs)
-		})
-		return m.sendVectors(false), false
-	case step <= 2+s+k:
-		pass, sub := m.plan.kwAt[step-3-s][0], m.plan.kwAt[step-3-s][1]
-		m.applyReduction(recv, func(own int, nbrs []int) int {
-			return m.plan.kw.Recolor(pass, sub, own, nbrs)
-		})
-		return m.sendVectors(false), false
-	default:
-		class := step - 2 - s - k // 1-based sweep class
-		m.absorbSweep(recv)
-		if m.matched < 0 && class >= 1 && class <= m.plan.target {
-			for p := 0; p < m.env.Degree; p++ {
-				// colors are 0-based: class c handles color c-1.
-				if m.colors[p] == class-1 && m.nbrFree[p] {
-					m.matched = p
-					break
-				}
-			}
-		}
-		if class > m.plan.target {
-			return nil, true
-		}
-		return m.sendVectors(false), false
+	end := 1 + m.plan.Rounds()
+	if step < end {
+		return m.ec.Step(step, recv)
 	}
-}
-
-// applyReduction recomputes every incident edge's color from both
-// endpoints' constraint sets; both endpoints compute identical results.
-func (m *detMatch) applyReduction(recv []sim.Message, reduce func(own int, nbrs []int) int) {
-	newColors := make([]int, m.env.Degree)
-	for p := range newColors {
-		msg := recv[p]
-		dm, ok := msg.(detMsg)
-		if !ok {
-			panic(fmt.Sprintf("matching: expected detMsg on port %d, got %T", p, msg))
-		}
-		own := m.colors[p]
-		nbrs := make([]int, 0, 2*m.plan.opt.Delta)
-		for q, c := range m.colors {
-			if q != p {
-				nbrs = append(nbrs, c)
-			}
-		}
-		for q, c := range dm.EdgeColors {
-			if q != dm.ThisPort {
-				nbrs = append(nbrs, c)
-			}
-		}
-		newColors[p] = reduce(own, nbrs)
+	if step == end {
+		m.ec.Step(step, recv)
+		m.colors = m.ec.Output().(edgecolor.Result).PortColors
+		m.ec = nil
+		return sim.BroadcastInto(&m.send, m.env.Degree, sweepMsg{}), false
 	}
-	m.colors = newColors
-}
-
-func (m *detMatch) absorbSweep(recv []sim.Message) {
+	class := step - end
 	for p, msg := range recv {
 		if msg == nil {
 			continue
 		}
-		dm, ok := msg.(detMsg)
+		sm, ok := msg.(sweepMsg)
 		if !ok {
 			panic(fmt.Sprintf("matching: unexpected sweep message %T", msg))
 		}
-		if dm.Matched {
+		if sm.Matched {
 			m.nbrFree[p] = false
 		}
 	}
-}
-
-// sendVectors broadcasts the per-port color vectors (plus ID on request).
-func (m *detMatch) sendVectors(withID bool) []sim.Message {
-	send := make([]sim.Message, m.env.Degree)
-	for p := range send {
-		msg := detMsg{ThisPort: p, Matched: m.matched >= 0}
-		if withID {
-			msg.ID = m.env.ID
-		}
-		msg.EdgeColors = append([]int(nil), m.colors...)
-		send[p] = msg
+	if class > m.plan.Palette() {
+		return nil, true
 	}
-	return send
+	if m.matched < 0 {
+		for p, c := range m.colors {
+			if c == class && m.nbrFree[p] {
+				m.matched = p
+				break
+			}
+		}
+	}
+	return sim.BroadcastInto(&m.send, m.env.Degree, sweepMsg{Matched: m.matched >= 0}), false
 }
 
 func (m *detMatch) Output() any { return lcl.MatchLabel(m.matched) }
 
-// DetRounds predicts the deterministic machine's round count.
+// DetRounds predicts the deterministic machine's round count: the edge
+// coloring, one step to start the sweep, and one step per color class.
 func DetRounds(opt DetOptions, n, maxDeg int) int {
 	p := newDetPlan(opt, n, maxDeg)
-	return 2 + len(p.sched) + len(p.kwAt) + p.target
+	return p.Rounds() + 1 + p.Palette()
 }

@@ -4,10 +4,12 @@ import (
 	"errors"
 	"testing"
 
+	"locality/internal/edgecolor"
 	"locality/internal/graph"
 	"locality/internal/ids"
 	"locality/internal/lcl"
 	"locality/internal/matching"
+	"locality/internal/mathx"
 	"locality/internal/rng"
 	"locality/internal/sim"
 )
@@ -69,6 +71,49 @@ func TestDetMatchingValid(t *testing.T) {
 		want := matching.DetRounds(matching.DetOptions{}, n, g.MaxDegree())
 		if res.Rounds != want {
 			t.Errorf("trial %d: rounds %d, predicted %d", trial, res.Rounds, want)
+		}
+	}
+}
+
+// TestDetRoundsIsEdgeColoringPlusSweep checks that deterministic matching
+// costs the edge coloring's rounds, one step to start the sweep, and one
+// step per class 1..2Δ-1, and that a run takes exactly that many rounds.
+func TestDetRoundsIsEdgeColoringPlusSweep(t *testing.T) {
+	r := rng.New(12)
+	for _, tc := range []struct {
+		g   *graph.Graph
+		ids func(n int) ids.Assignment
+		opt matching.DetOptions
+	}{
+		{graph.Path(1), ids.Sequential, matching.DetOptions{}},
+		{graph.Path(2), ids.Sequential, matching.DetOptions{}},
+		{graph.Ring(20), ids.Sequential, matching.DetOptions{}},
+		{graph.RandomTree(90, 6, r), func(n int) ids.Assignment { return ids.Shuffled(n, r) }, matching.DetOptions{}},
+		{graph.RandomBoundedDegree(70, 120, 5, r), func(n int) ids.Assignment { return ids.Shuffled(n, r) },
+			matching.DetOptions{Delta: 7}},
+		{graph.RandomTree(50, 3, r), func(n int) ids.Assignment { return ids.AdversarialGaps(n, 4) },
+			matching.DetOptions{IDSpace: 200}},
+	} {
+		n, maxDeg := tc.g.N(), tc.g.MaxDegree()
+		delta := tc.opt.Delta
+		if delta == 0 {
+			delta = maxDeg
+		}
+		ec := edgecolor.Rounds(edgecolor.Options{IDSpace: tc.opt.IDSpace, Delta: tc.opt.Delta}, n, maxDeg)
+		want := ec + 1 + mathx.Max(1, 2*delta-1)
+		if got := matching.DetRounds(tc.opt, n, maxDeg); got != want {
+			t.Errorf("n=%d Δ=%d: DetRounds = %d, want edgecolor's %d + 1 + (2Δ-1) = %d", n, delta, got, ec, want)
+		}
+		res, err := sim.Run(tc.g, sim.Config{IDs: tc.ids(n), MaxRounds: 10000},
+			matching.NewDetFactory(tc.opt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Rounds != want {
+			t.Errorf("n=%d Δ=%d: run took %d rounds, want %d", n, delta, res.Rounds, want)
+		}
+		if err := lcl.ValidateMatching(lcl.Instance{G: tc.g}, matchLabels(res)); err != nil {
+			t.Errorf("n=%d Δ=%d: %v", n, delta, err)
 		}
 	}
 }

@@ -34,7 +34,7 @@ func settleGoroutines(t *testing.T, before int) {
 	t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
 }
 
-// TestCancelAtSeededRoundsSync cancels from inside the OnRound hook — the
+// TestCancelAtSeededRoundsSync cancels from inside the OnRoundStats hook — the
 // earliest moment a round is known complete — at a seeded random round per
 // trial, on both engines. Determinism of the schedule keeps failures
 // reproducible by seed.
@@ -49,8 +49,8 @@ func TestCancelAtSeededRoundsSync(t *testing.T) {
 			cfg := sim.Config{
 				Engine:    engine,
 				MaxRounds: 1 << 20,
-				OnRound: func(round int) {
-					if round == target {
+				OnRoundStats: func(s sim.RoundStats) {
+					if s.Round == target {
 						cancel()
 					}
 				},
@@ -87,8 +87,8 @@ func TestCancelAtSeededRoundsAsync(t *testing.T) {
 			cfg := sim.Config{
 				Engine:    engine,
 				MaxRounds: 1 << 20,
-				OnRound: func(round int) {
-					if round >= target && once.CompareAndSwap(false, true) {
+				OnRoundStats: func(s sim.RoundStats) {
+					if s.Round >= target && once.CompareAndSwap(false, true) {
 						close(crossed)
 					}
 				},
@@ -128,10 +128,10 @@ func TestCancelDeadlineClassification(t *testing.T) {
 	}
 }
 
-// TestOnRoundObservesEveryStep pins the OnRound contract both supervision
-// and these tests rely on: called once per completed step, in order, with
-// identical sequences on both engines, and a run's result is unchanged by
-// observing it.
+// TestOnRoundObservesEveryStep pins the per-step contract of OnRoundStats
+// that supervision and these tests rely on: called once per completed
+// step, in order, with identical sequences on both engines, and a run's
+// result is unchanged by observing it.
 func TestOnRoundObservesEveryStep(t *testing.T) {
 	g := graph.RandomTree(24, 3, rng.New(17))
 	halting := func() sim.Machine {
@@ -144,7 +144,7 @@ func TestOnRoundObservesEveryStep(t *testing.T) {
 	for _, engine := range []sim.Engine{sim.EngineSequential, sim.EngineConcurrent} {
 		var seen []int
 		cfg := sim.Config{Engine: engine, MaxRounds: 64,
-			OnRound: func(round int) { seen = append(seen, round) }}
+			OnRoundStats: func(s sim.RoundStats) { seen = append(seen, s.Round) }}
 		res, err := sim.Run(g, cfg, halting)
 		if err != nil {
 			t.Fatalf("engine %v: %v", engine, err)
@@ -154,14 +154,14 @@ func TestOnRoundObservesEveryStep(t *testing.T) {
 			t.Fatalf("engine %v: %v", engine, err)
 		}
 		if res.Rounds != plain.Rounds {
-			t.Errorf("engine %v: OnRound changed the result: %d vs %d rounds", engine, res.Rounds, plain.Rounds)
+			t.Errorf("engine %v: OnRoundStats changed the result: %d vs %d rounds", engine, res.Rounds, plain.Rounds)
 		}
 		if len(seen) == 0 {
-			t.Fatalf("engine %v: OnRound never fired", engine)
+			t.Fatalf("engine %v: OnRoundStats never fired", engine)
 		}
 		for i, round := range seen {
 			if round != i+1 {
-				t.Fatalf("engine %v: OnRound sequence %v not 1..n", engine, seen)
+				t.Fatalf("engine %v: OnRoundStats sequence %v not 1..n", engine, seen)
 			}
 		}
 		if seen[len(seen)-1] != res.Rounds+1 {

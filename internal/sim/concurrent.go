@@ -241,9 +241,6 @@ func runConcurrent(ctx context.Context, g Topology, cfg Config, f Factory) (*Res
 		// Progress hooks: every node's status for this step is in, and no
 		// node faulted (mirrors the sequential engine, which aborts its
 		// sweep mid-step on a fault and so never notifies for that step).
-		if cfg.OnRound != nil {
-			cfg.OnRound(step)
-		}
 		if stats {
 			cfg.OnRoundStats(RoundStats{Round: step, Messages: roundMsgs,
 				Bytes: roundBytes, Active: active, Halted: n - live})

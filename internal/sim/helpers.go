@@ -2,16 +2,6 @@ package sim
 
 import "fmt"
 
-// RunDet runs a DetLOCAL execution: unique IDs, no randomness.
-func RunDet(g Topology, assignment []uint64, f Factory) (*Result, error) {
-	return Run(g, Config{IDs: assignment}, f)
-}
-
-// RunRand runs a RandLOCAL execution: no IDs, private random streams.
-func RunRand(g Topology, seed uint64, f Factory) (*Result, error) {
-	return Run(g, Config{Randomized: true, Seed: seed}, f)
-}
-
 // IntOutputs converts a result's outputs to ints. It panics with the vertex
 // index if any output has a different dynamic type, which in this library
 // indicates a bug in the Machine, not bad input.

@@ -23,10 +23,8 @@ func FuzzRouteTable(f *testing.F) {
 		r := rng.New(seed)
 		var g *graph.Graph
 		if regular {
-			// Degrees up to half/2+1 keep the generator's matching repair
-			// from stalling on near-complete bipartite graphs.
 			half := 1 + mod(n, 64)
-			g = graph.RandomRegularBipartite(half, 1+mod(deg, half/2+1), r).Graph
+			g = graph.RandomRegularBipartite(half, 1+mod(deg, half), r).Graph
 		} else {
 			g = graph.RandomTree(n, deg, r)
 		}

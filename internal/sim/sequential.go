@@ -109,9 +109,6 @@ func runSequential(ctx context.Context, g Topology, cfg Config, f Factory) (*Res
 		// Progress hooks: the step completed for every node (faulted steps
 		// return above, matching the concurrent engine's fault-free-only
 		// notification).
-		if cfg.OnRound != nil {
-			cfg.OnRound(step)
-		}
 		if stats {
 			cfg.OnRoundStats(RoundStats{Round: step, Messages: roundMsgs,
 				Bytes: roundBytes, Active: active, Halted: n - live})

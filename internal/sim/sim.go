@@ -202,23 +202,18 @@ type Config struct {
 	// the buffer allocations once instead of per run. Results never alias
 	// arena memory. An Arena must not be shared by concurrent Runs.
 	Arena *Arena
-	// OnRound, when non-nil, is invoked once per completed step with the
-	// step number (1, 2, ...) after every node has executed it and its
-	// messages are in flight. It is a progress hook for supervision layers
-	// (live job status, checkpoint granularity, cancellation tests); both
+	// OnRoundStats, when non-nil, is invoked once per completed step,
+	// after every node has executed it and its messages are in flight,
+	// with that step's RoundStats (RoundStats.Round is the step number 1,
+	// 2, ...). It is the one per-step hook: a progress hook for supervision
+	// layers (live job status, checkpoint granularity, cancellation tests)
+	// and the round-level telemetry of the observability layers. Both
 	// engines call it from the coordinating goroutine, in step order, and
-	// it observes — never influences — the run: the callback must not
-	// mutate machines or messages, and a run's Result is identical with or
-	// without it.
-	OnRound func(round int)
-	// OnRoundStats, when non-nil, is the round-level telemetry hook: after
-	// each completed step (immediately after OnRound) it receives that
-	// step's RoundStats. Both engines call it from the coordinating
-	// goroutine in step order and deliver identical sequences for
-	// identical runs, and like OnRound it observes — never influences —
-	// the run: with the hook nil the engines skip all stats accounting, so
-	// a disabled run pays nothing (the sequential engine stays 0
-	// allocs/round) and a Result is byte-identical either way.
+	// deliver identical sequences for identical runs. It observes — never
+	// influences — the run: the callback must not mutate machines or
+	// messages. With the hook nil the engines skip all stats accounting,
+	// so a disabled run pays nothing (the sequential engine stays 0
+	// allocs/round), and a Result is byte-identical either way.
 	OnRoundStats func(RoundStats)
 }
 
@@ -227,7 +222,7 @@ type Config struct {
 // batch.commit round counts of internal/obs/trace); the LOCAL model itself
 // meters none of these quantities.
 type RoundStats struct {
-	// Round is the step number (1, 2, ...), matching OnRound.
+	// Round is the step number (1, 2, ...).
 	Round int
 	// Messages counts the non-nil messages sent during the step.
 	Messages int64

@@ -175,9 +175,6 @@ func (t *Tenant) Limits() Limits { return t.limits }
 // Queued returns the tenant's fair-queue occupancy.
 func (t *Tenant) Queued() int { return t.queued }
 
-// Running returns the tenant's running-job count.
-func (t *Tenant) Running() int { return t.running }
-
 // Streams returns the tenant's open event-stream count.
 func (t *Tenant) Streams() int { return t.streams }
 
@@ -441,11 +438,3 @@ func (r *Registry) ReleaseStream(t *Tenant) {
 
 // QueuedTotal returns the number of items queued across all tenants.
 func (r *Registry) QueuedTotal() int { return r.queued }
-
-// Tenants returns the live tenants in registration order (pinned first) —
-// a deterministic slice, never map-iteration order.
-func (r *Registry) Tenants() []*Tenant {
-	out := make([]*Tenant, len(r.ring))
-	copy(out, r.ring)
-	return out
-}

@@ -11,10 +11,10 @@
 //     it added or enriched since its previous flood; see Collector for why
 //     that yields the same ball as re-flooding everything it knows.
 //   - Ball.SimulateCenter re-executes an arbitrary Machine on a collected
-//     ball and reproduces the center's t-round output exactly. This is what
-//     lets the speedup transforms (Theorems 6 and 8) and the Theorem 5
-//     construction "run algorithm A pretending the graph is different",
-//     and what the derandomizer uses to evaluate candidate bit functions.
+//     ball and reproduces the center's t-round output exactly. Only the
+//     tests call it: it is the exactness oracle that Collector is held to.
+//     The speedup transforms (Theorems 6 and 8) use Collector alone and
+//     read the collected Ball directly.
 //
 // Exactness argument (mirrored in the tests): the center's state after step
 // t+1 depends on the step-(t+1-k) states of vertices at distance k, down to

@@ -37,22 +37,22 @@ const allocTolerance = 0.02
 // allocations lowers its budget in the same diff, so the history of this
 // literal is the suite's perf trajectory.
 var allocBudget = map[string]float64{
-	"E1":  3_075_593,
-	"E2":  122_990,
-	"E3":  8_414_070,
+	"E1":  193_950,
+	"E2":  62_147,
+	"E3":  3_577_937,
 	"E4":  22_499,
-	"E5":  699_506,
-	"E6":  19_222,
+	"E5":  604_690,
+	"E6":  17_880,
 	"E7":  76_440,
 	"E8":  129_662,
 	"E9":  33_085,
-	"E10": 1_306_572,
+	"E10": 572_200,
 	"E11": 19_186,
-	"E12": 139_245,
+	"E12": 33_073,
 	"E13": 386_708,
-	"A1":  19_000,
-	"A2":  1_277_958,
-	"A3":  197_498,
+	"A1":  13_956,
+	"A2":  68_950,
+	"A3":  40_253,
 }
 
 // allocVerdict returns why allocs (per op, under the runtime.Version

@@ -144,6 +144,7 @@ type t10 struct {
 	nbr   []t10Status
 	heard []bool
 	fresh []bool
+	sent  sim.Message   // the status sent last; nil before the first
 	send  []sim.Message // reused status broadcast
 }
 
@@ -187,6 +188,26 @@ func (m *t10) statusNow() t10Status {
 		Color:         m.color,
 		Bid:           m.bid,
 	}
+}
+
+// boxStatus returns statusNow as a Message, boxing it only when it differs
+// from the status sent last; otherwise it re-sends that immutable value.
+// t10Status holds a slice, so sim.Box cannot compare it: the bid is
+// compared by identity, which is enough because a sent bid is never
+// written again and every new bid is a new slice.
+func (m *t10) boxStatus() sim.Message {
+	st := m.statusNow()
+	if last, ok := m.sent.(t10Status); !ok || st.Participating != last.Participating ||
+		st.Color != last.Color || !sameSlice(st.Bid, last.Bid) {
+		m.sent = st
+	}
+	return m.sent
+}
+
+// sameSlice reports whether a and b are the same slice: equal length and,
+// when non-empty, the same first element.
+func sameSlice(a, b []int) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 func (m *t10) absorb(recv []sim.Message) {
@@ -239,7 +260,7 @@ func (m *t10) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
 	if m.failed {
 		return nil, true
 	}
-	return sim.BroadcastInto(&m.send, m.env.Degree, m.statusNow()), false
+	return sim.BroadcastInto(&m.send, m.env.Degree, m.boxStatus()), false
 }
 
 // bidStep is sub-step A of iteration iter: apply the previous iteration's

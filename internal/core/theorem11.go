@@ -151,8 +151,10 @@ type t11 struct {
 	nbr      []t11Status
 	heard    []bool
 	fresh    []bool
-	send     []sim.Message // reused status broadcast
-	baseNbrs []int         // reused bootstrap neighbor colors
+	box      sim.Box[t11Status] // the last status broadcast, boxed
+	send     []sim.Message      // reused status broadcast
+	baseNbrs []int              // reused bootstrap neighbor colors
+	used     []bool             // reused bootstrap color set
 }
 
 var (
@@ -236,7 +238,7 @@ func (m *t11) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
 	if m.failed {
 		return nil, true
 	}
-	return sim.BroadcastInto(&m.send, m.env.Degree, m.statusNow()), false
+	return sim.BroadcastInto(&m.send, m.env.Degree, m.box.Of(m.statusNow())), false
 }
 
 // bootstrapStep runs random-ID Linial + KW to a (Δ+1)-coloring.
@@ -256,7 +258,7 @@ func (m *t11) bootstrapStep(step int) {
 		nbrs = append(nbrs, m.nbr[p].Base)
 	}
 	m.baseNbrs = nbrs
-	m.base = m.plan.boot.Apply(step-2, m.base, nbrs)
+	m.base = m.plan.boot.Apply(step-2, m.base, nbrs, &m.used)
 }
 
 // phase1Step runs the seeded-MIS peeling. Iterations have Δ+3 sub-steps:

@@ -81,12 +81,17 @@ func Rounds(opt Options, n, maxDeg int) int {
 	return p.Rounds()
 }
 
-// msg is the per-port broadcast: the sender's incident edge colors plus the
-// port index of the shared edge on the sender's side.
-type msg struct {
-	ID         uint64
+// hello is the step-1 message on each port: the sender's ID and its port
+// index of the shared edge, which the receiver records once.
+type hello struct {
+	ID       uint64
+	ThisPort int
+}
+
+// colorsMsg is the broadcast of every later step: the sender's incident
+// edge colors in port order, one value shared by all ports.
+type colorsMsg struct {
 	EdgeColors []int
-	ThisPort   int
 }
 
 type machine struct {
@@ -94,7 +99,9 @@ type machine struct {
 	plan   *Plan
 	env    sim.Env
 	colors []int         // never written after it is sent; each step builds a new one
+	rev    []int         // rev[p]: the neighbor's port of the edge at port p
 	nbrs   []int         // reused line-graph neighbor colors of one edge
+	used   []bool        // reused reduction color set
 	out    []sim.Message // reused send slice
 }
 
@@ -123,27 +130,35 @@ func (m *machine) Init(env sim.Env) {
 	}
 }
 
-// Step: step 1 broadcasts the vertex ID, step 2 derives the initial edge
-// colors from the ID pairs, and step s >= 3 applies reduction step s-3
-// to every incident edge; the machine halts once the last one is applied.
+// Step: step 1 sends the vertex ID and the port on every port, step 2
+// records the neighbors' ports and derives the initial edge colors from
+// the ID pairs, and step s >= 3 applies reduction step s-3 to every
+// incident edge; the machine halts once the last one is applied. From
+// step 2 on, every port gets the same colorsMsg.
 func (m *machine) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
 	n := m.plan.red.Steps()
 	switch {
 	case step == 1:
-		return m.send(true), false
+		m.out = m.out[:0]
+		for p := 0; p < m.env.Degree; p++ {
+			m.out = append(m.out, hello{ID: m.env.ID, ThisPort: p})
+		}
+		return m.out, false
 	case step == 2:
 		m.colors = make([]int, m.env.Degree)
+		m.rev = make([]int, m.env.Degree)
 		for p, raw := range recv {
-			mm := raw.(msg)
-			m.colors[p] = m.initialColor(m.env.ID, mm.ID)
+			h := raw.(hello)
+			m.colors[p] = m.initialColor(m.env.ID, h.ID)
+			m.rev[p] = h.ThisPort
 		}
-		return m.send(false), false
+		return m.broadcast(), false
 	case step <= 2+n:
 		m.reduce(step-3, recv)
 		if step == 2+n {
 			return nil, true
 		}
-		return m.send(false), false
+		return m.broadcast(), false
 	default:
 		return nil, true
 	}
@@ -164,9 +179,9 @@ func (m *machine) initialColor(a, b uint64) int {
 func (m *machine) reduce(i int, recv []sim.Message) {
 	next := make([]int, m.env.Degree)
 	for p := range next {
-		mm, ok := recv[p].(msg)
+		mm, ok := recv[p].(colorsMsg)
 		if !ok {
-			panic(fmt.Sprintf("edgecolor: expected msg on port %d, got %T", p, recv[p]))
+			panic(fmt.Sprintf("edgecolor: expected colors on port %d, got %T", p, recv[p]))
 		}
 		nbrs := m.nbrs[:0]
 		for q, c := range m.colors {
@@ -175,28 +190,20 @@ func (m *machine) reduce(i int, recv []sim.Message) {
 			}
 		}
 		for q, c := range mm.EdgeColors {
-			if q != mm.ThisPort {
+			if q != m.rev[p] {
 				nbrs = append(nbrs, c)
 			}
 		}
 		m.nbrs = nbrs
-		next[p] = m.plan.red.Apply(i, m.colors[p], nbrs)
+		next[p] = m.plan.red.Apply(i, m.colors[p], nbrs, &m.used)
 	}
 	m.colors = next
 }
 
-// send broadcasts the incident edge colors; every port shares the one
-// slice, which is never written again.
-func (m *machine) send(withID bool) []sim.Message {
-	m.out = m.out[:0]
-	for p := 0; p < m.env.Degree; p++ {
-		mm := msg{ThisPort: p, EdgeColors: m.colors}
-		if withID {
-			mm.ID = m.env.ID
-		}
-		m.out = append(m.out, mm)
-	}
-	return m.out
+// broadcast sends the incident edge colors, boxed once, on every port; the
+// slice is never written again.
+func (m *machine) broadcast() []sim.Message {
+	return sim.BroadcastInto(&m.out, m.env.Degree, colorsMsg{EdgeColors: m.colors})
 }
 
 func (m *machine) Output() any {

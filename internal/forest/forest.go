@@ -192,7 +192,8 @@ type machine struct {
 
 	hcolor int
 	final  int
-	send   []sim.Message // reused status broadcast
+	box    sim.Box[status] // the last status broadcast, boxed
+	send   []sim.Message   // reused status broadcast
 	// failed is set when a *probabilistic* precondition breaks (a component
 	// exceeds SizeBound so peeling does not finish, or externally supplied
 	// IDs collide between neighbors). The vertex then halts with output 0,
@@ -266,7 +267,7 @@ func (m *machine) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
 	if m.failed {
 		return nil, true
 	}
-	return sim.BroadcastInto(&m.send, m.env.Degree, m.statusNow()), false
+	return sim.BroadcastInto(&m.send, m.env.Degree, m.box.Of(m.statusNow())), false
 }
 
 func (m *machine) statusNow() status {

@@ -68,8 +68,9 @@ func (p KWPlan) Rounds() int {
 // current color (0-based, < Palettes[i]), the sub-step index j (0-based, <
 // PassLen(i)) and the neighbors' current colors (entries < 0 ignored), it
 // returns the vertex's color after the sub-step. Vertices not in the
-// sweeping class keep their color.
-func (p KWPlan) Recolor(i, j, own int, nbrs []int) int {
+// sweeping class keep their color. used is the caller's scratch color set,
+// grown and overwritten as needed (see freeColor).
+func (p KWPlan) Recolor(i, j, own int, nbrs []int, used *[]bool) int {
 	k := p.Palettes[i]
 	t := p.Target
 	blockSize := 2 * t
@@ -81,16 +82,5 @@ func (p KWPlan) Recolor(i, j, own int, nbrs []int) int {
 		return own // not this sub-step's class
 	}
 	lo := block * t // target range [lo, lo+t)
-	used := make([]bool, t)
-	for _, nc := range nbrs {
-		if nc >= lo && nc < lo+t {
-			used[nc-lo] = true
-		}
-	}
-	for c := 0; c < t; c++ {
-		if !used[c] {
-			return lo + c
-		}
-	}
-	panic("linial: KW recolor found no free color (degree >= Target?)")
+	return freeColor(nbrs, lo, t, used)
 }

@@ -35,6 +35,7 @@ type Machine struct {
 	plan  *Reduction    // shared read-only by every machine of the factory
 	color int           // current 0-based color
 	nbrs  []int         // reused decoded neighbor colors
+	used  []bool        // reused sweep color set
 	send  []sim.Message // reused color broadcast
 }
 
@@ -84,7 +85,7 @@ func (m *Machine) Init(env sim.Env) {
 func (m *Machine) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
 	if step > 1 {
 		m.nbrs = decodeColors(m.nbrs[:0], recv)
-		m.color = m.plan.Apply(step-2, m.color, m.nbrs)
+		m.color = m.plan.Apply(step-2, m.color, m.nbrs, &m.used)
 	}
 	if step >= 1+m.plan.Steps() {
 		return nil, true

@@ -50,33 +50,47 @@ func (r *Reduction) Steps() int { return len(r.sched) + r.sweep }
 // Apply returns a vertex's color after reduction step i (0-based, below
 // Steps()), given its color own and its neighbors' colors nbrs (entries
 // < 0 are ignored). Colors are 0-based. nbrs is read, never retained.
-func (r *Reduction) Apply(i, own int, nbrs []int) int {
+// used is the caller's scratch color set: a machine passes the same one at
+// every step, so the sweep steps allocate nothing once it has grown to
+// the target palette. The Reduction itself is never written.
+func (r *Reduction) Apply(i, own int, nbrs []int, used *[]bool) int {
 	if i < len(r.sched) {
 		return r.sched[i].Reduce(own, nbrs)
 	}
 	i -= len(r.sched)
 	if r.kwAt != nil {
-		return r.kw.Recolor(r.kwAt[i][0], r.kwAt[i][1], own, nbrs)
+		return r.kw.Recolor(r.kwAt[i][0], r.kwAt[i][1], own, nbrs, used)
 	}
 	if own == r.fp-1-i { // classes are recolored from the top down
-		return smallestFree(nbrs, r.target)
+		return freeColor(nbrs, 0, r.target, used)
 	}
 	return own
 }
 
-// smallestFree returns the smallest color in 0..limit-1 not present in nbrs.
-// It panics if none is free (cannot happen when limit > len(nbrs)).
-func smallestFree(nbrs []int, limit int) int {
-	used := make([]bool, limit)
+// freeColor returns the smallest color in lo..lo+size-1 not present in
+// nbrs. It marks the taken colors in *used, growing it to size when it is
+// shorter, and leaves it cleared. It panics if none is free (cannot happen
+// when size exceeds the degree).
+func freeColor(nbrs []int, lo, size int, used *[]bool) int {
+	if cap(*used) < size {
+		*used = make([]bool, size)
+	}
+	set := (*used)[:size]
 	for _, nc := range nbrs {
-		if nc >= 0 && nc < limit {
-			used[nc] = true
+		if nc >= lo && nc < lo+size {
+			set[nc-lo] = true
 		}
 	}
-	for c := 0; c < limit; c++ {
-		if !used[c] {
-			return c
+	free := -1
+	for c, taken := range set {
+		if !taken {
+			free = c
+			break
 		}
 	}
-	panic("linial: no free color in sweep (degree exceeds Target-1?)")
+	clear(set)
+	if free < 0 {
+		panic("linial: no free color (degree >= Target?)")
+	}
+	return lo + free
 }

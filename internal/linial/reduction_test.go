@@ -48,13 +48,14 @@ func checkReduction(t *testing.T, g *graph.Graph, k0, delta, target int, kw bool
 	}
 	next := make([]int, g.N())
 	var nbrs []int
+	var used []bool // one scratch set for every vertex: Apply must leave it cleared
 	for i := 0; i < red.Steps(); i++ {
 		for v := range colors {
 			nbrs = nbrs[:0]
 			for _, h := range g.Ports(v) {
 				nbrs = append(nbrs, colors[h.To])
 			}
-			next[v] = red.Apply(i, colors[v], nbrs)
+			next[v] = red.Apply(i, colors[v], nbrs, &used)
 		}
 		colors, next = next, colors
 		for _, e := range g.Edges() {

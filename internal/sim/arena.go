@@ -28,8 +28,8 @@ type Arena struct {
 	sleepers []Sleeper
 	inboxes  [][]Message
 	msgs     []Message
-	done     []bool
-	wake     []int
+	ready    []uint64
+	wakes    wakeQueue
 	slots    []int32
 	chans    [][]chan Message
 	chanFlat []chan Message
@@ -64,18 +64,75 @@ type seqBufs struct {
 	// written at most once per step, so neither list outgrows its sumDeg
 	// capacity.
 	curW, nextW []int32
-	done        []bool
-	// wake[v] is the first step at which a sleeping node v is stepped
-	// again; 0 (or any step already reached) means v is awake.
-	wake []int
+	// ready is a bitset over the nodes, bit v of word v/64: set while v is
+	// live and awake, so a step visits only those nodes, in index order.
+	ready []uint64
+	// wakes holds the sleeping nodes, a min-heap on the wake step; its
+	// capacity is n, since a node sleeps in at most one entry.
+	wakes wakeQueue
+}
+
+// wakeEntry is a sleeping node and the first step at which it is stepped
+// again.
+type wakeEntry struct {
+	step int
+	node int
+}
+
+// wakeQueue is a binary min-heap of wakeEntry ordered by step. It is
+// written out rather than built on container/heap, whose Push boxes every
+// entry; this one allocates nothing once its capacity is reserved.
+type wakeQueue []wakeEntry
+
+// push adds e.
+func (q *wakeQueue) push(e wakeEntry) {
+	h := append(*q, e)
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if h[parent].step <= h[i].step {
+			break
+		}
+		h[parent], h[i] = h[i], h[parent]
+		i = parent
+	}
+	*q = h
+}
+
+// popDue removes an entry whose step is at most step and returns its node,
+// or returns false when no entry is due.
+func (q *wakeQueue) popDue(step int) (int, bool) {
+	h := *q
+	if len(h) == 0 || h[0].step > step {
+		return 0, false
+	}
+	node := h[0].node
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	for i := 0; ; {
+		least, l, r := i, 2*i+1, 2*i+2
+		if l < last && h[l].step < h[least].step {
+			least = l
+		}
+		if r < last && h[r].step < h[least].step {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
+	*q = h
+	return node, true
 }
 
 // sequential acquires the runSequential working set for g: the machine and
 // sleeper tables, the two flat inbox buffers, the slot offsets, the route
 // table and the two write lists (all four carved out of one int32
-// backing), the halted flags and the wake steps, all cleared. A nil arena
-// degrades to plain allocation. It fails only when g has more ports than
-// an int32 slot index can address.
+// backing), the ready set with every node in it, and an empty wake queue.
+// A nil arena degrades to plain allocation. It fails only when g has more
+// ports than an int32 slot index can address.
 func (a *Arena) sequential(g Topology) (seqBufs, error) {
 	n := g.N()
 	sumDeg := 0
@@ -94,10 +151,15 @@ func (a *Arena) sequential(g Topology) (seqBufs, error) {
 	clear(a.sleepers[:cap(a.sleepers)])
 	a.msgs = grow(a.msgs, 2*sumDeg)
 	clear(a.msgs)
-	a.done = grow(a.done, n)
-	clear(a.done)
-	a.wake = grow(a.wake, n)
-	clear(a.wake)
+	words := (n + 63) / 64
+	a.ready = grow(a.ready, words)
+	for i := range a.ready {
+		a.ready[i] = ^uint64(0)
+	}
+	if n%64 != 0 {
+		a.ready[words-1] = 1<<(n%64) - 1
+	}
+	a.wakes = grow(a.wakes, n)[:0]
 	a.slots = grow(a.slots, n+3*sumDeg)
 	s := a.slots
 	b := seqBufs{
@@ -109,8 +171,8 @@ func (a *Arena) sequential(g Topology) (seqBufs, error) {
 		route:    s[n : n+sumDeg : n+sumDeg],
 		curW:     s[n+sumDeg : n+sumDeg : n+2*sumDeg],
 		nextW:    s[n+2*sumDeg : n+2*sumDeg : n+3*sumDeg],
-		done:     a.done,
-		wake:     a.wake,
+		ready:    a.ready,
+		wakes:    a.wakes,
 	}
 	off := 0
 	for v := 0; v < n; v++ {

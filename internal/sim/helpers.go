@@ -65,3 +65,24 @@ func BroadcastInto(buf *[]Message, degree int, msg Message) []Message {
 	*buf = send
 	return send
 }
+
+// Box keeps the Message a machine last broadcast, so a machine whose status
+// did not change since its previous Step sends that same immutable Message
+// again instead of boxing a copy. T must be comparable with ==: a struct
+// with an interface field would panic at run time on an uncomparable
+// dynamic value, so such statuses keep boxing through BroadcastInto
+// directly. The zero Box is ready to use.
+type Box[T comparable] struct {
+	msg Message // nil before the first call
+}
+
+// Of returns st as a Message. It boxes st on the first call and whenever
+// st differs from the previous call's value; otherwise it returns the
+// Message it boxed then. Re-sending that value keeps the Machine no-retain
+// rule, since a sent value is never mutated.
+func (b *Box[T]) Of(st T) Message {
+	if last, ok := b.msg.(T); !ok || last != st {
+		b.msg = st
+	}
+	return b.msg
+}

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"time"
 )
 
@@ -10,10 +11,12 @@ import (
 // double-buffering the per-port inboxes. Delivery is one store per message
 // through the arena's route table, and each step clears only the inbox
 // slots that were written. It is the deterministic fast path used by
-// benchmarks. A node whose machine implements Sleeper is not
-// stepped while it sleeps; it stays live, and messages sent to it meanwhile
-// are delivered into its inbox and discarded unread, so every Result field
-// and RoundStats value is what stepping it would have produced.
+// benchmarks. Each step visits only the nodes in the arena's ready set, so
+// its cost follows the live, awake nodes rather than n. A node whose
+// machine implements Sleeper leaves that set while it sleeps and waits in
+// the wake queue; it stays live, and messages sent to it meanwhile are
+// delivered into its inbox and discarded unread, so every Result field and
+// RoundStats value is what stepping it would have produced.
 //
 // Misbehaving machines never crash the process: panics and over-degree
 // sends surface as *NodeError. Because the sweep visits nodes in index
@@ -33,7 +36,7 @@ func runSequential(ctx context.Context, g Topology, cfg Config, f Factory) (*Res
 	if err != nil {
 		return nil, err
 	}
-	machines, sleepers, done, wake := b.machines, b.sleepers, b.done, b.wake
+	machines, sleepers, ready := b.machines, b.sleepers, b.ready
 	cur, next, curW, nextW := b.cur, b.next, b.curW, b.nextW
 	off, route := b.off, b.route
 	haltRound := make([]int, n)
@@ -61,39 +64,54 @@ func runSequential(ctx context.Context, g Topology, cfg Config, f Factory) (*Res
 		res.Rounds = step - 1
 		active := live
 		var roundBytes int64
-		for v := 0; v < n; v++ {
-			if done[v] || wake[v] > step {
-				continue // halted, or asleep: its Step would be a no-op
+		for {
+			v, ok := b.wakes.popDue(step)
+			if !ok {
+				break
 			}
-			o, deg := off[v], g.Degree(v)
-			recv := cur[o : int(o)+deg : int(o)+deg]
-			send, nodeDone, wakeAt, ne := stepGuarded(machines[v], sleepers[v], v, step, recv)
-			if ne != nil {
-				return nil, ne
-			}
-			if len(send) > deg {
-				return nil, overSendError(v, step, len(send), deg)
-			}
-			// The machine may reuse send in its next Step, so every entry
-			// is copied into next now.
-			ports := route[o : int(o)+len(send)]
-			for p, msg := range send {
-				if msg == nil {
-					continue
+			ready[v>>6] |= 1 << (v & 63)
+		}
+		// Only live, awake nodes are in ready: a halted node's Step is
+		// never called again, and a sleeping one's would be a no-op. The
+		// word is copied before its nodes are stepped, and a step clears
+		// at most the bit of the node it steps, so the sweep visits nodes
+		// in index order.
+		for wi, word := range ready {
+			for ; word != 0; word &= word - 1 {
+				v := wi<<6 | bits.TrailingZeros64(word)
+				o, deg := off[v], g.Degree(v)
+				recv := cur[o : int(o)+deg : int(o)+deg]
+				send, nodeDone, wakeAt, ne := stepGuarded(machines[v], sleepers[v], v, step, recv)
+				if ne != nil {
+					return nil, ne
 				}
-				slot := ports[p]
-				next[slot] = msg
-				nextW = append(nextW, slot)
-				if stats {
-					roundBytes += MessageBytes(msg)
+				if len(send) > deg {
+					return nil, overSendError(v, step, len(send), deg)
+				}
+				// The machine may reuse send in its next Step, so every
+				// entry is copied into next now.
+				ports := route[o : int(o)+len(send)]
+				for p, msg := range send {
+					if msg == nil {
+						continue
+					}
+					slot := ports[p]
+					next[slot] = msg
+					nextW = append(nextW, slot)
+					if stats {
+						roundBytes += MessageBytes(msg)
+					}
+				}
+				switch {
+				case nodeDone:
+					ready[wi] &^= 1 << (v & 63)
+					haltRound[v] = step - 1
+					live--
+				case wakeAt > step+1:
+					ready[wi] &^= 1 << (v & 63)
+					b.wakes.push(wakeEntry{step: wakeAt, node: v})
 				}
 			}
-			if nodeDone {
-				done[v] = true
-				haltRound[v] = step - 1
-				live--
-			}
-			wake[v] = wakeAt
 		}
 		roundMsgs := int64(len(nextW))
 		res.MessagesSent += roundMsgs

@@ -79,7 +79,10 @@ type Env struct {
 // or copies it into a buffer of its own, keeps the rule. The message values
 // are different: receivers may keep them (the fault layer replays old ones
 // as duplicates), so a sent value must never be mutated afterwards, nor may
-// anything it points to. In the other direction, recv belongs to the
+// anything it points to. Sending the same immutable value again is not
+// mutating it: a machine may return the same Message on consecutive steps
+// (see Box), and a value one receiver keeps may reach it again. In the
+// other direction, recv belongs to the
 // engine: a machine reads it during Step and neither writes it nor keeps
 // the slice (the sequential engine clears only the inbox slots it wrote, so
 // a value written into recv could be read again two steps later).
@@ -101,15 +104,17 @@ type Machine interface {
 }
 
 // Sleeper is an optional Machine extension that lets the sequential engine
-// skip a node's idle steps, so a run costs time in proportion to the nodes
-// doing work rather than to n × rounds.
+// skip a node's idle steps. That engine visits only live, awake nodes at
+// each step, so a run costs time in proportion to the awake nodes rather
+// than to n × rounds.
 //
 // The contract: after a Step at step r that did not halt, SleepUntil
 // returns a step w. If w > r+1, the machine promises that every Step at a
 // step in (r, w) would return (nil, false) and change no state, whatever it
-// received; the sequential engine then does not call Step until step w.
-// Any w <= r+1 means "step me as usual". The engine checks for Sleeper once
-// per node after Init.
+// received; the sequential engine then does not call Step until step w,
+// nor visits the node: it waits in a wake queue until step w. Any w <= r+1
+// means "step me as usual". The engine checks for Sleeper once per node
+// after Init.
 //
 // A sleeping node is live, not halted: messages sent to it are delivered
 // into its inbox as usual (and discarded unread, as its no-op Steps would

@@ -4,8 +4,12 @@ GO ?= go
 
 all: build test
 
+# _perfbench is a separate module (replace locality => ../) that builds
+# against internal packages, so an internal API change that breaks the
+# benchmark fails here rather than in the benchmark run.
 build:
 	$(GO) build ./...
+	$(GO) build -C _perfbench -o /dev/null .
 
 test:
 	$(GO) test ./...

@@ -37,22 +37,22 @@ const allocTolerance = 0.02
 // allocations lowers its budget in the same diff, so the history of this
 // literal is the suite's perf trajectory.
 var allocBudget = map[string]float64{
-	"E1":  193_950,
-	"E2":  62_147,
-	"E3":  3_577_937,
+	"E1":  154_487,
+	"E2":  53_952,
+	"E3":  2_987_891,
 	"E4":  22_499,
-	"E5":  604_690,
+	"E5":  596_464,
 	"E6":  17_880,
 	"E7":  76_440,
 	"E8":  129_662,
 	"E9":  33_085,
 	"E10": 572_200,
 	"E11": 19_186,
-	"E12": 33_073,
+	"E12": 31_187,
 	"E13": 386_708,
 	"A1":  13_956,
-	"A2":  68_950,
-	"A3":  40_253,
+	"A2":  49_542,
+	"A3":  33_279,
 }
 
 // allocVerdict returns why allocs (per op, under the runtime.Version

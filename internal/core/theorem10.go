@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"locality/internal/forest"
-	"locality/internal/mathx"
 	"locality/internal/sim"
 )
 
@@ -26,19 +24,6 @@ type T10Options struct {
 	// the analysis; the default 8 is the practical choice documented in
 	// DESIGN.md.
 	PaletteSlack int
-}
-
-func (o T10Options) withDefaults(n int) T10Options {
-	if o.SizeBound == 0 {
-		o.SizeBound = mathx.Max(32, 8*mathx.CeilLog2(n+1))
-	}
-	if o.IDBits == 0 {
-		o.IDBits = 40
-	}
-	if o.PaletteSlack == 0 {
-		o.PaletteSlack = 8
-	}
-	return o
 }
 
 // T10Result is the per-vertex output of the Theorem 10 machine.
@@ -71,19 +56,21 @@ func CSequence(delta int) []float64 {
 
 // t10Plan is the round schedule every machine of a run shares read-only.
 type t10Plan struct {
-	opt       T10Options // resolved against n
-	reserve   int        // √Δ reserved colors
-	cs        []float64
-	iters     int         // t = len(cs)
-	fplan     forest.Plan // Phase 2, handed to each node's forest machine
-	p1End     int         // last phase-1 step
-	markBad   int         // step marking the uncolored as bad
-	forestEnd int
-	total     int
+	opt     T10Options // resolved against n
+	reserve int        // √Δ reserved colors
+	cs      []float64
+	iters   int        // t = len(cs)
+	p1End   int        // last phase-1 step
+	markBad int        // step marking the uncolored as bad
+	p2      phase2Plan // Phase 2 on the bad components, from markBad on
+	total   int
 }
 
 func newT10Plan(n int, opt T10Options) t10Plan {
-	opt = opt.withDefaults(n)
+	phase2Defaults(n, &opt.SizeBound, &opt.IDBits)
+	if opt.PaletteSlack == 0 {
+		opt.PaletteSlack = 8
+	}
 	p := t10Plan{opt: opt}
 	p.reserve = int(math.Ceil(math.Sqrt(float64(opt.Delta))))
 	p.cs = CSequence(opt.Delta)
@@ -91,14 +78,8 @@ func newT10Plan(n int, opt T10Options) t10Plan {
 	// Step layout: step 1 hello; iterations i = 1..t occupy steps 2i, 2i+1.
 	p.p1End = 1 + 2*p.iters
 	p.markBad = p.p1End + 1
-	fopt := forest.Options{
-		Q:         p.reserve,
-		SizeBound: opt.SizeBound,
-		IDSpace:   1 << opt.IDBits,
-	}
-	p.fplan = forest.NewPlan(fopt.Resolve(n))
-	p.forestEnd = p.markBad + p.fplan.Rounds() + 1
-	p.total = p.forestEnd + 2 // harvest step, then halt
+	p.p2 = newPhase2Plan(n, p.reserve, opt.SizeBound, opt.IDBits, p.markBad)
+	p.total = p.p2.end + 2 // harvest step, then halt
 	return p
 }
 
@@ -111,7 +92,7 @@ func T10Rounds(n int, opt T10Options) int {
 // T10Phase2Rounds returns the round count of the Phase 2 forest plan the
 // Theorem 10 machine runs on the shattered components of an n-vertex graph.
 func T10Phase2Rounds(n int, opt T10Options) int {
-	return newT10Plan(n, opt).fplan.Rounds()
+	return newT10Plan(n, opt).p2.forest.Rounds()
 }
 
 // t10Status is the phase-1 broadcast.
@@ -137,12 +118,11 @@ type t10 struct {
 	// their nbr[p].Bid, so it must never be written after it is sent.
 	bid []int
 
-	inner  sim.Machine
-	innerD bool
+	phase2 // the embedded Phase 2 forest coloring
 	failed bool
 
 	nbr   []t10Status
-	heard []bool
+	heard []bool // heard, fresh, palette and taken share one backing
 	fresh []bool
 	sent  sim.Message   // the status sent last; nil before the first
 	send  []sim.Message // reused status broadcast
@@ -170,16 +150,15 @@ func (m *t10) Init(env sim.Env) {
 	m.plan = m.plans.Get(env)
 	m.id = env.Rand.Uint64()%(1<<m.plan.opt.IDBits) + 1
 	// Colors 1..Δ-√Δ; index 0 is unused in both sets.
-	k := m.plan.opt.Delta - m.plan.reserve + 1
-	sets := make([]bool, 2*k)
-	m.palette, m.taken = sets[:k:k], sets[k:]
+	k, d := m.plan.opt.Delta-m.plan.reserve+1, env.Degree
+	flags := make([]bool, 2*k+2*d)
+	m.palette, m.taken = flags[:k:k], flags[k:2*k:2*k]
+	m.heard, m.fresh = flags[2*k:2*k+d:2*k+d], flags[2*k+d:]
 	for c := 1; c < k; c++ {
 		m.palette[c] = true
 	}
 	m.paletteN = k - 1
-	m.nbr = make([]t10Status, env.Degree)
-	m.heard = make([]bool, env.Degree)
-	m.fresh = make([]bool, env.Degree)
+	m.nbr = make([]t10Status, d)
 }
 
 func (m *t10) statusNow() t10Status {
@@ -231,7 +210,7 @@ func (m *t10) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
 		return nil, true
 	}
 	pl := m.plan
-	if step > pl.markBad && step <= pl.forestEnd {
+	if pl.p2.owns(step) {
 		return m.forestStep(step, recv)
 	}
 	m.absorb(recv)
@@ -251,9 +230,13 @@ func (m *t10) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
 		if m.color == 0 {
 			m.bad = true // Filtering(t): every survivor is bad
 		}
-		m.startForest()
-	case step == pl.forestEnd+1:
-		m.harvestForest()
+		m.startForest(&pl.p2, m.env, m.bad, m.id, pl.opt.Delta-pl.reserve)
+	case step == pl.p2.end+1:
+		if c, ok := m.harvestForest(); !ok {
+			m.failed = true
+		} else if c != 0 {
+			m.color, m.phase = c, 2
+		}
 	default:
 		return nil, true
 	}
@@ -365,59 +348,6 @@ func (m *t10) filter(i int) {
 			m.bad = true
 		}
 	}
-}
-
-// startForest builds the embedded Phase 2 machine over the bad vertices,
-// on the run's shared forest plan. A good vertex builds none: outside the
-// forest's induced subgraph it would halt at its first step, sending
-// nothing and drawing no randomness, so it is done from the start.
-func (m *t10) startForest() {
-	if !m.bad {
-		m.innerD = true
-		return
-	}
-	m.inner = forest.NewMachine(&m.plan.fplan, forest.Options{
-		ColorOffset: m.plan.opt.Delta - m.plan.reserve,
-		IDOf:        func(sim.Env) uint64 { return m.id },
-	})
-	m.inner.Init(m.env)
-}
-
-func (m *t10) forestStep(step int, recv []sim.Message) ([]sim.Message, bool) {
-	local := step - m.plan.markBad
-	if m.innerD {
-		return nil, false
-	}
-	if local == 1 {
-		recv = make([]sim.Message, m.env.Degree)
-	}
-	send, done := m.inner.Step(local, recv)
-	if done {
-		m.innerD = true
-	}
-	return send, false
-}
-
-// SleepUntil implements sim.Sleeper: once the inner forest machine is done,
-// every step up to the harvest step is a no-op.
-func (m *t10) SleepUntil() int {
-	if m.innerD {
-		return m.plan.forestEnd + 1
-	}
-	return 0
-}
-
-func (m *t10) harvestForest() {
-	if m.bad {
-		c := m.inner.Output().(int)
-		if c == 0 {
-			m.failed = true
-			return
-		}
-		m.color = c
-		m.phase = 2
-	}
-	m.inner = nil
 }
 
 func (m *t10) Output() any {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"locality/internal/forest"
 	"locality/internal/linial"
 	"locality/internal/mathx"
 	"locality/internal/sim"
@@ -21,16 +20,6 @@ type T11Options struct {
 	// IDBits is the length of the random identifiers (collision
 	// probability n²/2^IDBits); 0 means 40.
 	IDBits int
-}
-
-func (o T11Options) withDefaults(n int) T11Options {
-	if o.SizeBound == 0 {
-		o.SizeBound = mathx.Max(32, 8*mathx.CeilLog2(n+1))
-	}
-	if o.IDBits == 0 {
-		o.IDBits = 40
-	}
-	return o
 }
 
 // T11Result is the per-vertex output of the Theorem 11 machine.
@@ -69,19 +58,18 @@ type t11Plan struct {
 	boot linial.Reduction
 	// Phase 1: iterations of length Δ+3 steps each.
 	iters int
-	// Phase 2: inner forest plan, handed to each node's forest machine.
-	fplan forest.Plan
 	// Step boundaries (inclusive starts).
-	bootEnd   int // last bootstrap step
-	p1End     int // last phase-1 step (including trailing finalize)
-	sDetect   int // step at which S membership is computed
-	forestEnd int // last inner-forest step
-	p3Start   int
-	total     int // halting step
+	bootEnd int // last bootstrap step
+	p1End   int // last phase-1 step (including trailing finalize)
+	sDetect int // step at which S membership is computed
+	// Phase 2: the 3-coloring of S, from sDetect on.
+	p2      phase2Plan
+	p3Start int
+	total   int // halting step
 }
 
 func newT11Plan(n int, opt T11Options) t11Plan {
-	opt = opt.withDefaults(n)
+	phase2Defaults(n, &opt.SizeBound, &opt.IDBits)
 	p := t11Plan{opt: opt}
 	p.boot = linial.NewReduction(1<<opt.IDBits, opt.Delta, opt.Delta+1, true)
 	p.iters = mathx.Max(0, opt.Delta-3) // colors Δ down to 4
@@ -93,15 +81,9 @@ func newT11Plan(n int, opt T11Options) t11Plan {
 	p.p1End = p.bootEnd + p.iters*(opt.Delta+3) + 1
 	//   S detection consumes the finalize broadcasts.
 	p.sDetect = p.p1End + 1
-	fopt := forest.Options{
-		Q:         3,
-		SizeBound: opt.SizeBound,
-		IDSpace:   1 << opt.IDBits,
-	}
-	p.fplan = forest.NewPlan(fopt.Resolve(n))
-	p.forestEnd = p.sDetect + p.fplan.Rounds() + 1
+	p.p2 = newPhase2Plan(n, 3, opt.SizeBound, opt.IDBits, p.sDetect)
 	// One harvest step after the forest window, then Phase 3.
-	p.p3Start = p.forestEnd + 2
+	p.p3Start = p.p2.end + 2
 	// Phase 3 locals: 1 settle + (Δ+1) M1 sweep + (Δ+1) M2 sweep + 3
 	// recolor steps; the machine halts at step total.
 	p.total = p.p3Start + 2*opt.Delta + 7
@@ -143,18 +125,17 @@ type t11 struct {
 	inI  bool
 
 	inS    bool
-	inner  sim.Machine // phase-2 forest machine
-	innerD bool        // inner done
+	phase2 // the embedded Phase 2 forest coloring of S
 
 	class3 int
 
-	nbr      []t11Status
-	heard    []bool
-	fresh    []bool
-	box      sim.Box[t11Status] // the last status broadcast, boxed
-	send     []sim.Message      // reused status broadcast
-	baseNbrs []int              // reused bootstrap neighbor colors
-	used     []bool             // reused bootstrap color set
+	nbr       []t11Status
+	heard     []bool // heard, fresh and used share one backing
+	fresh     []bool
+	used      []bool             // reused color set of the bootstrap and Phase 3
+	nbrColors []int              // reused neighbor colors, one per port at most
+	box       sim.Box[t11Status] // the last status broadcast, boxed
+	send      []sim.Message      // reused status broadcast
 }
 
 var (
@@ -180,9 +161,11 @@ func (m *t11) Init(env sim.Env) {
 	m.id = env.Rand.Uint64()%(1<<m.plan.opt.IDBits) + 1
 	m.base = int(m.id) - 1
 	m.inU = true
-	m.nbr = make([]t11Status, env.Degree)
-	m.heard = make([]bool, env.Degree)
-	m.fresh = make([]bool, env.Degree)
+	d := env.Degree
+	flags := make([]bool, 2*d+m.plan.opt.Delta+1)
+	m.heard, m.fresh, m.used = flags[:d:d], flags[d:2*d:2*d], flags[2*d:]
+	m.nbr = make([]t11Status, d)
+	m.nbrColors = make([]int, 0, d)
 }
 
 func (m *t11) statusNow() t11Status {
@@ -215,7 +198,7 @@ func (m *t11) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
 	pl := m.plan
 	// Phase 2's inner forest machine owns the message channel during its
 	// window; everything else speaks t11Status.
-	if step > pl.sDetect && step <= pl.forestEnd {
+	if pl.p2.owns(step) {
 		return m.forestStep(step, recv)
 	}
 	m.absorb(recv)
@@ -226,10 +209,14 @@ func (m *t11) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
 		m.phase1Step(step - pl.bootEnd)
 	case step == pl.sDetect:
 		m.detectS()
-		m.startForest()
+		m.startForest(&pl.p2, m.env, m.inS, m.id, 0)
 	case step < pl.p3Start:
 		// Buffer step after the forest window: collect phase-2 colors.
-		m.harvestForest()
+		if c, ok := m.harvestForest(); !ok {
+			m.failed = true // Phase 2 left the vertex without a color
+		} else if c != 0 {
+			m.color, m.phase, m.inU = c, 2, false // 1..3
+		}
 	case step < pl.total:
 		m.phase3Step(step - pl.p3Start + 1)
 	default:
@@ -246,7 +233,7 @@ func (m *t11) bootstrapStep(step int) {
 	if step == 1 {
 		return // just broadcast the initial ID-derived color
 	}
-	nbrs := m.baseNbrs[:0]
+	nbrs := m.nbrColors[:0]
 	for p := range m.nbr {
 		if !m.fresh[p] {
 			continue
@@ -257,7 +244,7 @@ func (m *t11) bootstrapStep(step int) {
 		}
 		nbrs = append(nbrs, m.nbr[p].Base)
 	}
-	m.baseNbrs = nbrs
+	m.nbrColors = nbrs
 	m.base = m.plan.boot.Apply(step-2, m.base, nbrs, &m.used)
 }
 
@@ -352,66 +339,6 @@ func (m *t11) detectS() {
 	}
 }
 
-// startForest builds the embedded Phase 2 machine over S on the run's
-// shared forest plan. A vertex outside S builds none: outside the forest's
-// induced subgraph it would halt at its first step, sending nothing and
-// drawing no randomness, so it is done from the start.
-func (m *t11) startForest() {
-	if !m.inS {
-		m.innerD = true
-		return
-	}
-	m.inner = forest.NewMachine(&m.plan.fplan, forest.Options{
-		IDOf: func(sim.Env) uint64 { return m.id },
-	})
-	m.inner.Init(m.env)
-}
-
-// forestStep drives the embedded forest machine during its window.
-func (m *t11) forestStep(step int, recv []sim.Message) ([]sim.Message, bool) {
-	local := step - m.plan.sDetect
-	if m.innerD {
-		return nil, false
-	}
-	if local == 1 {
-		// The messages in flight are t11 statuses from the detection step;
-		// the inner machine's first step consumes nothing.
-		recv = make([]sim.Message, m.env.Degree)
-	}
-	send, done := m.inner.Step(local, recv)
-	if done {
-		m.innerD = true
-	}
-	return send, false
-}
-
-// SleepUntil implements sim.Sleeper: once the inner forest machine is done,
-// every step up to the harvest step is a no-op.
-func (m *t11) SleepUntil() int {
-	if m.innerD {
-		return m.plan.forestEnd + 1
-	}
-	return 0
-}
-
-// harvestForest reads Phase 2's output.
-func (m *t11) harvestForest() {
-	if m.inner == nil {
-		return
-	}
-	if m.inS {
-		c := m.inner.Output().(int)
-		if c == 0 {
-			m.failed = true // component exceeded the size bound
-			return
-		}
-		m.color = c // 1..3
-		m.phase = 2
-		m.inU = false
-	}
-	m.inner = nil
-}
-
 // phase3Step 3-classes the leftover U (degree <= 2) via two base-color MIS
 // sweeps, then greedily recolors class by class.
 func (m *t11) phase3Step(local int) {
@@ -458,23 +385,19 @@ func (m *t11) recolorIfClass(j int) {
 	if !m.inU || m.class3 != j {
 		return
 	}
-	used := make([]bool, m.plan.opt.Delta+1)
+	nbrs := m.nbrColors[:0]
 	for p := range m.nbr {
 		if m.heard[p] {
-			if c := m.nbr[p].Color; c >= 1 && c <= m.plan.opt.Delta {
-				used[c] = true
-			}
+			nbrs = append(nbrs, m.nbr[p].Color)
 		}
 	}
-	for c := 1; c <= m.plan.opt.Delta; c++ {
-		if !used[c] {
-			m.color = c
-			m.phase = 3
-			m.inU = false
-			return
-		}
+	m.nbrColors = nbrs
+	c, ok := linial.FreeColor(nbrs, 1, m.plan.opt.Delta, &m.used)
+	if !ok {
+		m.failed = true // no available color: Phase 1/2 invariants broke
+		return
 	}
-	m.failed = true // no available color: Phase 1/2 invariants broke
+	m.color, m.phase, m.inU = c, 3, false
 }
 
 func (m *t11) Output() any {

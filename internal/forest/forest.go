@@ -11,15 +11,18 @@
 //     round. Orient every edge from the earlier-peeled endpoint to the
 //     later-peeled one (ties by ID): every vertex gets at most A parents
 //     and every edge is oriented.
-//  2. Arb-Linial: run Linial's cover-free reduction (package linial) where
-//     each vertex's new color avoids only its parents' point sets. Because
-//     every edge is a parent-child pair, the invariant "differ from all
-//     parents" is a proper coloring of the whole forest; the palette drops
-//     to the fixed point fp = O(A²) in O(log* n) rounds, independent of Δ.
-//  3. H-sweep: one global class sweep on the intra-layer edges reduces the
-//     fp-coloring to an (A+1)-coloring that is proper within every layer
-//     (fp - A - 1 rounds, run once for all layers simultaneously since
-//     layers are vertex-disjoint).
+//  2. Arb-Linial: run the Linial steps of a linial.Reduction of the ID
+//     coloring with degree bound A, where each vertex's new color avoids
+//     only its parents' point sets. Because every edge is a parent-child
+//     pair, the invariant "differ from all parents" is a proper coloring of
+//     the whole forest; the palette drops to the fixed point fp = O(A²) in
+//     O(log* n) rounds, independent of Δ.
+//  3. H-sweep: the same Reduction's class sweep to A+1 colors, run on the
+//     intra-layer edges: classes fp-1 down to A+1 are recolored one per
+//     round, each vertex avoiding its same-layer neighbors, of which it has
+//     at most A (they were unpeeled when it peeled). The result is an
+//     (A+1)-coloring proper within every layer (max(0, fp-A-1) rounds, run
+//     once for all layers simultaneously since layers are vertex-disjoint).
 //  4. Final sweep: process (layer, h-color class) pairs from the top layer
 //     down; a vertex choosing its final color is constrained only by
 //     neighbors in its own or higher layers — at most A of them, all
@@ -119,30 +122,30 @@ func PeelRounds(n, a int) int {
 // numeric options (Q, A, SizeBound, IDSpace) only, never on the per-node
 // IDOf/Active hooks or the ColorOffset.
 type Plan struct {
-	Opt   Options
-	Peel  int             // peeling rounds P
-	Sched []linial.Family // arb-Linial schedule
-	FP    int             // arb-Linial fixed point
-	HSw   int             // H-sweep length: max(0, FP-(A+1))
-	Final int             // final sweep length: Peel*(A+1)
+	Opt  Options
+	Peel int // peeling rounds P
+	// red is the arb-Linial schedule followed by the H-sweep from its
+	// fixed point to A+1 colors.
+	red   linial.Reduction
+	Final int // final sweep length: Peel*(A+1)
 }
 
 // NewPlan computes the schedule for resolved options.
 func NewPlan(opt Options) Plan {
-	p := Plan{Opt: opt}
-	p.Peel = PeelRounds(opt.SizeBound, opt.A)
-	p.Sched = linial.Schedule(opt.IDSpace, opt.A)
-	p.FP = linial.FixedPointOf(opt.IDSpace, p.Sched)
-	p.HSw = mathx.Max(0, p.FP-(opt.A+1))
-	p.Final = p.Peel * (opt.A + 1)
-	return p
+	peel := PeelRounds(opt.SizeBound, opt.A)
+	return Plan{
+		Opt:   opt,
+		Peel:  peel,
+		red:   linial.NewReduction(opt.IDSpace, opt.A, opt.A+1, false),
+		Final: peel * (opt.A + 1),
+	}
 }
 
 // Rounds returns the total communication rounds the machine uses:
 // 1 (hello) + Peel + 1 (layer settle / first color broadcast) +
-// len(Sched) + HSw + Final.
+// the reduction's steps (arb-Linial, then the H-sweep) + Final.
 func (p Plan) Rounds() int {
-	return 1 + p.Peel + 1 + len(p.Sched) + p.HSw + p.Final
+	return 1 + p.Peel + 1 + p.red.Steps() + p.Final
 }
 
 // NewFactory returns the forest coloring machine factory.
@@ -184,11 +187,14 @@ type machine struct {
 	peeled bool
 	layer  int
 
+	// The per-port flags and used share one backing, allocated at Init.
 	nbr       []status // latest status per port (zero value until heard)
 	heard     []bool   // whether port p has ever delivered a status
 	fresh     []bool   // whether port p delivered a status this step
 	parentOf  []bool   // valid after layers settle
 	sameLayer []bool
+	used      []bool // reused color set of the H-sweep and the final sweep
+	nbrColors []int  // reused neighbor colors, one per port at most
 
 	hcolor int
 	final  int
@@ -211,40 +217,45 @@ func (m *machine) Init(env sim.Env) {
 		m.plan = m.plans.Get(env)
 	}
 	m.active = m.opt.Active == nil || m.opt.Active(env)
-	if m.active {
-		if m.opt.IDOf != nil {
-			m.id = m.opt.IDOf(env)
-		} else {
-			if !env.HasID {
-				panic("forest: DetLOCAL run without IDs and no IDOf hook")
-			}
-			m.id = env.ID
-		}
-		if m.id < 1 || m.id > uint64(m.plan.Opt.IDSpace) {
-			panic(fmt.Sprintf("forest: ID %d outside 1..%d", m.id, m.plan.Opt.IDSpace))
-		}
+	if !m.active {
+		return // it halts at its first step
 	}
-	m.nbr = make([]status, env.Degree)
-	m.heard = make([]bool, env.Degree)
-	m.fresh = make([]bool, env.Degree)
+	if m.opt.IDOf != nil {
+		m.id = m.opt.IDOf(env)
+	} else {
+		if !env.HasID {
+			panic("forest: DetLOCAL run without IDs and no IDOf hook")
+		}
+		m.id = env.ID
+	}
+	if m.id < 1 || m.id > uint64(m.plan.Opt.IDSpace) {
+		panic(fmt.Sprintf("forest: ID %d outside 1..%d", m.id, m.plan.Opt.IDSpace))
+	}
+	d, q := env.Degree, m.plan.Opt.Q
+	flags := make([]bool, 4*d+q)
+	m.heard, m.fresh = flags[:d:d], flags[d:2*d:2*d]
+	m.parentOf, m.sameLayer = flags[2*d:3*d:3*d], flags[3*d:4*d:4*d]
+	m.used = flags[4*d:]
+	m.nbr = make([]status, d)
+	m.nbrColors = make([]int, 0, d)
 	m.hcolor = -1
 }
 
-// Step phases (P = plan.Peel, S = len(plan.Sched)):
+// Step phases (P = plan.Peel, R = plan.red.Steps(), F = plan.Final):
 //
-//	step 1:                 hello broadcast (inactive vertices halt)
-//	steps 2..P+1:           peeling round r = step-1
-//	step P+2:               layers settled; derive parents; hcolor = ID-1
-//	steps P+3..P+2+S:       arb-Linial reduction step step-(P+2)
-//	steps P+3+S..P+2+S+H:   H-sweep (classes FP-1 .. A+1 descending)
-//	then Final steps:       final sweep over (layer desc, h-class asc)
-//	last step + 1:          halt
+//	step 1:               hello broadcast (inactive vertices halt)
+//	steps 2..P+1:         peeling round r = step-1
+//	step P+2:             layers settled; derive parents; hcolor = ID-1
+//	steps P+3..P+2+R:     reduction step step-(P+3): arb-Linial, then the
+//	                      H-sweep (classes FP-1 .. A+1 descending)
+//	steps P+3+R..P+2+R+F: final sweep over (layer desc, h-class asc)
+//	step P+3+R+F:         halt
 func (m *machine) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
 	if !m.active || m.failed {
 		return nil, true
 	}
 	m.absorb(recv)
-	p, s := m.plan.Peel, len(m.plan.Sched)
+	p, r := m.plan.Peel, m.plan.red.Steps()
 	switch {
 	case step == 1:
 		// Nothing to do but say hello (the broadcast below).
@@ -252,12 +263,10 @@ func (m *machine) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
 		m.peelStep(step - 1)
 	case step == p+2:
 		m.settleLayers()
-	case step <= p+2+s:
-		m.linialStep(m.plan.Sched[step-p-3])
-	case step <= p+2+s+m.plan.HSw:
-		m.hSweepStep(step - p - 2 - s)
-	case step <= p+2+s+m.plan.HSw+m.plan.Final:
-		m.finalStep(step - p - 2 - s - m.plan.HSw)
+	case step <= p+2+r:
+		m.reduceStep(step - p - 3)
+	case step <= p+2+r+m.plan.Final:
+		m.finalStep(step - p - 2 - r)
 	default:
 		if m.final == 0 {
 			panic("forest: schedule exhausted without a final color (internal bug)")
@@ -318,8 +327,6 @@ func (m *machine) settleLayers() {
 		m.failed = true
 		return
 	}
-	m.parentOf = make([]bool, m.env.Degree)
-	m.sameLayer = make([]bool, m.env.Degree)
 	parents := 0
 	for p := range m.nbr {
 		if !m.heard[p] {
@@ -349,46 +356,36 @@ func (m *machine) settleLayers() {
 	m.hcolor = int(m.id) - 1
 }
 
-// linialStep applies one cover-free reduction against parent colors only.
-func (m *machine) linialStep(f linial.Family) {
-	nbrs := make([]int, 0, m.plan.Opt.A)
-	for p := range m.nbr {
-		if m.parentOf[p] {
-			if !m.fresh[p] || m.nbr[p].HColor == m.hcolor {
-				// Parent halted (it failed) or an ID collision at distance
-				// two made colors coincide: stop and fail.
-				m.failed = true
-				return
+// reduceStep applies reduction step i (0-based): a Linial step reduces
+// against the parents' colors only, an H-sweep step recolors one class
+// against the colors of the same-layer neighbors.
+func (m *machine) reduceStep(i int) {
+	class := m.plan.red.SweepClass(i) // -1 at a Linial step: the plan has no KW sweep
+	if class >= 0 && m.hcolor != class {
+		return // not the class this sweep step recolors
+	}
+	nbrs := m.nbrColors[:0]
+	if class < 0 {
+		for p := range m.nbr {
+			if m.parentOf[p] {
+				if !m.fresh[p] || m.nbr[p].HColor == m.hcolor {
+					// Parent halted (it failed) or an ID collision at distance
+					// two made colors coincide: stop and fail.
+					m.failed = true
+					return
+				}
+				nbrs = append(nbrs, m.nbr[p].HColor)
 			}
-			nbrs = append(nbrs, m.nbr[p].HColor)
+		}
+	} else {
+		for p := range m.nbr {
+			if m.sameLayer[p] {
+				nbrs = append(nbrs, m.nbr[p].HColor)
+			}
 		}
 	}
-	m.hcolor = f.Reduce(m.hcolor, nbrs)
-}
-
-// hSweepStep reduces the intra-layer coloring from FP to A+1 colors; sweep
-// sub-step j (1-based) recolors class FP-j.
-func (m *machine) hSweepStep(j int) {
-	class := m.plan.FP - j
-	if m.hcolor != class {
-		return
-	}
-	used := make([]bool, m.plan.Opt.A+1)
-	for p := range m.nbr {
-		if !m.sameLayer[p] || !m.heard[p] {
-			continue
-		}
-		if c := m.nbr[p].HColor; c >= 0 && c <= m.plan.Opt.A {
-			used[c] = true
-		}
-	}
-	for c := 0; c <= m.plan.Opt.A; c++ {
-		if !used[c] {
-			m.hcolor = c
-			return
-		}
-	}
-	panic("forest: H-sweep found no free color (degree within layer exceeds A?)")
+	m.nbrColors = nbrs
+	m.hcolor = m.plan.red.Apply(i, m.hcolor, nbrs, &m.used)
 }
 
 // finalStep assigns final colors; sub-step k (1-based) serves layer
@@ -402,25 +399,18 @@ func (m *machine) finalStep(k int) {
 	if m.layer != layer || m.hcolor != class {
 		return
 	}
-	used := make([]bool, m.plan.Opt.Q)
+	nbrs := m.nbrColors[:0]
 	for p := range m.nbr {
-		if !m.heard[p] {
-			continue
-		}
-		if f := m.nbr[p].Final; f != 0 {
-			idx := f - m.opt.ColorOffset - 1
-			if idx >= 0 && idx < m.plan.Opt.Q {
-				used[idx] = true
-			}
+		if f := m.nbr[p].Final; m.heard[p] && f != 0 {
+			nbrs = append(nbrs, f)
 		}
 	}
-	for c := 0; c < m.plan.Opt.Q; c++ {
-		if !used[c] {
-			m.final = m.opt.ColorOffset + c + 1
-			return
-		}
+	m.nbrColors = nbrs
+	c, ok := linial.FreeColor(nbrs, m.opt.ColorOffset+1, m.plan.Opt.Q, &m.used)
+	if !ok {
+		panic("forest: final sweep found no free color (constraints exceed Q-1?)")
 	}
-	panic("forest: final sweep found no free color (constraints exceed Q-1?)")
+	m.final = c
 }
 
 func (m *machine) Output() any { return m.final }

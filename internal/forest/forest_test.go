@@ -7,6 +7,8 @@ import (
 	"locality/internal/graph"
 	"locality/internal/ids"
 	"locality/internal/lcl"
+	"locality/internal/linial"
+	"locality/internal/mathx"
 	"locality/internal/rng"
 	"locality/internal/sim"
 )
@@ -245,15 +247,27 @@ func TestNonForestFailsGracefully(t *testing.T) {
 	}
 }
 
+// TestPlanRoundsFormula pins Rounds() to the schedule written out from its
+// parts: hello, peeling, layer settle, the Theorem 2 schedule, the H-sweep
+// from the fixed point down to A+1 colors (empty when the ID space is
+// already that small) and the final sweep.
 func TestPlanRoundsFormula(t *testing.T) {
-	opt := forest.Options{Q: 3, A: 2, SizeBound: 1000, IDSpace: 1000}
-	plan := forest.NewPlan(opt)
-	want := 1 + plan.Peel + 1 + len(plan.Sched) + plan.HSw + plan.Final
-	if plan.Rounds() != want {
-		t.Errorf("Rounds() = %d, want %d", plan.Rounds(), want)
-	}
-	if plan.Final != plan.Peel*3 {
-		t.Errorf("Final = %d, want Peel*(A+1) = %d", plan.Final, plan.Peel*3)
+	for _, q := range []int{3, 4, 12} {
+		for _, a := range []int{2, q - 1, 0} {
+			for _, sizeBound := range []int{1, 40, 1000, 1 << 20} {
+				for _, idSpace := range []int{2, 3, 13, 1000, 1 << 40} {
+					opt := forest.Options{Q: q, A: a, SizeBound: sizeBound, IDSpace: idSpace}.Resolve(0)
+					peel := forest.PeelRounds(sizeBound, opt.A)
+					sweep := mathx.Max(0, linial.FixedPoint(idSpace, opt.A)-(opt.A+1))
+					want := 1 + peel + 1 + len(linial.Schedule(idSpace, opt.A)) + sweep + peel*(opt.A+1)
+					plan := forest.NewPlan(opt)
+					if plan.Rounds() != want || plan.Peel != peel {
+						t.Errorf("Q=%d A=%d SizeBound=%d IDSpace=%d: Rounds() = %d, Peel = %d; want %d, %d",
+							q, opt.A, sizeBound, idSpace, plan.Rounds(), plan.Peel, want, peel)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -69,7 +69,7 @@ func (p KWPlan) Rounds() int {
 // PassLen(i)) and the neighbors' current colors (entries < 0 ignored), it
 // returns the vertex's color after the sub-step. Vertices not in the
 // sweeping class keep their color. used is the caller's scratch color set,
-// grown and overwritten as needed (see freeColor).
+// grown and overwritten as needed (see FreeColor).
 func (p KWPlan) Recolor(i, j, own int, nbrs []int, used *[]bool) int {
 	k := p.Palettes[i]
 	t := p.Target
@@ -82,5 +82,5 @@ func (p KWPlan) Recolor(i, j, own int, nbrs []int, used *[]bool) int {
 		return own // not this sub-step's class
 	}
 	lo := block * t // target range [lo, lo+t)
-	return freeColor(nbrs, lo, t, used)
+	return mustFreeColor(nbrs, lo, t, used)
 }

@@ -5,8 +5,9 @@ package linial
 // finished to a target palette, either by a Kuhn–Wattenhofer sweep or by
 // recoloring one color class per step from the top down. Every algorithm
 // that runs Theorem 2 (the standalone Machine, the line-graph edge
-// coloring, Theorem 11's bootstrap) steps through one Reduction, which a
-// run builds once and its machines share read-only.
+// coloring, Theorem 11's bootstrap, the forest coloring's arb-Linial and
+// H-sweep) steps through one Reduction, which a run builds once and its
+// machines share read-only.
 type Reduction struct {
 	sched  []Family
 	fp     int // fixed-point palette of sched
@@ -47,6 +48,19 @@ func NewReduction(k0, delta, target int, kw bool) Reduction {
 // Steps is the number of reduction steps, one communication round each.
 func (r *Reduction) Steps() int { return len(r.sched) + r.sweep }
 
+// SweepClass returns the color class that step i recolors when the
+// Reduction sweeps one class per step: after the Linial steps, the classes
+// above target from the top down. It returns -1 at a Linial step and at a
+// Kuhn–Wattenhofer sub-step, where any color may change. At a one-class
+// sweep step Apply leaves every other color as it is, so a vertex of
+// another color need not gather its neighbors' colors.
+func (r *Reduction) SweepClass(i int) int {
+	if i < len(r.sched) || r.kwAt != nil {
+		return -1
+	}
+	return r.fp - 1 - (i - len(r.sched))
+}
+
 // Apply returns a vertex's color after reduction step i (0-based, below
 // Steps()), given its color own and its neighbors' colors nbrs (entries
 // < 0 are ignored). Colors are 0-based. nbrs is read, never retained.
@@ -57,21 +71,22 @@ func (r *Reduction) Apply(i, own int, nbrs []int, used *[]bool) int {
 	if i < len(r.sched) {
 		return r.sched[i].Reduce(own, nbrs)
 	}
-	i -= len(r.sched)
 	if r.kwAt != nil {
+		i -= len(r.sched)
 		return r.kw.Recolor(r.kwAt[i][0], r.kwAt[i][1], own, nbrs, used)
 	}
-	if own == r.fp-1-i { // classes are recolored from the top down
-		return freeColor(nbrs, 0, r.target, used)
+	if own == r.SweepClass(i) {
+		return mustFreeColor(nbrs, 0, r.target, used)
 	}
 	return own
 }
 
-// freeColor returns the smallest color in lo..lo+size-1 not present in
-// nbrs. It marks the taken colors in *used, growing it to size when it is
-// shorter, and leaves it cleared. It panics if none is free (cannot happen
-// when size exceeds the degree).
-func freeColor(nbrs []int, lo, size int, used *[]bool) int {
+// FreeColor returns the smallest color in lo..lo+size-1 not present in
+// nbrs and true, or 0 and false when all of them are. It marks the taken
+// colors in *used, growing it to size when it is shorter, and leaves it
+// cleared, so a caller that passes one set at every call allocates it at
+// most once.
+func FreeColor(nbrs []int, lo, size int, used *[]bool) (int, bool) {
 	if cap(*used) < size {
 		*used = make([]bool, size)
 	}
@@ -90,7 +105,17 @@ func freeColor(nbrs []int, lo, size int, used *[]bool) int {
 	}
 	clear(set)
 	if free < 0 {
+		return 0, false
+	}
+	return lo + free, true
+}
+
+// mustFreeColor is FreeColor for the reduction sweeps, where size exceeds
+// the degree and a free color always exists; it panics if none is.
+func mustFreeColor(nbrs []int, lo, size int, used *[]bool) int {
+	c, ok := FreeColor(nbrs, lo, size, used)
+	if !ok {
 		panic("linial: no free color (degree >= Target?)")
 	}
-	return lo + free
+	return c
 }

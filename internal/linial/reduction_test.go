@@ -104,6 +104,42 @@ func TestReductionGrid(t *testing.T) {
 	}
 }
 
+// TestSweepClass checks SweepClass against the written-out schedule and
+// against Apply: -1 at the Linial steps and at every Kuhn–Wattenhofer
+// sub-step; at a one-class sweep step, the classes from the fixed point
+// down, and Apply recolors that class and leaves every other color.
+func TestSweepClass(t *testing.T) {
+	var used []bool
+	for _, delta := range []int{1, 2, 3, 8} {
+		for _, k0 := range []int{2, delta + 1, 60, 1 << 16} {
+			for _, target := range []int{0, delta + 1, 2*delta + 1} {
+				for _, kw := range []bool{false, true} {
+					red := linial.NewReduction(k0, delta, target, kw)
+					linialSteps := len(linial.Schedule(k0, delta))
+					fp := linial.FixedPoint(k0, delta)
+					for i := 0; i < red.Steps(); i++ {
+						want := -1
+						if i >= linialSteps && !kw {
+							want = fp - 1 - (i - linialSteps)
+						}
+						if got := red.SweepClass(i); got != want {
+							t.Fatalf("k0=%d Δ=%d target=%d kw=%v: SweepClass(%d) = %d, want %d", k0, delta, target, kw, i, got, want)
+						}
+						if want < 0 {
+							continue
+						}
+						for own := 0; own < fp; own++ {
+							if got := red.Apply(i, own, nil, &used); (got != own) != (own == want) {
+								t.Fatalf("k0=%d Δ=%d target=%d: step %d maps color %d to %d, class %d", k0, delta, target, i, own, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // FuzzReduction checks the same properties as TestReductionGrid on fuzzed
 // graphs, palettes, degree bounds and targets.
 func FuzzReduction(f *testing.F) {

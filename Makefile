@@ -69,6 +69,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReduction -fuzztime=5s ./internal/linial
 	$(GO) test -run='^$$' -fuzz=FuzzRouteTable -fuzztime=5s ./internal/sim
 	$(GO) test -run='^$$' -fuzz=FuzzSleepSchedule -fuzztime=5s ./internal/sim
+	$(GO) test -run='^$$' -fuzz=FuzzQuietEngines -fuzztime=5s ./internal/core
 
 # Perf trajectory: run the Go benchmarks (benchmarks only: the tests run
 # in make test and make race) with allocation reporting. Each experiment

@@ -41,7 +41,7 @@ var allocBudget = map[string]float64{
 	"E2":  53_952,
 	"E3":  2_987_891,
 	"E4":  22_499,
-	"E5":  596_464,
+	"E5":  381_415,
 	"E6":  17_880,
 	"E7":  76_440,
 	"E8":  129_662,
@@ -49,7 +49,7 @@ var allocBudget = map[string]float64{
 	"E10": 572_200,
 	"E11": 19_186,
 	"E12": 31_187,
-	"E13": 386_708,
+	"E13": 386_586,
 	"A1":  13_956,
 	"A2":  49_542,
 	"A3":  33_279,

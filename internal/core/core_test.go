@@ -87,19 +87,33 @@ func TestT11RoundsMatchPlanAndScaleLogLog(t *testing.T) {
 	}
 }
 
-// engineResults runs f on g under both engines and fails unless the two
-// Results — rounds, per-node halt rounds, message count and outputs — are
-// identical. The sequential engine skips the steps of sleeping nodes (see
-// sim.Sleeper); the concurrent engine steps every live node, so this pins
-// the T10/T11 sleep windows to the reference semantics.
-func engineResults(t *testing.T, g *graph.Graph, seed uint64, f sim.Factory) *sim.Result {
+// engineResults runs f on g with cfg under both engines and fails unless the two
+// Results — rounds, per-node halt rounds, message count and outputs — and
+// the two RoundStats sequences (messages, bytes, active and halted nodes
+// per step) are identical. The sequential engine skips the steps of
+// sleeping nodes (see sim.Sleeper); the concurrent engine steps every live
+// node, so this pins the T10/T11 sleep windows to the reference semantics.
+func engineResults(t *testing.T, g *graph.Graph, cfg sim.Config, f sim.Factory) *sim.Result {
 	t.Helper()
 	var prev *sim.Result
+	var prevStats []sim.RoundStats
 	for _, engine := range []sim.Engine{sim.EngineSequential, sim.EngineConcurrent} {
-		res, err := sim.Run(g, sim.Config{Randomized: true, Seed: seed, Engine: engine, MaxRounds: 1 << 20}, f)
+		var stats []sim.RoundStats
+		cfg.Engine = engine
+		cfg.OnRoundStats = func(s sim.RoundStats) { stats = append(stats, s) }
+		res, err := sim.Run(g, cfg, f)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if prevStats != nil && !reflect.DeepEqual(prevStats, stats) {
+			for i := range min(len(stats), len(prevStats)) {
+				if stats[i] != prevStats[i] {
+					t.Fatalf("engines disagree at step %d: %+v vs %+v", i+1, prevStats[i], stats[i])
+				}
+			}
+			t.Fatalf("engines disagree: %d vs %d steps of stats", len(prevStats), len(stats))
+		}
+		prevStats = stats
 		if prev != nil && !reflect.DeepEqual(prev, res) {
 			if prev.Rounds != res.Rounds || prev.MessagesSent != res.MessagesSent {
 				t.Fatalf("engines disagree: rounds %d vs %d, messages %d vs %d",
@@ -118,6 +132,11 @@ func engineResults(t *testing.T, g *graph.Graph, seed uint64, f sim.Factory) *si
 	return prev
 }
 
+// randomized is the RandLOCAL run configuration of the engine tests.
+func randomized(seed uint64) sim.Config {
+	return sim.Config{Randomized: true, Seed: seed, MaxRounds: 1 << 20}
+}
+
 func TestT11EngineEquivalence(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -132,7 +151,7 @@ func TestT11EngineEquivalence(t *testing.T) {
 		{"delta4", graph.RandomTree(200, 4, rng.New(9)), 4, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			res := engineResults(t, c.g, 13, core.NewT11Factory(core.T11Options{Delta: c.delta}))
+			res := engineResults(t, c.g, randomized(13), core.NewT11Factory(core.T11Options{Delta: c.delta}))
 			inS := 0
 			for _, o := range res.Outputs {
 				if o.(core.T11Result).InS {
@@ -148,19 +167,25 @@ func TestT11EngineEquivalence(t *testing.T) {
 
 func TestT10EngineEquivalence(t *testing.T) {
 	g := graph.RandomTree(200, 16, rng.New(10))
+	// E3's quick-scale shape: the complete 35-ary tree of depth 2, where
+	// most vertices are final after the first iteration and rest.
+	e3 := graph.CompleteKAry(35, 2)
 	for _, c := range []struct {
 		name    string
+		g       *graph.Graph
 		opt     core.T10Options
 		wantBad bool
 	}{
-		{"default", core.T10Options{Delta: 16}, false},
+		{"default", g, core.T10Options{Delta: 16}, false},
 		// A tight Filtering(1) threshold marks vertices bad, so good
 		// vertices sleep through Phase 2 while their bad neighbors run the
 		// forest coloring and send to them.
-		{"slack2", core.T10Options{Delta: 16, PaletteSlack: 2}, true},
+		{"slack2", g, core.T10Options{Delta: 16, PaletteSlack: 2}, true},
+		{"e3-slack8", e3, core.T10Options{Delta: 36, PaletteSlack: 8}, false},
+		{"e3-slack2", e3, core.T10Options{Delta: 36, PaletteSlack: 2}, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			res := engineResults(t, g, 14, core.NewT10Factory(c.opt))
+			res := engineResults(t, c.g, randomized(14), core.NewT10Factory(c.opt))
 			bad := 0
 			for _, o := range res.Outputs {
 				if o.(core.T10Result).Bad {

@@ -102,6 +102,15 @@ type t10Status struct {
 	Bid           []int
 }
 
+// t10 is one vertex of ColorBidding. It broadcasts its status at every
+// Phase 1 step while it participates, and once more at the step it becomes
+// final (coloured or bad); from then on it rests, absorbing nothing and
+// sending nothing. Its neighbours lose nothing by that: resolveStep and
+// filter treat a silent port like a non-participating one, and the palette
+// update reads the colour each neighbour sent last. A bad vertex wakes at
+// markBad to start Phase 2; a coloured one wakes only to halt. Phase 2's
+// first inner step discards the mail of markBad, and every vertex halts
+// one step after the harvest, so neither of those steps sends.
 type t10 struct {
 	plans *sim.PlanMemo[t10Plan]
 	plan  *t10Plan
@@ -120,6 +129,9 @@ type t10 struct {
 
 	phase2 // the embedded Phase 2 forest coloring
 	failed bool
+	// resting is set at the Phase 1 step that broadcasts the final status
+	// and cleared at the wake step.
+	resting bool
 
 	nbr   []t10Status
 	heard []bool // heard, fresh, palette and taken share one backing
@@ -205,9 +217,30 @@ func (m *t10) absorb(recv []sim.Message) {
 	}
 }
 
+// wake is the step a resting vertex resumes at: markBad for a bad vertex,
+// which must start Phase 2, and the halting step for a coloured one.
+func (m *t10) wake() int {
+	if m.bad {
+		return m.plan.markBad
+	}
+	return m.plan.p2.end + 2
+}
+
+// SleepUntil implements sim.Sleeper: a resting vertex sleeps to its wake
+// step, and a Phase 2 vertex whose inner machine is done to its harvest.
+func (m *t10) SleepUntil() int {
+	if m.resting {
+		return m.wake()
+	}
+	return m.phase2.SleepUntil()
+}
+
 func (m *t10) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
-	if m.failed {
-		return nil, true
+	if m.resting {
+		if step < m.wake() {
+			return nil, false
+		}
+		m.resting = false
 	}
 	pl := m.plan
 	if pl.p2.owns(step) {
@@ -226,22 +259,24 @@ func (m *t10) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
 			m.resolveStep()
 		}
 	case step == pl.markBad:
-		m.updatePaletteAndNeighbors()
-		if m.color == 0 {
-			m.bad = true // Filtering(t): every survivor is bad
-		}
-		m.startForest(&pl.p2, m.env, m.bad, m.id, pl.opt.Delta-pl.reserve)
+		// Only uncoloured vertices get here: Filtering(t) makes every
+		// survivor bad.
+		m.bad = true
+		m.startForest(&pl.p2, m.env, true, m.id, pl.opt.Delta-pl.reserve)
+		return nil, false
 	case step == pl.p2.end+1:
-		if c, ok := m.harvestForest(); !ok {
+		c, ok := m.harvestForest()
+		if !ok {
 			m.failed = true
-		} else if c != 0 {
-			m.color, m.phase = c, 2
+			return nil, true
 		}
+		m.color, m.phase = c, 2
+		return nil, false
 	default:
 		return nil, true
 	}
-	if m.failed {
-		return nil, true
+	if m.color != 0 || m.bad {
+		m.resting = true // this status is final: send it once, then rest
 	}
 	return sim.BroadcastInto(&m.send, m.env.Degree, m.boxStatus()), false
 }

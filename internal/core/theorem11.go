@@ -225,7 +225,8 @@ func (m *t11) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
 	if m.failed {
 		return nil, true
 	}
-	return sim.BroadcastInto(&m.send, m.env.Degree, m.box.Of(m.statusNow())), false
+	msg, _ := m.box.Of(m.statusNow())
+	return sim.BroadcastInto(&m.send, m.env.Degree, msg), false
 }
 
 // bootstrapStep runs random-ID Linial + KW to a (Δ+1)-coloring.

@@ -148,6 +148,12 @@ func (p Plan) Rounds() int {
 	return 1 + p.Peel + 1 + p.red.Steps() + p.Final
 }
 
+// linialStep reports whether step is one of the reduction's Linial steps.
+func (p *Plan) linialStep(step int) bool {
+	i := step - p.Peel - 3
+	return i >= 0 && i < p.red.Steps() && p.red.SweepClass(i) < 0
+}
+
 // NewFactory returns the forest coloring machine factory.
 // Output: final color in ColorOffset+1..ColorOffset+Q for active vertices,
 // 0 for inactive ones.
@@ -165,9 +171,12 @@ func NewMachine(plan *Plan, opt Options) sim.Machine {
 	return &machine{opt: opt, plan: plan}
 }
 
-// status is the single message type; every active vertex broadcasts its
-// full status every step. The LOCAL model does not meter bandwidth, and a
-// single self-describing message keeps the phase logic simple.
+// status is the single message type: an active vertex broadcasts its full
+// status whenever it changed, and resends an unchanged one only before a
+// Linial step (see Step). A receiver keeps the last status each port
+// delivered, so between changes its copy is current. The LOCAL model does
+// not meter bandwidth, and a single self-describing message keeps the phase
+// logic simple.
 type status struct {
 	ID     uint64
 	Peeled bool
@@ -276,7 +285,17 @@ func (m *machine) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
 	if m.failed {
 		return nil, true
 	}
-	return sim.BroadcastInto(&m.send, m.env.Degree, m.box.Of(m.statusNow())), false
+	// Peel, settle, H-sweep and final-sweep steps read the statuses each
+	// port delivered last, so an unchanged status need not be sent again.
+	// A Linial step also reads which ports spoke (a silent parent has
+	// failed), so before one every live vertex sends. The machine cannot
+	// sleep between its slots instead: a sleeping node drops its mail, and
+	// a change a neighbour sends once would be lost.
+	msg, changed := m.box.Of(m.statusNow())
+	if !changed && !m.plan.linialStep(step+1) {
+		return nil, false
+	}
+	return sim.BroadcastInto(&m.send, m.env.Degree, msg), false
 }
 
 func (m *machine) statusNow() status {

@@ -15,31 +15,32 @@ type boxStatus struct {
 
 // TestBoxReboxesOnlyOnChange: the first call boxes, even a zero value; an
 // equal status returns the identical Message; a status that differs in any
-// one field is boxed again, and boxing it again yields the new value.
+// one field is boxed again, and boxing it again yields the new value. Of
+// reports changed exactly when it boxed.
 func TestBoxReboxesOnlyOnChange(t *testing.T) {
 	var b sim.Box[boxStatus]
-	first := b.Of(boxStatus{})
-	if first == nil {
-		t.Fatal("first call on a zero status returned nil")
+	first, changed := b.Of(boxStatus{})
+	if first == nil || !changed {
+		t.Fatalf("first call on a zero status returned %v, changed %v", first, changed)
 	}
 	if got := first.(boxStatus); got != (boxStatus{}) {
 		t.Fatalf("first call boxed %+v, want the zero status", got)
 	}
-	if again := b.Of(boxStatus{}); !sameBox(again, first) {
-		t.Error("an equal status was boxed again")
+	if again, changed := b.Of(boxStatus{}); !sameBox(again, first) || changed {
+		t.Errorf("an equal status was boxed again (changed %v)", changed)
 	}
 
 	prev := first
 	for _, st := range []boxStatus{{ID: 1}, {ID: 1, Color: 2}, {ID: 1, Color: 2, Done: true}, {Color: 2, Done: true}} {
-		msg := b.Of(st)
-		if sameBox(msg, prev) {
-			t.Errorf("status %+v: got the Message boxed for the previous status", st)
+		msg, changed := b.Of(st)
+		if sameBox(msg, prev) || !changed {
+			t.Errorf("status %+v: got the Message boxed for the previous status (changed %v)", st, changed)
 		}
 		if got := msg.(boxStatus); got != st {
 			t.Errorf("status %+v: boxed %+v", st, got)
 		}
-		if again := b.Of(st); !sameBox(again, msg) {
-			t.Errorf("status %+v: an unchanged status was boxed again", st)
+		if again, changed := b.Of(st); !sameBox(again, msg) || changed {
+			t.Errorf("status %+v: an unchanged status was boxed again (changed %v)", st, changed)
 		}
 		prev = msg
 	}

@@ -77,12 +77,15 @@ type Box[T comparable] struct {
 }
 
 // Of returns st as a Message. It boxes st on the first call and whenever
-// st differs from the previous call's value; otherwise it returns the
-// Message it boxed then. Re-sending that value keeps the Machine no-retain
-// rule, since a sent value is never mutated.
-func (b *Box[T]) Of(st T) Message {
+// st differs from the previous call's value, and then reports changed;
+// otherwise it returns the Message it boxed then. Re-sending that value
+// keeps the Machine no-retain rule, since a sent value is never mutated. A
+// machine whose neighbours keep the last status they heard can skip the
+// send when changed is false.
+func (b *Box[T]) Of(st T) (msg Message, changed bool) {
 	if last, ok := b.msg.(T); !ok || last != st {
 		b.msg = st
+		return b.msg, true
 	}
-	return b.msg
+	return b.msg, false
 }

@@ -94,6 +94,9 @@ type Collector struct {
 	// changed holds the names merge added or enriched since the last flood,
 	// unsorted and possibly repeated; nil once collection is done.
 	changed []uint64
+	// send is the send slice of every step: the step-1 messages, then
+	// each flood broadcast (see sim.BroadcastInto).
+	send []sim.Message
 }
 
 // NewCollector returns a collector for radius t at a vertex whose unique
@@ -111,6 +114,8 @@ func NewCollector(t int, name uint64, env sim.Env) *Collector {
 // Step advances the collection by one simulator step. The step argument must
 // be 1 on the first call and increase by one per call; composite machines
 // embedding a collector mid-life pass their own normalized phase step.
+// The send slice is reused by the next Step: a caller hands it to the
+// engine as its own send slice and neither keeps nor writes it.
 func (c *Collector) Step(step int, recv []sim.Message) (send []sim.Message, done bool) {
 	c.absorb(step, recv)
 	if step > c.t {
@@ -118,19 +123,14 @@ func (c *Collector) Step(step int, recv []sim.Message) (send []sim.Message, done
 		return nil, true
 	}
 	if step == 1 {
-		send = make([]sim.Message, c.env.Degree)
+		c.send = make([]sim.Message, c.env.Degree)
 		self := c.known[c.name]
-		for p := range send {
-			send[p] = stepOneMsg{Rec: Record{Name: self.Name, Degree: self.Degree, Input: self.Input}, SenderPort: p}
+		for p := range c.send {
+			c.send[p] = stepOneMsg{Rec: Record{Name: self.Name, Degree: self.Degree, Input: self.Input}, SenderPort: p}
 		}
-		return send, false
+		return c.send, false
 	}
-	var msg sim.Message = floodMsg{Recs: c.delta()}
-	send = make([]sim.Message, c.env.Degree)
-	for p := range send {
-		send[p] = msg
-	}
-	return send, false
+	return sim.BroadcastInto(&c.send, c.env.Degree, floodMsg{Recs: c.delta()}), false
 }
 
 // delta returns the records changed since the last flood, sorted by name so

@@ -11,8 +11,10 @@ build:
 	$(GO) build ./...
 	$(GO) build -C _perfbench -o /dev/null .
 
+# _perfbench's own tests (its run statistics) run offline in seconds.
 test:
 	$(GO) test ./...
+	$(GO) test -C _perfbench ./...
 
 vet:
 	$(GO) vet ./...

@@ -39,14 +39,14 @@ const allocTolerance = 0.02
 var allocBudget = map[string]float64{
 	"E1":  154_487,
 	"E2":  53_952,
-	"E3":  2_987_891,
+	"E3":  2_981_844,
 	"E4":  22_499,
 	"E5":  381_415,
 	"E6":  17_880,
 	"E7":  76_440,
 	"E8":  129_662,
 	"E9":  33_085,
-	"E10": 572_200,
+	"E10": 545_217,
 	"E11": 19_186,
 	"E12": 31_187,
 	"E13": 386_586,

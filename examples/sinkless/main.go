@@ -28,7 +28,7 @@ func main() {
 
 	// Randomized sinkless orientation.
 	res, err := sim.Run(ecg.Graph, sim.Config{Randomized: true, Seed: 11, Inputs: inputs},
-		locality.NewSinklessOrientationFactory(sinkless.OrientOptions{}))
+		locality.NewSinklessOrientationFactory())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func main() {
 	// Lemma 2 direction: coloring from orientation, zero extra rounds.
 	cres, err := sim.Run(ecg.Graph, sim.Config{Randomized: true, Seed: 11, Inputs: inputs},
 		locality.NewColoringFromOrientationFactory(
-			locality.NewSinklessOrientationFactory(sinkless.OrientOptions{})))
+			locality.NewSinklessOrientationFactory()))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -199,6 +199,55 @@ func TestT10EngineEquivalence(t *testing.T) {
 	}
 }
 
+// TestPhase2Palettes runs both theorems where Phase 2 colors some vertices
+// and checks where its colors land: Theorem 10 colors its bad components
+// with the reserved colors Δ-⌈√Δ⌉+1..Δ, and Theorem 11 colors S with 1..3.
+func TestPhase2Palettes(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		g      *graph.Graph
+		delta  int
+		f      sim.Factory
+		lo, hi int
+	}{
+		// E3's quick shape at slack 2: Δ = 36 reserves ⌈√36⌉ = 6 colors.
+		{"t10", graph.CompleteKAry(35, 2), 36, core.NewT10Factory(core.T10Options{Delta: 36, PaletteSlack: 2}), 31, 36},
+		{"t11", graph.RandomTree(200, 4, rng.New(9)), 4, core.NewT11Factory(core.T11Options{Delta: 4}), 1, 3},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			res, err := sim.Run(c.g, randomized(14), c.f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			colors := core.Colors(res.Outputs)
+			if err := lcl.Coloring(c.delta).Validate(lcl.Instance{G: c.g}, lcl.IntLabels(colors)); err != nil {
+				t.Fatal(err)
+			}
+			phase2 := 0
+			for v, o := range res.Outputs {
+				phase := 0
+				switch r := o.(type) {
+				case core.T10Result:
+					phase = r.Phase
+				case core.T11Result:
+					phase = r.Phase
+				}
+				if phase != 2 {
+					continue
+				}
+				phase2++
+				if colors[v] < c.lo || colors[v] > c.hi {
+					t.Errorf("vertex %d: Phase 2 color %d outside %d..%d", v, colors[v], c.lo, c.hi)
+				}
+			}
+			if phase2 == 0 {
+				t.Fatal("Phase 2 colored nothing")
+			}
+			t.Logf("%d of %d vertices colored in Phase 2", phase2, c.g.N())
+		})
+	}
+}
+
 // TestFactoryReusedAcrossSizes runs one T10 and one T11 factory on two graph
 // sizes and back: every run must get the plan of its own n.
 func TestFactoryReusedAcrossSizes(t *testing.T) {

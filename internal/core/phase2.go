@@ -6,15 +6,20 @@ import (
 	"locality/internal/sim"
 )
 
-// phase2Defaults fills the Phase 2 options Theorems 10 and 11 share: a
-// zero size bound means max(32, 8·ceil(log2 n)) and zero ID bits mean 40.
-func phase2Defaults(n int, sizeBound, idBits *int) {
-	if *sizeBound == 0 {
-		*sizeBound = mathx.Max(32, 8*mathx.CeilLog2(n+1))
+// idBits is the length of the random identifiers Theorems 10 and 11 draw
+// (collision probability n²/2^idBits).
+const idBits = 40
+
+// randomID draws a vertex's random identifier in 1..2^idBits.
+func randomID(env sim.Env) uint64 { return env.Rand.Uint64()%(1<<idBits) + 1 }
+
+// phase2SizeBound resolves the Phase 2 size bound Theorems 10 and 11
+// share: zero means max(32, 8·ceil(log2 n)).
+func phase2SizeBound(n, sizeBound int) int {
+	if sizeBound == 0 {
+		return mathx.Max(32, 8*mathx.CeilLog2(n+1))
 	}
-	if *idBits == 0 {
-		*idBits = 40
-	}
+	return sizeBound
 }
 
 // phase2Plan is the Phase 2 part of a Theorem 10 or 11 schedule: the
@@ -29,7 +34,7 @@ type phase2Plan struct {
 
 // newPhase2Plan plans Phase 2 on components of at most sizeBound vertices
 // with idBits-bit random IDs, starting at outer step start.
-func newPhase2Plan(n, q, sizeBound, idBits, start int) phase2Plan {
+func newPhase2Plan(n, q, sizeBound, start int) phase2Plan {
 	fopt := forest.Options{Q: q, SizeBound: sizeBound, IDSpace: 1 << idBits}
 	fplan := forest.NewPlan(fopt.Resolve(n))
 	return phase2Plan{forest: fplan, start: start, end: start + fplan.Rounds() + 1}
@@ -41,9 +46,10 @@ func (p *phase2Plan) owns(step int) bool { return step > p.start && step <= p.en
 
 // phase2 is the Phase 2 driver Theorems 10 and 11 embed. Only members of
 // the forest's vertex set (T10's bad vertices, T11's S) build an inner
-// machine: outside the forest's induced subgraph it would halt at its
-// first step, sending nothing and drawing no randomness, so a non-member
-// is done from the start.
+// machine. A non-member is done from the start and never sends, and the
+// forest machine reads a port that stays silent from its first step on as
+// a neighbor outside the forest, so the inner machines color exactly the
+// induced subgraph of the members.
 type phase2 struct {
 	window *phase2Plan // the run's Phase 2 plan, set at startForest
 	inner  sim.Machine // nil for a non-member and after the harvest
@@ -51,18 +57,16 @@ type phase2 struct {
 }
 
 // startForest runs at step plan.start. A member builds its inner machine
-// on the run's shared forest plan, with identifier id and the output
-// colors offset+1..offset+Q.
-func (f *phase2) startForest(plan *phase2Plan, env sim.Env, member bool, id uint64, offset int) {
+// on the run's shared forest plan and relabels it with its random
+// identifier id, as speedup's relabel machine does.
+func (f *phase2) startForest(plan *phase2Plan, env sim.Env, member bool, id uint64) {
 	f.window = plan
 	if !member {
 		f.done = true
 		return
 	}
-	f.inner = forest.NewMachine(&plan.forest, forest.Options{
-		ColorOffset: offset,
-		IDOf:        func(sim.Env) uint64 { return id },
-	})
+	env.ID, env.HasID = id, true
+	f.inner = forest.NewMachine(&plan.forest)
 	f.inner.Init(env)
 }
 
@@ -93,14 +97,18 @@ func (f *phase2) SleepUntil() int {
 }
 
 // harvestForest runs at step plan.end+1 and returns the color Phase 2 gave
-// the vertex, 0 for a non-member. ok is false when the inner machine left a
-// member without a color (its component broke the size bound, or random
-// IDs collided): the vertex then fails.
-func (f *phase2) harvestForest() (color int, ok bool) {
+// the vertex, shifted into offset+1..offset+Q, or 0 for a non-member. ok is
+// false when the inner machine left a member without a color (its
+// component broke the size bound, or random IDs collided): the vertex then
+// fails.
+func (f *phase2) harvestForest(offset int) (color int, ok bool) {
 	if f.inner == nil {
 		return 0, true
 	}
 	color = f.inner.Output().(int)
 	f.inner = nil
-	return color, color != 0
+	if color == 0 {
+		return 0, false
+	}
+	return offset + color, true
 }

@@ -17,8 +17,6 @@ type T10Options struct {
 	// max(32, 8·ceil(log2 n)) (the paper proves Δ⁴·log n; measured
 	// components are far smaller, see experiment E3).
 	SizeBound int
-	// IDBits is the length of Phase 2's random identifiers; 0 means 40.
-	IDBits int
 	// PaletteSlack is the Filtering(1) threshold divisor: a vertex is bad
 	// after round 1 if |Ψ₂|-|N'₂| < Δ/PaletteSlack. The paper uses 200 in
 	// the analysis; the default 8 is the practical choice documented in
@@ -67,7 +65,7 @@ type t10Plan struct {
 }
 
 func newT10Plan(n int, opt T10Options) t10Plan {
-	phase2Defaults(n, &opt.SizeBound, &opt.IDBits)
+	opt.SizeBound = phase2SizeBound(n, opt.SizeBound)
 	if opt.PaletteSlack == 0 {
 		opt.PaletteSlack = 8
 	}
@@ -78,7 +76,7 @@ func newT10Plan(n int, opt T10Options) t10Plan {
 	// Step layout: step 1 hello; iterations i = 1..t occupy steps 2i, 2i+1.
 	p.p1End = 1 + 2*p.iters
 	p.markBad = p.p1End + 1
-	p.p2 = newPhase2Plan(n, p.reserve, opt.SizeBound, opt.IDBits, p.markBad)
+	p.p2 = newPhase2Plan(n, p.reserve, opt.SizeBound, p.markBad)
 	p.total = p.p2.end + 2 // harvest step, then halt
 	return p
 }
@@ -160,7 +158,7 @@ func (m *t10) Init(env sim.Env) {
 	}
 	m.env = env
 	m.plan = m.plans.Get(env)
-	m.id = env.Rand.Uint64()%(1<<m.plan.opt.IDBits) + 1
+	m.id = randomID(env)
 	// Colors 1..Δ-√Δ; index 0 is unused in both sets.
 	k, d := m.plan.opt.Delta-m.plan.reserve+1, env.Degree
 	flags := make([]bool, 2*k+2*d)
@@ -262,10 +260,10 @@ func (m *t10) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
 		// Only uncoloured vertices get here: Filtering(t) makes every
 		// survivor bad.
 		m.bad = true
-		m.startForest(&pl.p2, m.env, true, m.id, pl.opt.Delta-pl.reserve)
+		m.startForest(&pl.p2, m.env, true, m.id)
 		return nil, false
 	case step == pl.p2.end+1:
-		c, ok := m.harvestForest()
+		c, ok := m.harvestForest(pl.opt.Delta - pl.reserve)
 		if !ok {
 			m.failed = true
 			return nil, true

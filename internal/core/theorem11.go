@@ -17,9 +17,6 @@ type T11Options struct {
 	// SizeBound caps the shattered components Phase 2 must color; 0 means
 	// max(32, 8·ceil(log2 n)), matching the O(log n) whp bound.
 	SizeBound int
-	// IDBits is the length of the random identifiers (collision
-	// probability n²/2^IDBits); 0 means 40.
-	IDBits int
 }
 
 // T11Result is the per-vertex output of the Theorem 11 machine.
@@ -69,9 +66,9 @@ type t11Plan struct {
 }
 
 func newT11Plan(n int, opt T11Options) t11Plan {
-	phase2Defaults(n, &opt.SizeBound, &opt.IDBits)
+	opt.SizeBound = phase2SizeBound(n, opt.SizeBound)
 	p := t11Plan{opt: opt}
-	p.boot = linial.NewReduction(1<<opt.IDBits, opt.Delta, opt.Delta+1, true)
+	p.boot = linial.NewReduction(1<<idBits, opt.Delta, opt.Delta+1, true)
 	p.iters = mathx.Max(0, opt.Delta-3) // colors Δ down to 4
 	// Step layout:
 	//   1:                      draw ID, broadcast
@@ -81,7 +78,7 @@ func newT11Plan(n int, opt T11Options) t11Plan {
 	p.p1End = p.bootEnd + p.iters*(opt.Delta+3) + 1
 	//   S detection consumes the finalize broadcasts.
 	p.sDetect = p.p1End + 1
-	p.p2 = newPhase2Plan(n, 3, opt.SizeBound, opt.IDBits, p.sDetect)
+	p.p2 = newPhase2Plan(n, 3, opt.SizeBound, p.sDetect)
 	// One harvest step after the forest window, then Phase 3.
 	p.p3Start = p.p2.end + 2
 	// Phase 3 locals: 1 settle + (Δ+1) M1 sweep + (Δ+1) M2 sweep + 3
@@ -158,7 +155,7 @@ func (m *t11) Init(env sim.Env) {
 	}
 	m.env = env
 	m.plan = m.plans.Get(env)
-	m.id = env.Rand.Uint64()%(1<<m.plan.opt.IDBits) + 1
+	m.id = randomID(env)
 	m.base = int(m.id) - 1
 	m.inU = true
 	d := env.Degree
@@ -209,10 +206,10 @@ func (m *t11) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
 		m.phase1Step(step - pl.bootEnd)
 	case step == pl.sDetect:
 		m.detectS()
-		m.startForest(&pl.p2, m.env, m.inS, m.id, 0)
+		m.startForest(&pl.p2, m.env, m.inS, m.id)
 	case step < pl.p3Start:
 		// Buffer step after the forest window: collect phase-2 colors.
-		if c, ok := m.harvestForest(); !ok {
+		if c, ok := m.harvestForest(0); !ok {
 			m.failed = true // Phase 2 left the vertex without a color
 		} else if c != 0 {
 			m.color, m.phase, m.inU = c, 2, false // 1..3

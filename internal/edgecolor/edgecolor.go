@@ -24,17 +24,6 @@ import (
 	"locality/internal/sim"
 )
 
-// Options configures the edge-coloring machine.
-type Options struct {
-	// IDSpace bounds the vertex IDs (1..IDSpace); 0 means Env.N.
-	IDSpace int
-	// Delta bounds the maximum degree; 0 means Env.MaxDeg.
-	Delta int
-	// Target is the final palette; 0 means 2Δ-1 (it must be at least
-	// 2Δ-1 so a free color always exists during reductions).
-	Target int
-}
-
 // Result is the per-vertex output: the final color of each incident edge in
 // port order. Both endpoints of an edge compute the same color; the
 // EdgeColors helper reconciles per-vertex outputs into a per-edge table and
@@ -45,39 +34,29 @@ type Result struct {
 
 // Plan is the reduction schedule every machine of a run shares read-only.
 type Plan struct {
-	opt Options // resolved against the graph
-	red linial.Reduction
+	idSpace int // vertex IDs lie in 1..idSpace
+	palette int // final colors lie in 1..palette
+	red     linial.Reduction
 }
 
-// NewPlan resolves opt against a graph with n vertices and maximum degree
-// maxDeg and plans the line-graph reduction: Theorem 2 from the IDSpace²
-// palette on line-graph degree 2Δ-2, then Kuhn–Wattenhofer down to Target.
-func NewPlan(opt Options, n, maxDeg int) Plan {
-	if opt.IDSpace == 0 {
-		opt.IDSpace = n
-	}
-	if opt.Delta == 0 {
-		opt.Delta = maxDeg
-	}
-	if opt.Target == 0 {
-		opt.Target = mathx.Max(1, 2*opt.Delta-1)
-	}
-	if opt.Target < 2*opt.Delta-1 {
-		panic(fmt.Sprintf("edgecolor: target %d below 2Δ-1 = %d", opt.Target, 2*opt.Delta-1))
-	}
-	k0 := opt.IDSpace * opt.IDSpace
-	return Plan{opt: opt, red: linial.NewReduction(k0, mathx.Max(1, 2*opt.Delta-2), opt.Target, true)}
+// NewPlan plans the line-graph reduction on a graph with n vertices (IDs
+// 1..n) and maximum degree Δ = maxDeg: Theorem 2 from the n² palette on
+// line-graph degree 2Δ-2, then Kuhn–Wattenhofer down to 2Δ-1 colors.
+func NewPlan(n, maxDeg int) Plan {
+	palette := mathx.Max(1, 2*maxDeg-1)
+	return Plan{idSpace: n, palette: palette,
+		red: linial.NewReduction(n*n, mathx.Max(1, 2*maxDeg-2), palette, true)}
 }
 
 // Rounds is the round count of a machine on p.
 func (p *Plan) Rounds() int { return 1 + p.red.Steps() }
 
-// Palette is the resolved Target: final colors lie in 1..Palette().
-func (p *Plan) Palette() int { return p.opt.Target }
+// Palette is the final palette 2Δ-1: colors lie in 1..Palette().
+func (p *Plan) Palette() int { return p.palette }
 
 // Rounds predicts the machine's round count.
-func Rounds(opt Options, n, maxDeg int) int {
-	p := NewPlan(opt, n, maxDeg)
+func Rounds(n, maxDeg int) int {
+	p := NewPlan(n, maxDeg)
 	return p.Rounds()
 }
 
@@ -108,8 +87,8 @@ type machine struct {
 var _ sim.Machine = (*machine)(nil)
 
 // NewFactory returns the deterministic (2Δ-1)-edge-coloring machine.
-func NewFactory(opt Options) sim.Factory {
-	plans := sim.NewPlanMemo(func(n, maxDeg int) Plan { return NewPlan(opt, n, maxDeg) })
+func NewFactory() sim.Factory {
+	plans := sim.NewPlanMemo(NewPlan)
 	return func() sim.Machine { return &machine{plans: plans} }
 }
 
@@ -164,14 +143,14 @@ func (m *machine) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
 	}
 }
 
-// initialColor ranks the ID pair in the IDSpace² palette; both endpoints
-// compute the same value.
+// initialColor ranks the ID pair in the n² palette; both endpoints compute
+// the same value.
 func (m *machine) initialColor(a, b uint64) int {
 	lo, hi := a, b
 	if lo > hi {
 		lo, hi = hi, lo
 	}
-	return int(lo-1)*m.plan.opt.IDSpace + int(hi-1)
+	return int(lo-1)*m.plan.idSpace + int(hi-1)
 }
 
 // reduce applies reduction step i to every incident edge, from the union

@@ -11,9 +11,9 @@ import (
 )
 
 // runEdgeColor executes the machine and returns the reconciled edge colors.
-func runEdgeColor(t *testing.T, g *graph.Graph, assignment ids.Assignment, opt edgecolor.Options) ([]int, int) {
+func runEdgeColor(t *testing.T, g *graph.Graph, assignment ids.Assignment) ([]int, int) {
 	t.Helper()
-	res, err := sim.Run(g, sim.Config{IDs: assignment, MaxRounds: 10000}, edgecolor.NewFactory(opt))
+	res, err := sim.Run(g, sim.Config{IDs: assignment, MaxRounds: 10000}, edgecolor.NewFactory())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,14 +50,14 @@ func TestEdgeColoringVariety(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			n := tt.g.N()
-			colors, rounds := runEdgeColor(t, tt.g, ids.Shuffled(n, r), edgecolor.Options{})
+			colors, rounds := runEdgeColor(t, tt.g, ids.Shuffled(n, r))
 			delta := tt.g.MaxDegree()
 			palette := 2*delta - 1
 			if palette < 1 {
 				palette = 1
 			}
 			checkProper(t, tt.g, colors, palette)
-			if want := edgecolor.Rounds(edgecolor.Options{}, n, delta); rounds != want {
+			if want := edgecolor.Rounds(n, delta); rounds != want {
 				t.Errorf("rounds %d, predicted %d", rounds, want)
 			}
 		})
@@ -69,7 +69,7 @@ func TestEdgeColoringRoundsLogStar(t *testing.T) {
 	var rounds []int
 	for _, n := range []int{128, 1024, 8192} {
 		g := graph.RandomTree(n, 4, r)
-		_, rds := runEdgeColor(t, g, ids.Shuffled(n, r), edgecolor.Options{})
+		_, rds := runEdgeColor(t, g, ids.Shuffled(n, r))
 		rounds = append(rounds, rds)
 	}
 	// O(log* n + Δ log Δ): growth across a 64x size increase stays tiny.
@@ -85,7 +85,7 @@ func TestEdgeColoringEngineEquivalence(t *testing.T) {
 	var prev []int
 	for _, engine := range []sim.Engine{sim.EngineSequential, sim.EngineConcurrent} {
 		res, err := sim.Run(g, sim.Config{IDs: assignment, Engine: engine, MaxRounds: 10000},
-			edgecolor.NewFactory(edgecolor.Options{}))
+			edgecolor.NewFactory())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,16 +110,9 @@ func TestEdgeColoringPortShuffleInvariance(t *testing.T) {
 	sg := g.ShufflePorts(r)
 	assignment := ids.Shuffled(120, r)
 	for _, gg := range []*graph.Graph{g, sg} {
-		colors, _ := runEdgeColor(t, gg, assignment, edgecolor.Options{})
+		colors, _ := runEdgeColor(t, gg, assignment)
 		checkProper(t, gg, colors, 2*gg.MaxDegree()-1)
 	}
-}
-
-func TestEdgeColoringWiderTarget(t *testing.T) {
-	r := rng.New(11)
-	g := graph.RandomTree(100, 4, r)
-	colors, _ := runEdgeColor(t, g, ids.Shuffled(100, r), edgecolor.Options{Target: 12})
-	checkProper(t, g, colors, 12)
 }
 
 func TestEdgeColorsDetectsDisagreement(t *testing.T) {

@@ -157,7 +157,7 @@ func TestEngineEquivalenceUnderFaults(t *testing.T) {
 			DropProb:   0.05,
 			DupProb:    0.05,
 		}
-		factory := plan.Wrap(g, mis.NewLubyFactory(mis.LubyOptions{}))
+		factory := plan.Wrap(g, mis.NewLubyFactory())
 		cfg := sim.Config{Randomized: true, Seed: uint64(trial), MaxRounds: 1 << 12}
 		cfg.Engine = sim.EngineSequential
 		seq, err := sim.Run(g, cfg, factory)
@@ -182,7 +182,7 @@ func TestFaultyRunsDegradeVisibly(t *testing.T) {
 	g := graph.RandomTree(200, 5, r)
 	plan := fault.Plan{Seed: 3, CrashFrac: 0.2, CrashRound: 2}
 	res, err := sim.Run(g, sim.Config{Randomized: true, Seed: 11, MaxRounds: 1 << 12},
-		plan.Wrap(g, mis.NewLubyFactory(mis.LubyOptions{})))
+		plan.Wrap(g, mis.NewLubyFactory()))
 	if err != nil {
 		t.Fatal(err)
 	}

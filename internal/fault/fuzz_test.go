@@ -66,7 +66,7 @@ func FuzzFaultPlan(f *testing.F) {
 				MaxRounds:  1 << 11,
 				Engine:     engine,
 			}
-			return sim.Run(g, cfg, plan.Wrap(g, mis.NewLubyFactory(mis.LubyOptions{})))
+			return sim.Run(g, cfg, plan.Wrap(g, mis.NewLubyFactory()))
 		}
 		seq1, err1 := run(sim.EngineSequential)
 		seq2, err2 := run(sim.EngineSequential)

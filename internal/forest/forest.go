@@ -36,10 +36,12 @@
 // paper's algorithms (q = 3, q = √Δ, q = Δ with moderate Δ) the measured
 // growth in n keeps the O(log n) vs O(log log n) separation shapes intact.
 //
-// The machine supports restriction to an induced subgraph (Active hook) and
-// an externally supplied size bound, which is exactly how Theorems 10 and
-// 11 invoke it on the poly(log n)-size shattered components, and an
-// IDOf hook so RandLOCAL callers can feed random-bit identifiers.
+// The machine takes an externally supplied component size bound and ID
+// space, which is how Theorems 10 and 11 invoke it on the poly(log n)-size
+// shattered components under random-bit identifiers: they build a machine
+// only at the component vertices, relabel its Env.ID, and shift its colors
+// into their own palette (see core's phase2). A neighbor whose port stays
+// silent from the first step on is read as "not in the forest".
 package forest
 
 import (
@@ -52,28 +54,19 @@ import (
 
 // Options configures the forest coloring machine.
 type Options struct {
-	// Q is the palette size; the output colors are ColorOffset+1 ..
-	// ColorOffset+Q. Q must be at least 3.
+	// Q is the palette size; the output colors are 1..Q. Q must be at
+	// least 3.
 	Q int
 	// A is the peeling threshold (1 < A <= Q-1). Zero selects
 	// min(Q-1, 8); see the package comment.
 	A int
 	// SizeBound is the bound on the number of vertices of any connected
-	// component of the (active) forest; it fixes the peeling budget. Zero
-	// means "use Env.N".
+	// component of the forest; it fixes the peeling budget. Zero means
+	// "use Env.N".
 	SizeBound int
-	// IDSpace bounds the identifiers delivered by IDOf: IDs lie in
-	// 1..IDSpace. Zero means "use Env.N" (the DetLOCAL convention).
+	// IDSpace bounds the identifiers: Env.ID lies in 1..IDSpace. Zero
+	// means "use Env.N" (the DetLOCAL convention).
 	IDSpace int
-	// IDOf extracts the vertex identifier; nil means Env.ID.
-	IDOf func(env sim.Env) uint64
-	// Active restricts the run to an induced subgraph; nil means all
-	// vertices participate. Inactive vertices halt immediately with
-	// output 0.
-	Active func(env sim.Env) bool
-	// ColorOffset shifts the output palette; Theorem 10 uses it to color
-	// shattered components with the reserved colors Δ-√Δ+1..Δ.
-	ColorOffset int
 }
 
 // Resolve returns a copy of o with zero values filled in against the graph
@@ -119,8 +112,7 @@ func PeelRounds(n, a int) int {
 
 // Plan is the precomputed round schedule of a run. Every machine of a run
 // reads the same *Plan and none writes it; it depends on the resolved
-// numeric options (Q, A, SizeBound, IDSpace) only, never on the per-node
-// IDOf/Active hooks or the ColorOffset.
+// options only.
 type Plan struct {
 	Opt  Options
 	Peel int // peeling rounds P
@@ -151,27 +143,25 @@ func (p Plan) Rounds() int {
 // linialStep reports whether step is one of the reduction's Linial steps.
 func (p *Plan) linialStep(step int) bool {
 	i := step - p.Peel - 3
-	return i >= 0 && i < p.red.Steps() && p.red.SweepClass(i) < 0
+	return i >= 0 && i < p.red.LinialSteps()
 }
 
 // NewFactory returns the forest coloring machine factory.
-// Output: final color in ColorOffset+1..ColorOffset+Q for active vertices,
-// 0 for inactive ones.
+// Output: final color in 1..Q, or 0 when the vertex failed.
 func NewFactory(opt Options) sim.Factory {
 	opt.validate()
 	plans := sim.NewPlanMemo(func(n, _ int) Plan { return NewPlan(opt.Resolve(n)) })
-	return func() sim.Machine { return &machine{opt: opt, plans: plans} }
+	return func() sim.Machine { return &machine{plans: plans} }
 }
 
 // NewMachine returns one forest coloring machine that runs on a plan its
 // caller already holds; Theorems 10 and 11 embed it this way as their
-// Phase 2. The plan fixes Q, A, SizeBound and IDSpace; of opt only the
-// IDOf and Active hooks and the ColorOffset are read.
-func NewMachine(plan *Plan, opt Options) sim.Machine {
-	return &machine{opt: opt, plan: plan}
+// Phase 2.
+func NewMachine(plan *Plan) sim.Machine {
+	return &machine{plan: plan}
 }
 
-// status is the single message type: an active vertex broadcasts its full
+// status is the single message type: a vertex broadcasts its full
 // status whenever it changed, and resends an unchanged one only before a
 // Linial step (see Step). A receiver keeps the last status each port
 // delivered, so between changes its copy is current. The LOCAL model does
@@ -182,16 +172,13 @@ type status struct {
 	Peeled bool
 	Layer  int
 	HColor int // current arb-Linial/H-sweep color (0-based), -1 before start
-	Final  int // final color (1-based, incl. offset), 0 if not yet assigned
+	Final  int // final color (1-based), 0 if not yet assigned
 }
 
 type machine struct {
-	opt    Options // IDOf, Active and ColorOffset; the rest is read from plan.Opt
-	plans  *sim.PlanMemo[Plan]
-	plan   *Plan
-	env    sim.Env
-	active bool
-	id     uint64
+	plans *sim.PlanMemo[Plan]
+	plan  *Plan
+	env   sim.Env
 
 	peeled bool
 	layer  int
@@ -225,20 +212,11 @@ func (m *machine) Init(env sim.Env) {
 	if m.plan == nil {
 		m.plan = m.plans.Get(env)
 	}
-	m.active = m.opt.Active == nil || m.opt.Active(env)
-	if !m.active {
-		return // it halts at its first step
+	if !env.HasID {
+		panic("forest: run without IDs (a RandLOCAL caller relabels Env.ID)")
 	}
-	if m.opt.IDOf != nil {
-		m.id = m.opt.IDOf(env)
-	} else {
-		if !env.HasID {
-			panic("forest: DetLOCAL run without IDs and no IDOf hook")
-		}
-		m.id = env.ID
-	}
-	if m.id < 1 || m.id > uint64(m.plan.Opt.IDSpace) {
-		panic(fmt.Sprintf("forest: ID %d outside 1..%d", m.id, m.plan.Opt.IDSpace))
+	if env.ID < 1 || env.ID > uint64(m.plan.Opt.IDSpace) {
+		panic(fmt.Sprintf("forest: ID %d outside 1..%d", env.ID, m.plan.Opt.IDSpace))
 	}
 	d, q := env.Degree, m.plan.Opt.Q
 	flags := make([]bool, 4*d+q)
@@ -252,7 +230,7 @@ func (m *machine) Init(env sim.Env) {
 
 // Step phases (P = plan.Peel, R = plan.red.Steps(), F = plan.Final):
 //
-//	step 1:               hello broadcast (inactive vertices halt)
+//	step 1:               hello broadcast
 //	steps 2..P+1:         peeling round r = step-1
 //	step P+2:             layers settled; derive parents; hcolor = ID-1
 //	steps P+3..P+2+R:     reduction step step-(P+3): arb-Linial, then the
@@ -260,7 +238,7 @@ func (m *machine) Init(env sim.Env) {
 //	steps P+3+R..P+2+R+F: final sweep over (layer desc, h-class asc)
 //	step P+3+R+F:         halt
 func (m *machine) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
-	if !m.active || m.failed {
+	if m.failed {
 		return nil, true
 	}
 	m.absorb(recv)
@@ -299,7 +277,7 @@ func (m *machine) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
 }
 
 func (m *machine) statusNow() status {
-	return status{ID: m.id, Peeled: m.peeled, Layer: m.layer, HColor: m.hcolor, Final: m.final}
+	return status{ID: m.env.ID, Peeled: m.peeled, Layer: m.layer, HColor: m.hcolor, Final: m.final}
 }
 
 func (m *machine) absorb(recv []sim.Message) {
@@ -318,8 +296,8 @@ func (m *machine) absorb(recv []sim.Message) {
 	}
 }
 
-// peelStep runs one synchronous peeling round: vertices whose active
-// unpeeled degree is at most A remove themselves.
+// peelStep runs one synchronous peeling round: vertices whose unpeeled
+// degree is at most A remove themselves.
 func (m *machine) peelStep(round int) {
 	if m.peeled {
 		return
@@ -336,7 +314,7 @@ func (m *machine) peelStep(round int) {
 	}
 }
 
-// settleLayers freezes the orientation: parents are active neighbors peeled
+// settleLayers freezes the orientation: parents are forest neighbors peeled
 // strictly later, or in the same layer with a larger ID. It also seeds the
 // arb-Linial color.
 func (m *machine) settleLayers() {
@@ -349,19 +327,19 @@ func (m *machine) settleLayers() {
 	parents := 0
 	for p := range m.nbr {
 		if !m.heard[p] {
-			continue // inactive neighbor
+			continue // not in the forest: its port stayed silent
 		}
 		st := m.nbr[p]
 		if !st.Peeled {
 			m.failed = true
 			return
 		}
-		if st.ID == m.id {
+		if st.ID == m.env.ID {
 			// Externally supplied IDs collided between neighbors.
 			m.failed = true
 			return
 		}
-		if st.Layer > m.layer || (st.Layer == m.layer && st.ID > m.id) {
+		if st.Layer > m.layer || (st.Layer == m.layer && st.ID > m.env.ID) {
 			m.parentOf[p] = true
 			parents++
 		}
@@ -372,19 +350,18 @@ func (m *machine) settleLayers() {
 	if parents > m.plan.Opt.A {
 		panic(fmt.Sprintf("forest: %d parents exceed threshold A=%d (internal bug)", parents, m.plan.Opt.A))
 	}
-	m.hcolor = int(m.id) - 1
+	m.hcolor = int(m.env.ID) - 1
 }
 
 // reduceStep applies reduction step i (0-based): a Linial step reduces
 // against the parents' colors only, an H-sweep step recolors one class
 // against the colors of the same-layer neighbors.
 func (m *machine) reduceStep(i int) {
-	class := m.plan.red.SweepClass(i) // -1 at a Linial step: the plan has no KW sweep
-	if class >= 0 && m.hcolor != class {
+	if class := m.plan.red.SweepClass(i); class >= 0 && m.hcolor != class {
 		return // not the class this sweep step recolors
 	}
 	nbrs := m.nbrColors[:0]
-	if class < 0 {
+	if i < m.plan.red.LinialSteps() {
 		for p := range m.nbr {
 			if m.parentOf[p] {
 				if !m.fresh[p] || m.nbr[p].HColor == m.hcolor {
@@ -425,7 +402,7 @@ func (m *machine) finalStep(k int) {
 		}
 	}
 	m.nbrColors = nbrs
-	c, ok := linial.FreeColor(nbrs, m.opt.ColorOffset+1, m.plan.Opt.Q, &m.used)
+	c, ok := linial.FreeColor(nbrs, 1, m.plan.Opt.Q, &m.used)
 	if !ok {
 		panic("forest: final sweep found no free color (constraints exceed Q-1?)")
 	}

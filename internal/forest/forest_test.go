@@ -109,21 +109,63 @@ func TestRoundsMatchPlanAndGrowLogarithmically(t *testing.T) {
 	}
 }
 
+// memberFactory runs the forest machine at the vertices member selects
+// only, as Theorems 10 and 11 do in their Phase 2: a non-member halts at
+// step 1 without sending, with output 0, so its neighbors hear nothing
+// from it from the first step on.
+func memberFactory(opt forest.Options, member func(v int) bool) sim.Factory {
+	inner := forest.NewFactory(opt)
+	return func() sim.Machine { return &memberMachine{inner: inner(), member: member} }
+}
+
+type memberMachine struct {
+	inner  sim.Machine
+	member func(v int) bool
+	in     bool
+}
+
+func (m *memberMachine) Init(env sim.Env) {
+	if m.in = m.member(env.Node); m.in {
+		m.inner.Init(env)
+	}
+}
+
+func (m *memberMachine) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
+	if !m.in {
+		return nil, true
+	}
+	return m.inner.Step(step, recv)
+}
+
+func (m *memberMachine) Output() any {
+	if !m.in {
+		return 0
+	}
+	return m.inner.Output()
+}
+
+func runMembers(t *testing.T, g *graph.Graph, assignment ids.Assignment, opt forest.Options, member func(v int) bool) []int {
+	t.Helper()
+	res, err := sim.Run(g, sim.Config{IDs: assignment, MaxRounds: 100000}, memberFactory(opt, member))
+	if err != nil {
+		t.Fatalf("run failed: %v", err)
+	}
+	return sim.IntOutputs(res)
+}
+
 func TestActiveSubgraphRestriction(t *testing.T) {
-	// Color only the odd-index vertices of a path: the active subgraph is
-	// an independent set plus nothing — every active vertex should get a
-	// color, inactive stay 0.
+	// Color only the odd-index vertices of a path: the member subgraph is
+	// an independent set — every member should get a color, non-members
+	// stay 0.
 	r := rng.New(5)
 	g := graph.Path(20)
-	active := func(env sim.Env) bool { return env.Node%2 == 1 }
-	opt := forest.Options{Q: 3, Active: active}
-	colors, _ := runColoring(t, g, ids.Shuffled(20, r), opt)
+	colors := runMembers(t, g, ids.Shuffled(20, r), forest.Options{Q: 3}, func(v int) bool { return v%2 == 1 })
 	for v, c := range colors {
 		if v%2 == 0 && c != 0 {
-			t.Errorf("inactive vertex %d colored %d", v, c)
+			t.Errorf("non-member %d colored %d", v, c)
 		}
 		if v%2 == 1 && (c < 1 || c > 3) {
-			t.Errorf("active vertex %d has color %d", v, c)
+			t.Errorf("member %d has color %d", v, c)
 		}
 	}
 }
@@ -137,60 +179,14 @@ func TestActiveSubgraphComponent(t *testing.T) {
 	for v := 20; v < 40; v++ {
 		isActive[v] = true
 	}
-	opt := forest.Options{
-		Q:         3,
-		SizeBound: 25,
-		Active:    func(env sim.Env) bool { return isActive[env.Node] },
-	}
-	colors, _ := runColoring(t, g, ids.Shuffled(100, r), opt)
+	opt := forest.Options{Q: 3, SizeBound: 25}
+	colors := runMembers(t, g, ids.Shuffled(100, r), opt, func(v int) bool { return isActive[v] })
 	sub, _, n2o := g.InducedSubgraph(isActive)
 	subColors := make([]int, sub.N())
 	for nv, ov := range n2o {
 		subColors[nv] = colors[ov]
 	}
 	if err := lcl.Coloring(3).Validate(lcl.Instance{G: sub}, lcl.IntLabels(subColors)); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestColorOffset(t *testing.T) {
-	r := rng.New(11)
-	g := graph.RandomTree(60, 4, r)
-	opt := forest.Options{Q: 4, ColorOffset: 50}
-	colors, _ := runColoring(t, g, ids.Shuffled(60, r), opt)
-	for v, c := range colors {
-		if c < 51 || c > 54 {
-			t.Fatalf("vertex %d color %d outside 51..54", v, c)
-		}
-	}
-	// Offset palette must still be proper.
-	shifted := make([]int, len(colors))
-	for v, c := range colors {
-		shifted[v] = c - 50
-	}
-	if err := lcl.Coloring(4).Validate(lcl.Instance{G: g}, lcl.IntLabels(shifted)); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestIDOfHookWithRandomIDs(t *testing.T) {
-	// RandLOCAL-style usage: random 30-bit identifiers drawn from each
-	// node's private stream (whp distinct), no real IDs.
-	r := rng.New(17)
-	g := graph.RandomTree(200, 5, r)
-	opt := forest.Options{
-		Q:       3,
-		IDSpace: 1 << 30,
-		IDOf: func(env sim.Env) uint64 {
-			return env.Rand.Uint64()%(1<<30) + 1
-		},
-	}
-	res, err := sim.Run(g, sim.Config{Randomized: true, Seed: 99, MaxRounds: 100000}, forest.NewFactory(opt))
-	if err != nil {
-		t.Fatal(err)
-	}
-	colors := sim.IntOutputs(res)
-	if err := lcl.Coloring(3).Validate(lcl.Instance{G: g}, lcl.IntLabels(colors)); err != nil {
 		t.Fatal(err)
 	}
 }

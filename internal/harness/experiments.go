@@ -542,22 +542,22 @@ func E10MISMatching(cfg Config) *Table {
 		cfg.Row(t, func(t *Table) {
 			valid := true
 			luby, err := sim.Run(g, cfg.sim(t, sim.Config{Randomized: true, Seed: cfg.Seed + uint64(n)}),
-				mis.NewLubyFactory(mis.LubyOptions{}))
+				mis.NewLubyFactory())
 			if err != nil {
 				panic(err)
 			}
 			det, err := sim.Run(g, cfg.sim(t, sim.Config{IDs: detIDs, MaxRounds: 1 << 22}),
-				mis.NewDetFactory(mis.DetOptions{}))
+				mis.NewDetFactory())
 			if err != nil {
 				panic(err)
 			}
 			rmatch, err := sim.Run(g, cfg.sim(t, sim.Config{Randomized: true, Seed: cfg.Seed + uint64(n) + 1}),
-				matching.NewRandFactory(matching.RandOptions{}))
+				matching.NewRandFactory())
 			if err != nil {
 				panic(err)
 			}
 			dmatch, err := sim.Run(g, cfg.sim(t, sim.Config{IDs: matchIDs, MaxRounds: 1 << 22}),
-				matching.NewDetFactory(matching.DetOptions{}))
+				matching.NewDetFactory())
 			if err != nil {
 				panic(err)
 			}
@@ -608,7 +608,7 @@ func E11Sinkless(cfg Config) *Table {
 			inst := lcl.Instance{G: ecg.Graph, EdgeColors: ecg.Colors, NumEdgeColors: d}
 			inputs := inst.NodeInputs()
 			res, err := sim.Run(ecg.Graph, cfg.sim(t, sim.Config{Randomized: true, Seed: cfg.Seed + uint64(half), Inputs: inputs}),
-				sinkless.NewOrientFactory(sinkless.OrientOptions{}))
+				sinkless.NewOrientFactory())
 			if err != nil {
 				panic(err)
 			}
@@ -623,7 +623,7 @@ func E11Sinkless(cfg Config) *Table {
 				}
 			}
 			cRes, err := sim.Run(ecg.Graph, cfg.sim(t, sim.Config{Randomized: true, Seed: cfg.Seed + uint64(half) + 3, Inputs: inputs}),
-				sinkless.NewColoringFromOrientationFactory(sinkless.NewOrientFactory(sinkless.OrientOptions{})))
+				sinkless.NewColoringFromOrientationFactory(sinkless.NewOrientFactory()))
 			if err != nil {
 				panic(err)
 			}
@@ -633,7 +633,7 @@ func E11Sinkless(cfg Config) *Table {
 			}
 			oRes, err := sim.Run(ecg.Graph, cfg.sim(t, sim.Config{Randomized: true, Seed: cfg.Seed + uint64(half) + 5, Inputs: inputs}),
 				sinkless.NewOrientFromColoringFactory(sinkless.NewColoringFromOrientationFactory(
-					sinkless.NewOrientFactory(sinkless.OrientOptions{}))))
+					sinkless.NewOrientFactory())))
 			if err != nil {
 				panic(err)
 			}

@@ -125,14 +125,14 @@ func E12FaultTolerance(cfg Config) *Table {
 			name:    "Luby MIS",
 			problem: lcl.MIS(),
 			inst:    lcl.Instance{G: tree5},
-			factory: mis.NewLubyFactory(mis.LubyOptions{}),
+			factory: mis.NewLubyFactory(),
 			labels:  func(out []any) []any { return out },
 		},
 		{
 			name:    "sinkless orientation (Δ=3)",
 			problem: lcl.SinklessOrientation(),
 			inst:    lcl.Instance{G: ecg.Graph, EdgeColors: ecg.Colors, NumEdgeColors: 3},
-			factory: sinkless.NewOrientFactory(sinkless.OrientOptions{}),
+			factory: sinkless.NewOrientFactory(),
 			labels: func(out []any) []any {
 				labels := sinkless.OrientLabels(out)
 				wrapped := make([]any, len(labels))

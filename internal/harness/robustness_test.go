@@ -58,7 +58,7 @@ func TestPortShuffleInvariance(t *testing.T) {
 	t.Run("luby", func(t *testing.T) {
 		for _, g := range []*graph.Graph{base, shuffled} {
 			res, err := sim.Run(g, sim.Config{Randomized: true, Seed: 9},
-				mis.NewLubyFactory(mis.LubyOptions{}))
+				mis.NewLubyFactory())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,7 +76,7 @@ func TestPortShuffleInvariance(t *testing.T) {
 		assignment := ids.Shuffled(300, r)
 		for _, g := range []*graph.Graph{base, shuffled} {
 			res, err := sim.Run(g, sim.Config{IDs: assignment, MaxRounds: 1 << 22},
-				matching.NewDetFactory(matching.DetOptions{}))
+				matching.NewDetFactory())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -122,7 +122,7 @@ func TestPortShuffleSinkless(t *testing.T) {
 	for _, g := range []*graph.EdgeColoredGraph{ecg, shuffled} {
 		inst := lcl.Instance{G: g.Graph, EdgeColors: g.Colors, NumEdgeColors: g.NumColors}
 		res, err := sim.Run(g.Graph, sim.Config{Randomized: true, Seed: 21, Inputs: inst.NodeInputs()},
-			sinkless.NewOrientFactory(sinkless.OrientOptions{}))
+			sinkless.NewOrientFactory())
 		if err != nil {
 			t.Fatal(err)
 		}

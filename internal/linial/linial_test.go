@@ -212,33 +212,6 @@ func TestMachineRoundsGrowAsLogStar(t *testing.T) {
 	}
 }
 
-func TestInitialColorFromInput(t *testing.T) {
-	// Supplying initial colors via env.Input (here: degree-based improper
-	// coloring would panic, so use index parity on a path, a proper
-	// 2-coloring).
-	g := graph.Path(10)
-	inputs := make([]any, 10)
-	for v := range inputs {
-		inputs[v] = v % 2
-	}
-	opt := linial.Options{
-		InitialPalette: 2,
-		Delta:          2,
-		InitialColor:   func(env sim.Env) int { return env.Input.(int) },
-	}
-	res, err := sim.Run(g, sim.Config{Inputs: inputs}, linial.NewFactory(opt))
-	if err != nil {
-		t.Fatal(err)
-	}
-	colors := sim.IntOutputs(res)
-	if err := lcl.Coloring(2).Validate(lcl.Instance{G: g}, lcl.IntLabels(colors)); err != nil {
-		t.Fatal(err)
-	}
-	if res.Rounds != 0 {
-		t.Errorf("2-coloring is already at the fixed point; rounds = %d, want 0", res.Rounds)
-	}
-}
-
 func TestRoundsPrediction(t *testing.T) {
 	opt := linial.Options{InitialPalette: 1 << 16, Delta: 3, Target: 4}
 	want := len(linial.Schedule(1<<16, 3)) + linial.FixedPoint(1<<16, 3) - 4

@@ -12,10 +12,6 @@ type Options struct {
 	InitialPalette int
 	// Delta is the degree bound the reduction tolerates.
 	Delta int
-	// InitialColor extracts a vertex's initial color (0-based) from its
-	// environment. Nil means ID-1 (the DetLOCAL convention: unique IDs in
-	// 1..k0 are a k0-coloring, exactly how the paper bootstraps Theorem 2).
-	InitialColor func(env sim.Env) int
 	// Target, when positive, appends a color-class sweep reducing the
 	// fixed-point palette further down to Target colors (0..Target-1);
 	// Target must be at least Delta+1. Zero means stop at the fixed point.
@@ -27,8 +23,10 @@ type Options struct {
 }
 
 // Machine executes Theorem 2 (and optionally the class sweep) as a
-// standalone simulator machine. Output is the final color, 1-based, as the
-// rest of the library expects.
+// standalone simulator machine. Its initial color is ID-1 (the DetLOCAL
+// convention: unique IDs in 1..k0 are a k0-coloring, exactly how the paper
+// bootstraps Theorem 2). Output is the final color, 1-based, as the rest of
+// the library expects.
 type Machine struct {
 	opt   Options
 	env   sim.Env
@@ -66,14 +64,10 @@ func NewFactoryRounds(opt Options) (sim.Factory, int) {
 // Init implements sim.Machine.
 func (m *Machine) Init(env sim.Env) {
 	m.env = env
-	if m.opt.InitialColor != nil {
-		m.color = m.opt.InitialColor(env)
-	} else {
-		if !env.HasID {
-			panic("linial: default initial coloring needs IDs (DetLOCAL)")
-		}
-		m.color = int(env.ID) - 1
+	if !env.HasID {
+		panic("linial: the initial coloring needs IDs (DetLOCAL)")
 	}
+	m.color = int(env.ID) - 1
 	if m.color < 0 || m.color >= m.opt.InitialPalette {
 		panic(fmt.Sprintf("linial: initial color %d outside 0..%d", m.color, m.opt.InitialPalette-1))
 	}

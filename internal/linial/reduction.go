@@ -48,12 +48,21 @@ func NewReduction(k0, delta, target int, kw bool) Reduction {
 // Steps is the number of reduction steps, one communication round each.
 func (r *Reduction) Steps() int { return len(r.sched) + r.sweep }
 
+// LinialSteps is the number of Linial steps: steps 0..LinialSteps()-1
+// apply Theorem 2's families, and the sweep (if any) follows them.
+func (r *Reduction) LinialSteps() int { return len(r.sched) }
+
+// FixedPoint is the palette after the Linial steps: their colors lie in
+// 0..FixedPoint()-1.
+func (r *Reduction) FixedPoint() int { return r.fp }
+
 // SweepClass returns the color class that step i recolors when the
 // Reduction sweeps one class per step: after the Linial steps, the classes
 // above target from the top down. It returns -1 at a Linial step and at a
-// Kuhn–Wattenhofer sub-step, where any color may change. At a one-class
-// sweep step Apply leaves every other color as it is, so a vertex of
-// another color need not gather its neighbors' colors.
+// Kuhn–Wattenhofer sub-step, where any color may change, so it does not
+// tell the two apart; LinialSteps does. At a one-class sweep step Apply
+// leaves every other color as it is, so a vertex of another color need not
+// gather its neighbors' colors.
 func (r *Reduction) SweepClass(i int) int {
 	if i < len(r.sched) || r.kwAt != nil {
 		return -1

@@ -29,12 +29,20 @@ func wantSteps(k0, delta, target int, kw bool) int {
 // checkReduction runs every step of the reduction synchronously on g from
 // a random proper k0-coloring and fails t unless the coloring stays proper
 // after every Apply and ends inside its palette: target colors, or the
-// fixed point when target is 0.
+// fixed point when target is 0. It also checks the Linial/sweep boundary
+// and the fixed point the Reduction reports against the written-out
+// schedule.
 func checkReduction(t *testing.T, g *graph.Graph, k0, delta, target int, kw bool, r *rng.Source) {
 	t.Helper()
 	red := linial.NewReduction(k0, delta, target, kw)
 	if got, want := red.Steps(), wantSteps(k0, delta, target, kw); got != want {
 		t.Fatalf("k0=%d Δ=%d target=%d kw=%v: Steps() = %d, want %d", k0, delta, target, kw, got, want)
+	}
+	if got, want := red.LinialSteps(), len(linial.Schedule(k0, delta)); got != want {
+		t.Fatalf("k0=%d Δ=%d target=%d kw=%v: LinialSteps() = %d, want len(Schedule) = %d", k0, delta, target, kw, got, want)
+	}
+	if got, want := red.FixedPoint(), linial.FixedPoint(k0, delta); got != want {
+		t.Fatalf("k0=%d Δ=%d target=%d kw=%v: FixedPoint() = %d, want %d", k0, delta, target, kw, got, want)
 	}
 	colors := make([]int, g.N())
 	taken := make(map[int]bool, g.N())
@@ -77,8 +85,9 @@ func checkReduction(t *testing.T, g *graph.Graph, k0, delta, target int, kw bool
 	}
 }
 
-// TestReductionGrid checks Steps() against the written-out formula and the
-// coloring's properness after every step, over a grid of initial palettes,
+// TestReductionGrid checks Steps() against the written-out formula, the
+// Linial/sweep boundary against len(Schedule(k0, Δ)), and the coloring's
+// properness after every step, over a grid of initial palettes,
 // degree bounds, targets and both sweeps, on random trees and
 // bounded-degree graphs.
 func TestReductionGrid(t *testing.T) {

@@ -24,12 +24,6 @@ import (
 	"locality/internal/sim"
 )
 
-// RandOptions configures the randomized proposal machine.
-type RandOptions struct {
-	// MaxPhases caps the proposal phases; 0 means 8·ceil(log2 n)+16.
-	MaxPhases int
-}
-
 type randMsg struct {
 	Matched  bool
 	Proposal bool // set only on the proposed port in sub-step A
@@ -37,19 +31,19 @@ type randMsg struct {
 }
 
 type randMatch struct {
-	opt        RandOptions
 	env        sim.Env
 	matched    int // port, -1 if unmatched
 	nbrMatched []bool
 	proposedTo int // port we proposed to this phase, -1
 	phases     int
+	send       []sim.Message // reused broadcast
 }
 
 var _ sim.Machine = (*randMatch)(nil)
 
 // NewRandFactory returns the randomized maximal matching machine.
-func NewRandFactory(opt RandOptions) sim.Factory {
-	return func() sim.Machine { return &randMatch{opt: opt} }
+func NewRandFactory() sim.Factory {
+	return func() sim.Machine { return &randMatch{} }
 }
 
 func (m *randMatch) Init(env sim.Env) {
@@ -60,10 +54,7 @@ func (m *randMatch) Init(env sim.Env) {
 	m.matched = -1
 	m.proposedTo = -1
 	m.nbrMatched = make([]bool, env.Degree)
-	m.phases = m.opt.MaxPhases
-	if m.phases == 0 {
-		m.phases = 8*mathx.CeilLog2(env.N+1) + 16
-	}
+	m.phases = 8*mathx.CeilLog2(env.N+1) + 16
 }
 
 // Step: even steps are sub-step A (propose), odd steps (>= 3) are sub-step
@@ -95,7 +86,7 @@ func (m *randMatch) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
 	}
 	if m.matched >= 0 {
 		// Announce once more so neighbors stop proposing, then halt.
-		return m.broadcast(randMsg{Matched: true}), true
+		return sim.BroadcastInto(&m.send, m.env.Degree, randMsg{Matched: true}), true
 	}
 	// Unmatched: any unmatched neighbors left?
 	anyFree := false
@@ -115,7 +106,7 @@ func (m *randMatch) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
 	case step%2 == 0:
 		// Sub-step A: coin flip; senders propose to one random free port.
 		m.proposedTo = -1
-		send := m.broadcast(randMsg{})
+		send := sim.BroadcastInto(&m.send, m.env.Degree, randMsg{})
 		if m.env.Rand.Bool() {
 			free := make([]int, 0, m.env.Degree)
 			for p := 0; p < m.env.Degree; p++ {
@@ -135,40 +126,20 @@ func (m *randMatch) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
 			for _, p := range proposals {
 				if !m.nbrMatched[p] {
 					m.matched = p
-					send := m.broadcast(randMsg{Matched: true})
+					send := sim.BroadcastInto(&m.send, m.env.Degree, randMsg{Matched: true})
 					send[p] = randMsg{Matched: true, Accept: true}
 					return send, true
 				}
 			}
 		}
-		return m.broadcast(randMsg{}), false
+		return sim.BroadcastInto(&m.send, m.env.Degree, randMsg{}), false
 	default:
 		// Step 1: hello.
-		return m.broadcast(randMsg{}), false
+		return sim.BroadcastInto(&m.send, m.env.Degree, randMsg{}), false
 	}
-}
-
-func (m *randMatch) broadcast(msg randMsg) []sim.Message {
-	send := make([]sim.Message, m.env.Degree)
-	for p := range send {
-		send[p] = msg
-	}
-	return send
 }
 
 func (m *randMatch) Output() any { return lcl.MatchLabel(m.matched) }
-
-// DetOptions configures the deterministic machine.
-type DetOptions struct {
-	// IDSpace bounds the vertex IDs (1..IDSpace); 0 means Env.N.
-	IDSpace int
-	// Delta bounds the maximum degree; 0 means Env.MaxDeg.
-	Delta int
-}
-
-func newDetPlan(opt DetOptions, n, maxDeg int) edgecolor.Plan {
-	return edgecolor.NewPlan(edgecolor.Options{IDSpace: opt.IDSpace, Delta: opt.Delta}, n, maxDeg)
-}
 
 // sweepMsg is the class-sweep broadcast.
 type sweepMsg struct{ Matched bool }
@@ -187,8 +158,8 @@ type detMatch struct {
 var _ sim.Machine = (*detMatch)(nil)
 
 // NewDetFactory returns the deterministic maximal matching machine.
-func NewDetFactory(opt DetOptions) sim.Factory {
-	plans := sim.NewPlanMemo(func(n, maxDeg int) edgecolor.Plan { return newDetPlan(opt, n, maxDeg) })
+func NewDetFactory() sim.Factory {
+	plans := sim.NewPlanMemo(edgecolor.NewPlan)
 	return func() sim.Machine { return &detMatch{plans: plans} }
 }
 
@@ -253,7 +224,7 @@ func (m *detMatch) Output() any { return lcl.MatchLabel(m.matched) }
 
 // DetRounds predicts the deterministic machine's round count: the edge
 // coloring, one step to start the sweep, and one step per color class.
-func DetRounds(opt DetOptions, n, maxDeg int) int {
-	p := newDetPlan(opt, n, maxDeg)
+func DetRounds(n, maxDeg int) int {
+	p := edgecolor.NewPlan(n, maxDeg)
 	return p.Rounds() + 1 + p.Palette()
 }

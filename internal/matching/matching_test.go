@@ -37,7 +37,7 @@ func TestRandMatchingValid(t *testing.T) {
 			g = graph.Path(2)
 		}
 		res, err := sim.Run(g, sim.Config{Randomized: true, Seed: uint64(trial + 1)},
-			matching.NewRandFactory(matching.RandOptions{}))
+			matching.NewRandFactory())
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -61,14 +61,14 @@ func TestDetMatchingValid(t *testing.T) {
 		}
 		n := g.N()
 		res, err := sim.Run(g, sim.Config{IDs: ids.Shuffled(n, r), MaxRounds: 10000},
-			matching.NewDetFactory(matching.DetOptions{}))
+			matching.NewDetFactory())
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		if err := lcl.ValidateMatching(lcl.Instance{G: g}, matchLabels(res)); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		want := matching.DetRounds(matching.DetOptions{}, n, g.MaxDegree())
+		want := matching.DetRounds(n, g.MaxDegree())
 		if res.Rounds != want {
 			t.Errorf("trial %d: rounds %d, predicted %d", trial, res.Rounds, want)
 		}
@@ -83,29 +83,20 @@ func TestDetRoundsIsEdgeColoringPlusSweep(t *testing.T) {
 	for _, tc := range []struct {
 		g   *graph.Graph
 		ids func(n int) ids.Assignment
-		opt matching.DetOptions
 	}{
-		{graph.Path(1), ids.Sequential, matching.DetOptions{}},
-		{graph.Path(2), ids.Sequential, matching.DetOptions{}},
-		{graph.Ring(20), ids.Sequential, matching.DetOptions{}},
-		{graph.RandomTree(90, 6, r), func(n int) ids.Assignment { return ids.Shuffled(n, r) }, matching.DetOptions{}},
-		{graph.RandomBoundedDegree(70, 120, 5, r), func(n int) ids.Assignment { return ids.Shuffled(n, r) },
-			matching.DetOptions{Delta: 7}},
-		{graph.RandomTree(50, 3, r), func(n int) ids.Assignment { return ids.AdversarialGaps(n, 4) },
-			matching.DetOptions{IDSpace: 200}},
+		{graph.Path(1), ids.Sequential},
+		{graph.Path(2), ids.Sequential},
+		{graph.Ring(20), ids.Sequential},
+		{graph.RandomTree(90, 6, r), func(n int) ids.Assignment { return ids.Shuffled(n, r) }},
 	} {
-		n, maxDeg := tc.g.N(), tc.g.MaxDegree()
-		delta := tc.opt.Delta
-		if delta == 0 {
-			delta = maxDeg
-		}
-		ec := edgecolor.Rounds(edgecolor.Options{IDSpace: tc.opt.IDSpace, Delta: tc.opt.Delta}, n, maxDeg)
+		n, delta := tc.g.N(), tc.g.MaxDegree()
+		ec := edgecolor.Rounds(n, delta)
 		want := ec + 1 + mathx.Max(1, 2*delta-1)
-		if got := matching.DetRounds(tc.opt, n, maxDeg); got != want {
+		if got := matching.DetRounds(n, delta); got != want {
 			t.Errorf("n=%d Δ=%d: DetRounds = %d, want edgecolor's %d + 1 + (2Δ-1) = %d", n, delta, got, ec, want)
 		}
 		res, err := sim.Run(tc.g, sim.Config{IDs: tc.ids(n), MaxRounds: 10000},
-			matching.NewDetFactory(tc.opt))
+			matching.NewDetFactory())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +116,7 @@ func TestDetMatchingEngineEquivalence(t *testing.T) {
 	var prev []lcl.MatchLabel
 	for _, engine := range []sim.Engine{sim.EngineSequential, sim.EngineConcurrent} {
 		res, err := sim.Run(g, sim.Config{IDs: assignment, Engine: engine, MaxRounds: 10000},
-			matching.NewDetFactory(matching.DetOptions{}))
+			matching.NewDetFactory())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +138,7 @@ func TestRandMatchingRoundsLogarithmic(t *testing.T) {
 	for _, n := range []int{64, 512, 4096} {
 		g := graph.RandomBoundedDegree(n, 2*n, 10, r)
 		res, err := sim.Run(g, sim.Config{Randomized: true, Seed: 9},
-			matching.NewRandFactory(matching.RandOptions{}))
+			matching.NewRandFactory())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +152,7 @@ func TestRandMatchingRoundsLogarithmic(t *testing.T) {
 func TestMatchingOnSingleEdge(t *testing.T) {
 	g := graph.Path(2)
 	res, err := sim.Run(g, sim.Config{IDs: ids.Sequential(2), MaxRounds: 10000},
-		matching.NewDetFactory(matching.DetOptions{}))
+		matching.NewDetFactory())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +165,7 @@ func TestMatchingOnSingleEdge(t *testing.T) {
 func TestDetMatchingRequiresIDs(t *testing.T) {
 	// The machine panics in Init; the hardened kernel turns that into a
 	// structured ErrNodePanic instead of crashing the caller.
-	_, err := sim.Run(graph.Path(3), sim.Config{}, matching.NewDetFactory(matching.DetOptions{}))
+	_, err := sim.Run(graph.Path(3), sim.Config{}, matching.NewDetFactory())
 	if !errors.Is(err, sim.ErrNodePanic) {
 		t.Fatalf("det matching without IDs: err = %v, want ErrNodePanic", err)
 	}

@@ -20,7 +20,7 @@ func TestMachinesShareOnePlan(t *testing.T) {
 	for _, engine := range []sim.Engine{sim.EngineSequential, sim.EngineConcurrent} {
 		var mu sync.Mutex
 		var ms []*detMatch
-		inner := NewDetFactory(DetOptions{})
+		inner := NewDetFactory()
 		f := func() sim.Machine {
 			m := inner().(*detMatch)
 			mu.Lock()
@@ -40,7 +40,7 @@ func TestMachinesShareOnePlan(t *testing.T) {
 				t.Fatalf("engine %d: machine %d holds plan %p, machine 0 holds %p", engine, v, m.plan, ms[0].plan)
 			}
 		}
-		if got, want := res.Rounds, DetRounds(DetOptions{}, g.N(), g.MaxDegree()); got != want {
+		if got, want := res.Rounds, DetRounds(g.N(), g.MaxDegree()); got != want {
 			t.Errorf("engine %d: run took %d rounds, DetRounds predicts %d", engine, got, want)
 		}
 	}

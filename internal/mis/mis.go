@@ -4,8 +4,7 @@
 // best deterministic algorithm"):
 //
 //   - Luby's RandLOCAL algorithm: O(log n) rounds with high probability,
-//     no IDs needed. Supports restriction to an induced subgraph and a
-//     forced seed set (the "find any MIS I ⊇ K" step of Theorem 11).
+//     no IDs needed.
 //   - A DetLOCAL algorithm via Linial's coloring: compute a (Δ+1)-coloring
 //     in O(log* n + Δ log Δ) rounds (Theorem 2 + Kuhn–Wattenhofer), then
 //     sweep the Δ+1 color classes — O(Δ + log* n)-flavored overall,
@@ -34,20 +33,6 @@ const (
 	stateOut
 )
 
-// LubyOptions configures the randomized MIS machine.
-type LubyOptions struct {
-	// Active restricts the algorithm to an induced subgraph; nil = all.
-	// Inactive vertices output false and halt immediately.
-	Active func(env sim.Env) bool
-	// Seed forces a vertex into the MIS at phase zero. The seed set must be
-	// independent (Theorem 11 seeds the local minima of random values,
-	// which are). Nil means no seeding.
-	Seed func(env sim.Env) bool
-	// MaxPhases caps the number of Luby phases; 0 means 8·ceil(log2 n)+16,
-	// far beyond the O(log n) whp bound.
-	MaxPhases int
-}
-
 // lubyMsg is the per-step broadcast of the Luby machine.
 type lubyMsg struct {
 	State    state
@@ -55,9 +40,7 @@ type lubyMsg struct {
 }
 
 type luby struct {
-	opt    LubyOptions
 	env    sim.Env
-	active bool
 	st     state
 	prio   uint64
 	nbrSt  []state
@@ -68,22 +51,16 @@ type luby struct {
 var _ sim.Machine = (*luby)(nil)
 
 // NewLubyFactory returns Luby's randomized MIS machine.
-func NewLubyFactory(opt LubyOptions) sim.Factory {
-	return func() sim.Machine { return &luby{opt: opt} }
+func NewLubyFactory() sim.Factory {
+	return func() sim.Machine { return &luby{} }
 }
 
 func (m *luby) Init(env sim.Env) {
 	m.env = env
-	m.active = m.opt.Active == nil || m.opt.Active(env)
 	m.st = stateUndecided
-	if m.active && m.opt.Seed != nil && m.opt.Seed(env) {
-		m.st = stateIn
-	}
 	m.nbrSt = make([]state, env.Degree)
-	m.phases = m.opt.MaxPhases
-	if m.phases == 0 {
-		m.phases = 8*mathx.CeilLog2(env.N+1) + 16
-	}
+	// The phase budget is far beyond the O(log n) whp bound.
+	m.phases = 8*mathx.CeilLog2(env.N+1) + 16
 	if env.Rand == nil {
 		panic("mis: Luby is a RandLOCAL algorithm; Config.Randomized required")
 	}
@@ -93,9 +70,6 @@ func (m *luby) Init(env sim.Env) {
 // broadcast priorities, (B) local maxima join and announce; vertices
 // adjacent to a joiner drop out at the start of the next phase.
 func (m *luby) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
-	if !m.active {
-		return nil, true
-	}
 	for p, msg := range recv {
 		if msg == nil {
 			continue
@@ -145,48 +119,29 @@ func (m *luby) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
 
 func (m *luby) Output() any { return m.st == stateIn }
 
-// DetOptions configures the deterministic MIS machine.
-type DetOptions struct {
-	// IDSpace bounds the IDs (1..IDSpace); 0 means Env.N.
-	IDSpace int
-	// Delta bounds the maximum degree; 0 means Env.MaxDeg.
-	Delta int
-}
-
-// resolve fills the zero fields of opt from the graph shape.
-func (opt DetOptions) resolve(n, maxDeg int) DetOptions {
-	if opt.IDSpace == 0 {
-		opt.IDSpace = n
-	}
-	if opt.Delta == 0 {
-		opt.Delta = maxDeg
-	}
-	return opt
-}
-
-// linialOptions is the inner Linial+KW run: IDs to a (Δ+1)-coloring.
-func (opt DetOptions) linialOptions() linial.Options {
+// linialOptions is the inner Linial+KW run on an n-vertex graph of maximum
+// degree maxDeg: IDs 1..n to a (maxDeg+1)-coloring.
+func linialOptions(n, maxDeg int) linial.Options {
 	return linial.Options{
-		InitialPalette: opt.IDSpace,
-		Delta:          opt.Delta,
-		Target:         opt.Delta + 1,
+		InitialPalette: n,
+		Delta:          maxDeg,
+		Target:         maxDeg + 1,
 		KW:             true,
 	}
 }
 
-// detPlan is what every det machine of a run shares: the resolved options,
-// the inner Linial factory (which holds Linial's own plan) and the step at
+// detPlan is what every det machine of a run shares: the degree bound, the
+// inner Linial factory (which holds Linial's own plan) and the step at
 // which the inner machine halts.
 type detPlan struct {
-	opt    DetOptions
+	delta  int
 	linial sim.Factory
 	linSt  int
 }
 
-func newDetPlan(opt DetOptions, n, maxDeg int) detPlan {
-	opt = opt.resolve(n, maxDeg)
-	lin, rounds := linial.NewFactoryRounds(opt.linialOptions())
-	return detPlan{opt: opt, linial: lin, linSt: rounds + 1}
+func newDetPlan(n, maxDeg int) detPlan {
+	lin, rounds := linial.NewFactoryRounds(linialOptions(n, maxDeg))
+	return detPlan{delta: maxDeg, linial: lin, linSt: rounds + 1}
 }
 
 // det runs Linial+KW to a (Δ+1)-coloring, then sweeps the color classes.
@@ -203,8 +158,8 @@ type det struct {
 var _ sim.Machine = (*det)(nil)
 
 // NewDetFactory returns the deterministic MIS machine.
-func NewDetFactory(opt DetOptions) sim.Factory {
-	plans := sim.NewPlanMemo(func(n, maxDeg int) detPlan { return newDetPlan(opt, n, maxDeg) })
+func NewDetFactory() sim.Factory {
+	plans := sim.NewPlanMemo(newDetPlan)
 	return func() sim.Machine { return &det{plans: plans} }
 }
 
@@ -250,7 +205,7 @@ func (m *det) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
 	if m.st == stateUndecided && m.color == class {
 		m.st = stateIn
 	}
-	if class > m.plan.opt.Delta+1 {
+	if class > m.plan.delta+1 {
 		if m.st == stateUndecided {
 			panic("mis: vertex undecided after all classes (internal bug)")
 		}
@@ -262,10 +217,9 @@ func (m *det) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
 func (m *det) Output() any { return m.st == stateIn }
 
 // DetRounds predicts the deterministic machine's round count.
-func DetRounds(opt DetOptions, n, maxDeg int) int {
-	opt = opt.resolve(n, maxDeg)
+func DetRounds(n, maxDeg int) int {
 	// linial steps (rounds+1 including its final absorb step) then Δ+2
 	// sweep steps; the machine halts at step linSt + Δ+2, so rounds are
 	// linSt + Δ + 1.
-	return linial.Rounds(opt.linialOptions()) + 1 + opt.Delta + 1
+	return newDetPlan(n, maxDeg).linSt + maxDeg + 1
 }

@@ -35,7 +35,7 @@ func TestLubyProducesMIS(t *testing.T) {
 			g = graph.Star(40)
 		}
 		res, err := sim.Run(g, sim.Config{Randomized: true, Seed: uint64(trial)},
-			mis.NewLubyFactory(mis.LubyOptions{}))
+			mis.NewLubyFactory())
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -52,7 +52,7 @@ func TestLubyRoundsLogarithmic(t *testing.T) {
 	for _, n := range []int{64, 512, 4096} {
 		g := graph.RandomBoundedDegree(n, 2*n, 10, r)
 		res, err := sim.Run(g, sim.Config{Randomized: true, Seed: 7},
-			mis.NewLubyFactory(mis.LubyOptions{}))
+			mis.NewLubyFactory())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,67 +62,6 @@ func TestLubyRoundsLogarithmic(t *testing.T) {
 	if rounds[2] > 6*rounds[0]+20 {
 		t.Errorf("Luby round growth not logarithmic: %v", rounds)
 	}
-}
-
-func TestLubySeeded(t *testing.T) {
-	// Force an independent seed set and check it ends up in the MIS
-	// (the Theorem 11 Phase-1 requirement: I ⊇ K).
-	r := rng.New(9)
-	g := graph.RandomTree(150, 5, r)
-	// Seed: an independent set — vertices at even depth from vertex 0 with
-	// degree 1 (leaves are pairwise non-adjacent in a tree of size > 2).
-	isLeaf := make([]bool, g.N())
-	for v := 0; v < g.N(); v++ {
-		isLeaf[v] = g.Degree(v) == 1
-	}
-	res, err := sim.Run(g, sim.Config{Randomized: true, Seed: 3},
-		mis.NewLubyFactory(mis.LubyOptions{
-			Seed: func(env sim.Env) bool { return isLeaf[env.Node] },
-		}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	inSet := boolOutputs(res)
-	for v := range inSet {
-		if isLeaf[v] && !inSet[v] {
-			t.Errorf("seeded leaf %d not in MIS", v)
-		}
-	}
-	if err := lcl.MIS().Validate(lcl.Instance{G: g}, lcl.BoolLabels(inSet)); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLubyActiveSubgraph(t *testing.T) {
-	r := rng.New(13)
-	g := graph.Ring(30)
-	active := make([]bool, 30)
-	for v := 0; v < 20; v++ {
-		active[v] = true
-	}
-	res, err := sim.Run(g, sim.Config{Randomized: true, Seed: 11},
-		mis.NewLubyFactory(mis.LubyOptions{
-			Active: func(env sim.Env) bool { return active[env.Node] },
-		}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	inSet := boolOutputs(res)
-	for v := 20; v < 30; v++ {
-		if inSet[v] {
-			t.Errorf("inactive vertex %d in MIS", v)
-		}
-	}
-	// Verify on the induced subgraph.
-	sub, _, n2o := g.InducedSubgraph(active)
-	subSet := make([]bool, sub.N())
-	for nv, ov := range n2o {
-		subSet[nv] = inSet[ov]
-	}
-	if err := lcl.MIS().Validate(lcl.Instance{G: sub}, lcl.BoolLabels(subSet)); err != nil {
-		t.Fatal(err)
-	}
-	_ = r
 }
 
 func TestDetMIS(t *testing.T) {
@@ -139,7 +78,7 @@ func TestDetMIS(t *testing.T) {
 		}
 		n := g.N()
 		res, err := sim.Run(g, sim.Config{IDs: ids.Shuffled(n, r), MaxRounds: 10000},
-			mis.NewDetFactory(mis.DetOptions{}))
+			mis.NewDetFactory())
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -147,7 +86,7 @@ func TestDetMIS(t *testing.T) {
 		if err := lcl.MIS().Validate(lcl.Instance{G: g}, lcl.BoolLabels(inSet)); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		want := mis.DetRounds(mis.DetOptions{}, n, g.MaxDegree())
+		want := mis.DetRounds(n, g.MaxDegree())
 		if res.Rounds != want {
 			t.Errorf("trial %d: rounds %d, predicted %d", trial, res.Rounds, want)
 		}
@@ -162,7 +101,7 @@ func TestDetMISDeterministic(t *testing.T) {
 	var prev []bool
 	for _, engine := range []sim.Engine{sim.EngineSequential, sim.EngineConcurrent} {
 		res, err := sim.Run(g, sim.Config{IDs: assignment, Engine: engine, MaxRounds: 10000},
-			mis.NewDetFactory(mis.DetOptions{}))
+			mis.NewDetFactory())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,12 +125,12 @@ func TestRandVsDetRoundComparison(t *testing.T) {
 	r := rng.New(41)
 	g := graph.RandomBoundedDegree(500, 1000, 8, r)
 	det, err := sim.Run(g, sim.Config{IDs: ids.Shuffled(500, r), MaxRounds: 10000},
-		mis.NewDetFactory(mis.DetOptions{}))
+		mis.NewDetFactory())
 	if err != nil {
 		t.Fatal(err)
 	}
 	luby, err := sim.Run(g, sim.Config{Randomized: true, Seed: 5},
-		mis.NewLubyFactory(mis.LubyOptions{}))
+		mis.NewLubyFactory())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +146,7 @@ func TestRandVsDetRoundComparison(t *testing.T) {
 func TestLubyRequiresRandomness(t *testing.T) {
 	// The machine panics in Init; the hardened kernel turns that into a
 	// structured ErrNodePanic instead of crashing the caller.
-	_, err := sim.Run(graph.Path(4), sim.Config{}, mis.NewLubyFactory(mis.LubyOptions{}))
+	_, err := sim.Run(graph.Path(4), sim.Config{}, mis.NewLubyFactory())
 	if !errors.Is(err, sim.ErrNodePanic) {
 		t.Fatalf("Luby without randomness: err = %v, want ErrNodePanic", err)
 	}

@@ -13,7 +13,7 @@ import (
 
 // TestMachinesShareOnePlan checks that every deterministic MIS machine of a
 // run holds the same plan, under both engines, and that the shared plan is
-// the one the resolved options alone determine.
+// the one the graph's size and maximum degree alone determine.
 func TestMachinesShareOnePlan(t *testing.T) {
 	r := rng.New(6)
 	g := graph.RandomTree(300, 5, r)
@@ -21,7 +21,7 @@ func TestMachinesShareOnePlan(t *testing.T) {
 	for _, engine := range []sim.Engine{sim.EngineSequential, sim.EngineConcurrent} {
 		var mu sync.Mutex
 		var ms []*det
-		inner := NewDetFactory(DetOptions{})
+		inner := NewDetFactory()
 		f := func() sim.Machine {
 			m := inner().(*det)
 			mu.Lock()
@@ -42,13 +42,13 @@ func TestMachinesShareOnePlan(t *testing.T) {
 			}
 		}
 		p := ms[0].plan
-		if want := (DetOptions{IDSpace: g.N(), Delta: g.MaxDegree()}); p.opt != want {
-			t.Errorf("engine %d: shared plan resolved options %+v, want %+v", engine, p.opt, want)
+		if p.delta != g.MaxDegree() {
+			t.Errorf("engine %d: shared plan has degree bound %d, want %d", engine, p.delta, g.MaxDegree())
 		}
-		if want := linial.Rounds(p.opt.linialOptions()) + 1; p.linSt != want {
+		if want := linial.Rounds(linialOptions(g.N(), g.MaxDegree())) + 1; p.linSt != want {
 			t.Errorf("engine %d: shared plan halts Linial at step %d, want %d", engine, p.linSt, want)
 		}
-		if got, want := res.Rounds, DetRounds(DetOptions{}, g.N(), g.MaxDegree()); got != want {
+		if got, want := res.Rounds, DetRounds(g.N(), g.MaxDegree()); got != want {
 			t.Errorf("engine %d: run took %d rounds, DetRounds predicts %d", engine, got, want)
 		}
 	}

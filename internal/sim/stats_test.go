@@ -20,7 +20,7 @@ func TestRoundStatsEngineEquivalence(t *testing.T) {
 			Randomized:   true,
 			Seed:         11,
 			OnRoundStats: func(s sim.RoundStats) { stats = append(stats, s) },
-		}, mis.NewLubyFactory(mis.LubyOptions{}))
+		}, mis.NewLubyFactory())
 		if err != nil {
 			t.Fatalf("engine %d: %v", engine, err)
 		}
@@ -108,7 +108,7 @@ func TestRoundStatsInert(t *testing.T) {
 		run := func(hook func(sim.RoundStats)) *sim.Result {
 			res, err := sim.Run(g, sim.Config{
 				Engine: engine, Randomized: true, Seed: 3, OnRoundStats: hook,
-			}, mis.NewLubyFactory(mis.LubyOptions{}))
+			}, mis.NewLubyFactory())
 			if err != nil {
 				t.Fatalf("engine %d: %v", engine, err)
 			}

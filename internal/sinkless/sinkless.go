@@ -38,12 +38,6 @@ func VertexColors(env sim.Env) []int {
 	return in.EdgeColors
 }
 
-// OrientOptions configures the randomized sinkless-orientation machine.
-type OrientOptions struct {
-	// MaxPhases caps the sink-fixing phases; 0 means 16·ceil(log2 n)+32.
-	MaxPhases int
-}
-
 // OrientResult is the orientation machine's output: the label plus the last
 // phase at which the vertex was still a sink (diagnostics for experiment
 // E11's convergence measurement; -1 if it never was one).
@@ -59,7 +53,6 @@ type orientMsg struct {
 }
 
 type orient struct {
-	opt       OrientOptions
 	env       sim.Env
 	out       []bool
 	initPrio  []uint64
@@ -72,8 +65,8 @@ type orient struct {
 var _ sim.Machine = (*orient)(nil)
 
 // NewOrientFactory returns the randomized sinkless-orientation machine.
-func NewOrientFactory(opt OrientOptions) sim.Factory {
-	return func() sim.Machine { return &orient{opt: opt} }
+func NewOrientFactory() sim.Factory {
+	return func() sim.Machine { return &orient{} }
 }
 
 func (m *orient) Init(env sim.Env) {
@@ -85,10 +78,7 @@ func (m *orient) Init(env sim.Env) {
 	m.initPrio = make([]uint64, env.Degree)
 	m.claimPort = -1
 	m.lastSink = -1
-	m.phases = m.opt.MaxPhases
-	if m.phases == 0 {
-		m.phases = 16*mathx.CeilLog2(env.N+1) + 32
-	}
+	m.phases = 16*mathx.CeilLog2(env.N+1) + 32 // sink-fixing phases
 }
 
 func (m *orient) isSink() bool {

@@ -24,7 +24,7 @@ func TestOrientationProducesSinklessOrientation(t *testing.T) {
 	for _, tc := range []struct{ half, d int }{{16, 3}, {32, 4}, {64, 5}} {
 		inst, inputs := instance(t, tc.half, tc.d, uint64(tc.half))
 		res, err := sim.Run(inst.G, sim.Config{Randomized: true, Seed: 7, Inputs: inputs},
-			sinkless.NewOrientFactory(sinkless.OrientOptions{}))
+			sinkless.NewOrientFactory())
 		if err != nil {
 			t.Fatalf("half=%d d=%d: %v", tc.half, tc.d, err)
 		}
@@ -40,7 +40,7 @@ func TestOrientationConvergesQuickly(t *testing.T) {
 	// should be O(log n)-ish, not the full 16 log n + 32.
 	inst, inputs := instance(t, 128, 3, 5)
 	res, err := sim.Run(inst.G, sim.Config{Randomized: true, Seed: 11, Inputs: inputs},
-		sinkless.NewOrientFactory(sinkless.OrientOptions{}))
+		sinkless.NewOrientFactory())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestColoringFromOrientation(t *testing.T) {
 	// Lemma 2 direction: a consistent sinkless orientation yields a valid
 	// sinkless coloring with zero extra rounds.
 	inst, inputs := instance(t, 32, 3, 9)
-	inner := sinkless.NewOrientFactory(sinkless.OrientOptions{})
+	inner := sinkless.NewOrientFactory()
 	res, err := sim.Run(inst.G, sim.Config{Randomized: true, Seed: 13, Inputs: inputs},
 		sinkless.NewColoringFromOrientationFactory(inner))
 	if err != nil {
@@ -87,7 +87,7 @@ func TestOrientationFromColoring(t *testing.T) {
 	// machine with the Lemma 2 transform, then re-derive an orientation.
 	inst, inputs := instance(t, 32, 4, 17)
 	coloring := sinkless.NewColoringFromOrientationFactory(
-		sinkless.NewOrientFactory(sinkless.OrientOptions{}))
+		sinkless.NewOrientFactory())
 	res, err := sim.Run(inst.G, sim.Config{Randomized: true, Seed: 19, Inputs: inputs},
 		sinkless.NewOrientFromColoringFactory(coloring))
 	if err != nil {

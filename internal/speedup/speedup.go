@@ -118,12 +118,12 @@ func (m *relabelMachine) Output() any {
 // deltaPow bounds the power-graph degree. Exactness requires the ball
 // radius to be at least d·len(Schedule(idSpace, deltaPow)).
 func PowerLinialID(b *view.Ball, d, idSpace, deltaPow int) (int, int) {
-	sched := linial.Schedule(idSpace, deltaPow)
-	if b.T < d*len(sched) {
+	red := linial.NewReduction(idSpace, deltaPow, 0, false)
+	steps := red.Steps()
+	if b.T < d*steps {
 		panic(fmt.Sprintf("speedup: ball radius %d < %d needed for %d power-Linial iterations",
-			b.T, d*len(sched), len(sched)))
+			b.T, d*steps, steps))
 	}
-	fp := linial.FixedPointOf(idSpace, sched)
 	n := b.N()
 	colors := make([]int, n)
 	for u := 0; u < n; u++ {
@@ -134,7 +134,8 @@ func PowerLinialID(b *view.Ball, d, idSpace, deltaPow int) (int, int) {
 	}
 	// Power-graph neighborhoods within the ball.
 	powNbrs := powerNeighbors(b, d)
-	for i, fam := range sched {
+	var used []bool // Apply's scratch set; Linial steps never touch it
+	for i := 0; i < steps; i++ {
 		// Exactness cone: after pass i (0-based), value(u) is exact iff
 		// dist(u) + d·(i+1) <= T. Computing only inside the cone also
 		// guarantees every input read is itself exact (inputs live one
@@ -150,11 +151,11 @@ func PowerLinialID(b *view.Ball, d, idSpace, deltaPow int) (int, int) {
 			for _, w := range powNbrs[u] {
 				nbrs = append(nbrs, colors[w])
 			}
-			next[u] = fam.Reduce(colors[u], nbrs)
+			next[u] = red.Apply(i, colors[u], nbrs, &used)
 		}
 		colors = next
 	}
-	return colors[0], fp
+	return colors[0], red.FixedPoint()
 }
 
 // powerNeighbors returns, for each ball vertex, the other ball vertices at
@@ -247,9 +248,8 @@ func NewTheorem6Plan(tBound func(delta, bits int) int, delta, idBits, checkRadiu
 	d := 2
 	for iter := 0; iter < 64; iter++ {
 		deltaPow := powDegree(delta, d)
-		sched := linial.Schedule(idSpace, deltaPow)
-		fp := linial.FixedPointOf(idSpace, sched)
-		bits := mathx.CeilLog2(fp)
+		red := linial.NewReduction(idSpace, deltaPow, 0, false)
+		bits := mathx.CeilLog2(red.FixedPoint())
 		if bits < 1 {
 			bits = 1
 		}
@@ -260,7 +260,7 @@ func NewTheorem6Plan(tBound func(delta, bits int) int, delta, idBits, checkRadiu
 		}
 		if next <= d {
 			return Theorem6Plan{
-				D: d, R: mathx.Max(1, d*len(sched)), BitsOut: bits,
+				D: d, R: mathx.Max(1, d*red.Steps()), BitsOut: bits,
 				DeltaPow: deltaPow, FakeN: 1 << bits, InnerT: t,
 			}
 		}

@@ -268,9 +268,6 @@ var (
 	NewDetMatchingFactory  = matching.NewDetFactory
 )
 
-// LubyMISOptions configures Luby's MIS (subgraph restriction, seeding).
-type LubyMISOptions = mis.LubyOptions
-
 // ---- Sinkless orientation / coloring (Theorem 4's problems) ----
 
 var (

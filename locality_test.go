@@ -63,7 +63,7 @@ func TestFacadeMISAndVerify(t *testing.T) {
 	r := locality.NewRand(11)
 	g := locality.RandomBoundedDegree(200, 400, 6, r)
 	res, err := locality.Run(g, locality.RunConfig{Randomized: true, Seed: 3},
-		locality.NewLubyMISFactory(locality.LubyMISOptions{}))
+		locality.NewLubyMISFactory())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,9 +73,6 @@ func allocVerdict(goVersion string, allocs, budget float64) string {
 func runExperiment(b *testing.B, id string) *harness.Table {
 	b.Helper()
 	driver, ok := harness.ByID(id)
-	if !ok {
-		driver, ok = harness.ByIDSupplementary(id)
-	}
 	budget, budgeted := allocBudget[id]
 	if !ok || !budgeted {
 		b.Fatalf("experiment %s: registered %t, budgeted %t", id, ok, budgeted)
@@ -138,11 +135,7 @@ func TestAllocBudgetCoversSuite(t *testing.T) {
 	for _, prefix := range []string{"E", "A"} {
 		for n := 0; n < 100; n++ {
 			id := prefix + strconv.Itoa(n)
-			_, ok := harness.ByID(id)
-			if !ok {
-				_, ok = harness.ByIDSupplementary(id)
-			}
-			if ok {
+			if _, ok := harness.ByID(id); ok {
 				registered = append(registered, id)
 			}
 		}

@@ -73,9 +73,6 @@ func run() int {
 	default:
 		driver, ok := harness.ByID(*experiment)
 		if !ok {
-			driver, ok = harness.ByIDSupplementary(*experiment)
-		}
-		if !ok {
 			fmt.Fprintf(os.Stderr, "localbench: unknown experiment %q (want E1..E13, A1..A3 or all)\n", *experiment)
 			return 2
 		}

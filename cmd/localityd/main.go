@@ -364,7 +364,6 @@ func main() {
 		pollInterval   = flag.Duration("poll-interval", 100*time.Millisecond, "coordinator dispatch/merge cadence")
 		probeInterval  = flag.Duration("probe-interval", 500*time.Millisecond, "shard health probe cadence")
 		probeThreshold = flag.Int("probe-threshold", 3, "consecutive probe failures that mark a shard unhealthy")
-		shardWorkers   = flag.Int("shard-workers", 0, "parallel row workers per shard job (0 = sequential)")
 		workers        = flag.Int("workers", 2, "concurrent experiment runners (always 1 with -coordinator)")
 		queueDepth     = flag.Int("queue", 16, "submission queue bound (excess is shed)")
 		checkpointDir  = flag.String("checkpoint-dir", "", "directory for job checkpoints (empty = in-memory only)")
@@ -404,7 +403,6 @@ func main() {
 			PollInterval:   *pollInterval,
 			ProbeInterval:  *probeInterval,
 			ProbeThreshold: *probeThreshold,
-			ShardWorkers:   *shardWorkers,
 			Logf:           log.Printf,
 		}
 	} else if *shardsFlag != "" || *membershipFile != "" {

@@ -59,8 +59,8 @@ var leafExemptions = []analysis.FuncExemption{
 		Reason: "the concurrent engine itself: per-node workers, joined at every phase barrier"},
 	{Func: "locality/internal/harness.waitAttempt", Kind: "wallclock",
 		Reason: "the single sanctioned backoff timer; the backoff schedule stays pure seeded arithmetic"},
-	{Func: "locality/internal/harness.(*rowScheduler).start", Kind: "goroutine",
-		Reason: "sweep worker pool, reaped by rowScheduler.finish"},
+	{Func: "locality/internal/harness.(*sweepState).spawn", Kind: "goroutine",
+		Reason: "parallel sweep row computes, at most Config.Workers running, joined by Config.Flush or the sweep's abort"},
 	{Func: "locality/internal/store.nowNanos", Kind: "wallclock",
 		Reason: "result-store records carry a stored-at stamp for operators; write-only telemetry, never read back into cache decisions"},
 	{Func: "locality/internal/obs/trace.now", Kind: "wallclock",
@@ -101,7 +101,7 @@ func wallclockAllowFuncs() []string {
 //     goroutines are its whole job, and taint crossing its boundary is
 //     absorbed rather than relayed into domain reports.
 //   - goroutinedisc sanctions exactly the reaped spawn sites: the jobs
-//     worker pool, the cluster probers, the harness row scheduler, the
+//     worker pool, the cluster probers, the harness row computes, the
 //     concurrent engine, and the daemon's serve loop. Every
 //     allowance is verified to still witness a go statement.
 //   - internal/fault machines may observe Env.Node: the fault shim maps
@@ -162,7 +162,7 @@ func contractAnalyzers() []*analysis.Analyzer {
 				{Package: "locality/internal/cluster",
 					Reason: "shard probers and request fan-out, reaped via WaitGroup in Coordinator.Run"},
 				{File: "internal/harness/parallel.go",
-					Reason: "sweep row scheduler workers, joined by rowScheduler.finish"},
+					Reason: "parallel sweep row computes, joined by Config.Flush or the sweep's abort"},
 				{File: "internal/sim/concurrent.go",
 					Reason: "the concurrent engine's per-node workers, joined at every phase barrier"},
 				{File: "cmd/localityd/main.go",

@@ -75,7 +75,7 @@ func (n *FuncNode) QualifiedName() string {
 }
 
 // ShortName returns the package-name-qualified form used in provenance
-// chains: "sim.runConcurrent", "harness.(*rowScheduler).start".
+// chains: "sim.runConcurrent", "harness.(*sweepState).spawn".
 func (n *FuncNode) ShortName() string {
 	return n.Pkg.Types.Name() + "." + FuncDisplayName(n.Fn)
 }

@@ -21,8 +21,8 @@ type GoAllowance struct {
 type GoroutineDiscOptions struct {
 	// Allow lists the sanctioned spawn sites. The repository gate allows the
 	// pool/reaper patterns: internal/jobs (worker pool), internal/cluster
-	// (shard probers reaped via WaitGroup), harness/parallel.go (row
-	// scheduler), sim/concurrent.go (the concurrent engine itself), and the
+	// (shard probers reaped via WaitGroup), harness/parallel.go (parallel
+	// sweep rows), sim/concurrent.go (the concurrent engine itself), and the
 	// daemon's serve/runner loops.
 	Allow []GoAllowance
 }

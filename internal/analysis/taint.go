@@ -192,7 +192,7 @@ func shortPos(fset *token.FileSet, pos token.Pos) string {
 // never silently outlive the code it describes.
 type FuncExemption struct {
 	// Func is the import-path-qualified name: "locality/internal/sim.runConcurrent"
-	// or "locality/internal/harness.(*rowScheduler).start".
+	// or "locality/internal/harness.(*sweepState).spawn".
 	Func string
 	// Kind names the TaintKind ("wallclock", "rawrand", "mapiter",
 	// "goroutine"), or a per-analyzer rule tag (ctxflow's "background" /

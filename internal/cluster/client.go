@@ -21,14 +21,14 @@ import (
 // the signal the coordinator treats as "this shard may be dead".
 var ErrShardUnavailable = errors.New("cluster: shard unavailable")
 
-// SubmitRequest is the POST /v1/jobs wire body (mirrors localityd's
-// request schema; the in-process e2e test pins the two together).
+// SubmitRequest is the POST /v1/jobs wire body: the fields of localityd's
+// request schema a coordinator sets (the in-process e2e test pins the two
+// together).
 type SubmitRequest struct {
 	Experiment string        `json:"experiment"`
 	Quick      bool          `json:"quick,omitempty"`
 	Seed       uint64        `json:"seed"`
 	TimeoutMS  int64         `json:"timeout_ms,omitempty"`
-	Workers    int           `json:"workers,omitempty"`
 	Rows       *jobs.RowSpec `json:"rows,omitempty"`
 }
 

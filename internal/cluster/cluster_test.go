@@ -79,7 +79,6 @@ func (w *stubWorker) handleSubmit(rw http.ResponseWriter, r *http.Request) {
 		Quick:      req.Quick,
 		Seed:       req.Seed,
 		Timeout:    time.Duration(req.TimeoutMS) * time.Millisecond,
-		Workers:    req.Workers,
 		Rows:       req.Rows,
 	})
 	if err != nil {

@@ -36,9 +36,6 @@ type Options struct {
 	// ProbeThreshold is the consecutive probe failures that flip a shard
 	// unhealthy (default 3).
 	ProbeThreshold int
-	// ShardWorkers is the Workers count passed through to shard jobs
-	// (0 = sequential on each shard).
-	ShardWorkers int
 	// Metrics, when non-nil, receives the coordinator's per-shard health,
 	// dispatch, adoption, and failover counters.
 	Metrics *obs.Registry
@@ -155,9 +152,7 @@ func (c *Coordinator) logf(format string, args ...any) {
 func (c *Coordinator) Run(ctx context.Context, spec jobs.Spec) (*Result, error) {
 	driver, ok := harness.ByID(spec.Experiment)
 	if !ok {
-		if driver, ok = harness.ByIDSupplementary(spec.Experiment); !ok {
-			return nil, fmt.Errorf("cluster: unknown experiment %q", spec.Experiment)
-		}
+		return nil, fmt.Errorf("cluster: unknown experiment %q", spec.Experiment)
 	}
 	if spec.Rows != nil {
 		return nil, fmt.Errorf("cluster: spec.Rows is coordinator-owned")
@@ -265,7 +260,6 @@ func (c *Coordinator) dispatch(ctx context.Context, spec jobs.Spec, a *assignmen
 		Quick:      spec.Quick,
 		Seed:       spec.Seed,
 		TimeoutMS:  int64(spec.Timeout / time.Millisecond),
-		Workers:    c.opts.ShardWorkers,
 		Rows:       a.rows,
 	}
 	start := time.Now().UnixNano()

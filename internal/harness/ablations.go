@@ -33,8 +33,8 @@ func AllSupplementary(cfg Config) []*Table {
 	}
 }
 
-// ByIDSupplementary resolves the supplementary drivers (E12, E13, A1..A3),
-// case-insensitively like ByID.
+// ByIDSupplementary resolves only the supplementary drivers (E12, E13,
+// A1..A3), case-insensitively; ByID resolves these and the main ones.
 func ByIDSupplementary(id string) (func(Config) *Table, bool) {
 	m := map[string]func(Config) *Table{
 		"E12": E12FaultTolerance,

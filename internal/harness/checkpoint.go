@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // Row-level sweep checkpointing.
@@ -28,10 +29,12 @@ import (
 // summarize across rows parse the (replayed or fresh) row cells, never
 // loop-carried state.
 //
-// The same discipline is what lets Config.Workers compute rows in parallel
-// (parallel.go): compute closures are pure functions of their prep state,
-// so they can run speculatively out of order as long as their batches are
-// committed in row-index order.
+// The same discipline is what lets Config.Workers compute rows in parallel:
+// compute closures are pure functions of their prep state, so they can run
+// speculatively out of order as long as their batches are committed in
+// row-index order. Every Row call therefore queues one batch, replayed,
+// skipped or computed, and parallel.go commits the queue in order on the
+// driver goroutine, the same way at every worker count.
 
 // Checkpoint is the resume state of one experiment sweep: the AddRow
 // batches completed so far, tagged with the identity of the run they came
@@ -305,17 +308,20 @@ func (e *SweepError) Unwrap() []error { return []error{ErrSweepInterrupted, e.Ca
 // sweepState is a Table's in-flight checkpoint bookkeeping, attached by the
 // first cfg.Row call.
 type sweepState struct {
-	ctx       context.Context
+	ctx       context.Context // Config.Ctx, or Background
 	onBatch   func(*Checkpoint)
 	obs       Observer
 	selectRow func(int) bool // Config.RowSelect; nil computes every batch
 	ck        *Checkpoint
-	next      int // index of the next batch to replay, record, or enqueue
 	committed int // batches committed in row-index order (== batch index of the next commit)
 
-	// sched is the speculative row scheduler, non-nil only for Workers > 1
-	// sweeps (see parallel.go).
-	sched *rowScheduler
+	// pending holds the uncommitted batches in row-index order (see
+	// parallel.go). Row and wait end by committing every finished head, so
+	// a head left behind is a compute that was still running on its own
+	// goroutine.
+	pending []*rowBatch
+	slots   chan struct{} // one token per running compute; nil (Workers <= 1) computes inline
+	wg      sync.WaitGroup
 }
 
 // sweepInit attaches checkpoint state to the table on the first Row call.
@@ -324,7 +330,7 @@ func (t *Table) sweepInit(c Config) *sweepState {
 		return t.sweep
 	}
 	s := &sweepState{
-		ctx:       c.Ctx,
+		ctx:       c.ctx(),
 		onBatch:   c.OnBatch,
 		obs:       c.Obs,
 		selectRow: c.RowSelect,
@@ -336,7 +342,7 @@ func (t *Table) sweepInit(c Config) *sweepState {
 		}
 	}
 	if c.Workers > 1 {
-		s.sched = &rowScheduler{workers: c.Workers, ctx: c.Ctx}
+		s.slots = make(chan struct{}, c.Workers)
 	}
 	t.sweep = s
 	return s
@@ -361,13 +367,6 @@ func (s *sweepState) replayRows(t *Table, rows [][]string) {
 	s.committed++
 }
 
-// skipBatch records a hole for a batch this shard does not own and advances
-// the commit cursor. Holes fire no OnBatch — nothing was computed.
-func (s *sweepState) skipBatch(i int) {
-	s.setBatch(i, nil)
-	s.committed++
-}
-
 // Row runs one checkpointable unit of a sweep. If the resumed checkpoint
 // already holds this batch, the recorded rows are appended to the table and
 // compute is skipped; otherwise compute runs, appending its rows via AddRow
@@ -377,56 +376,44 @@ func (s *sweepState) skipBatch(i int) {
 // is dead.
 //
 // The compute callback's table parameter deliberately shadows the sweep
-// table: with Workers <= 1 it IS the sweep table, but in a parallel sweep it
-// is a private staging table whose rows are committed in row-index order
-// once every earlier batch has committed (see parallel.go). Compute must
-// therefore only AddRow on its parameter — notes and cross-row reads belong
-// outside Row.
+// table: it is a private staging table, whose rows are committed to the
+// sweep table in row-index order once every earlier batch has committed —
+// at once with Workers <= 1, and when the compute's goroutine returns in a
+// parallel sweep (see parallel.go). Compute must therefore only AddRow on
+// its parameter — notes and cross-row reads belong outside Row.
 //
 // Replay discipline (see the file comment): draws from RNG streams shared
 // across rows belong before Row, not inside compute.
 func (c Config) Row(t *Table, compute func(t *Table)) {
 	s := t.sweepInit(c)
-	s.drainReady(t)
-	if s.ctx != nil && s.ctx.Err() != nil {
-		s.abort(s.interrupted(t))
-	}
-	i := s.next
-	s.next++
+	s.commitReady(t)
+	s.live(t)
+	i := s.committed + len(s.pending)
+	b := &rowBatch{}
 	switch {
 	case i < len(s.ck.Batches) && s.ck.Batches[i] != nil:
-		// Replay. With a sparse resume checkpoint a replay can follow
-		// enqueued speculative batches, so when speculation is pending the
-		// replay rides the pending queue to keep table rows in row-index
-		// order; otherwise it lands directly.
-		if s.pendingSpec() {
-			s.enqueueDone(&specBatch{kind: batchReplay, rows: s.ck.Batches[i]})
-			return
-		}
-		s.replayRows(t, s.ck.Batches[i])
+		b.rows = s.ck.Batches[i]
 	case s.selectRow != nil && !s.selectRow(i):
-		// Sharded mode: this batch belongs to another shard. Record a hole
-		// (in order, like every commit) and move on.
-		if s.pendingSpec() {
-			s.enqueueDone(&specBatch{kind: batchSkip})
-			return
-		}
-		s.skipBatch(i)
-	case s.sched == nil:
-		start := len(t.Rows)
-		compute(t)
-		s.commitBatch(t, nil, cloneBatch(t.Rows[start:]))
+		// Sharded mode: this batch belongs to another shard, and commits as
+		// a hole.
 	default:
-		s.enqueue(t, compute)
+		b.staging = &Table{ID: t.ID, Title: t.Title, Claim: t.Claim, Columns: t.Columns}
+		if s.slots == nil {
+			compute(b.staging)
+		} else {
+			s.spawn(t, b, compute)
+		}
 	}
+	s.pending = append(s.pending, b)
+	s.commitReady(t)
 }
 
-// Flush commits every outstanding speculative batch of a parallel sweep, in
-// order, and releases the worker goroutines. Drivers call it after the last
-// Row and before reading t.Rows (cross-row notes) or returning the table;
-// with Workers <= 1 (or no Row calls at all) it is a no-op. Like Row, it
-// aborts with a panicked *SweepError when Config.Ctx dies while batches are
-// still uncommitted.
+// Flush commits every outstanding batch of a parallel sweep, in order, and
+// joins its goroutines. Drivers call it after the last Row and before
+// reading t.Rows (cross-row notes) or returning the table; with Workers <= 1
+// (or no Row calls at all) nothing is outstanding. Like Row, it aborts with
+// a panicked *SweepError when Config.Ctx dies while batches are still
+// uncommitted.
 //
 // In sharded mode (Config.RowSelect set) Flush does not return: once every
 // batch is committed it panics a *ShardDoneError carrying the final sparse
@@ -435,8 +422,11 @@ func (c Config) Row(t *Table, compute func(t *Table)) {
 // success via errors.Is(err, ErrShardDone).
 func (c Config) Flush(t *Table) {
 	s := t.sweep
-	if s != nil && s.sched != nil {
-		s.flush(t)
+	if s != nil {
+		for len(s.pending) > 0 {
+			s.wait(t, nil)
+		}
+		s.wg.Wait()
 	}
 	if c.RowSelect == nil {
 		return
@@ -449,13 +439,11 @@ func (c Config) Flush(t *Table) {
 	panic(&ShardDoneError{Experiment: t.ID, Checkpoint: ck})
 }
 
-// commitBatch appends a freshly computed batch to the table (rows != nil for
-// a speculative batch; nil when the inline path already appended them),
-// records it in the checkpoint at its row index, and fires OnBatch.
-func (s *sweepState) commitBatch(t *Table, rows [][]string, recorded [][]string) {
-	if rows != nil {
-		t.Rows = append(t.Rows, rows...)
-	}
+// commitBatch appends a freshly computed batch to the table, records it in
+// the checkpoint at its row index, and fires OnBatch.
+func (s *sweepState) commitBatch(t *Table, rows [][]string) {
+	t.Rows = append(t.Rows, rows...)
+	recorded := cloneBatch(rows)
 	if recorded == nil {
 		// A computed batch that appended no rows is still computed, not a
 		// hole: record it as an empty batch so sparse merges keep the
@@ -482,9 +470,9 @@ func (s *sweepState) interrupted(t *Table) *SweepError {
 // never flushed: silently rendering a partial table would defeat the
 // byte-identity guarantee, so the bug is loud instead.
 func (t *Table) assertCommitted(op string) {
-	if t.sweep != nil && t.sweep.sched != nil && len(t.sweep.sched.pending) > 0 {
+	if t.sweep != nil && len(t.sweep.pending) > 0 {
 		panic(fmt.Sprintf("harness: %s.%s with %d uncommitted parallel batches (driver missing Config.Flush)",
-			t.ID, op, len(t.sweep.sched.pending)))
+			t.ID, op, len(t.sweep.pending)))
 	}
 }
 

@@ -15,17 +15,14 @@ func renderTable(t *Table) []byte {
 	return buf.Bytes()
 }
 
-// lookupDriver resolves an experiment ID across both registries.
+// lookupDriver resolves an experiment ID or fails the test.
 func lookupDriver(t *testing.T, id string) func(Config) *Table {
 	t.Helper()
-	if f, ok := ByID(id); ok {
-		return f
+	f, ok := ByID(id)
+	if !ok {
+		t.Fatalf("unknown experiment %s", id)
 	}
-	if f, ok := ByIDSupplementary(id); ok {
-		return f
-	}
-	t.Fatalf("unknown experiment %s", id)
-	return nil
+	return f
 }
 
 // countBatches runs a driver to completion and reports how many cfg.Row

@@ -41,7 +41,8 @@ func All(cfg Config) []*Table {
 	}
 }
 
-// ByID returns the experiment driver with the given id (E1..E11).
+// ByID returns the experiment driver with the given id, case-insensitively:
+// the main experiments E1..E11 and the supplementary E12, E13 and A1..A3.
 func ByID(id string) (func(Config) *Table, bool) {
 	m := map[string]func(Config) *Table{
 		"E1": E1Separation, "E2": E2DeltaScaling, "E3": E3Shattering,
@@ -49,8 +50,10 @@ func ByID(id string) (func(Config) *Table, bool) {
 		"E7": E7Dichotomy, "E8": E8Derandomization, "E9": E9Linial,
 		"E10": E10MISMatching, "E11": E11Sinkless,
 	}
-	f, ok := m[strings.ToUpper(id)]
-	return f, ok
+	if f, ok := m[strings.ToUpper(id)]; ok {
+		return f, true
+	}
+	return ByIDSupplementary(id)
 }
 
 // checkColoring returns "yes" when the labeling is a proper q-coloring.

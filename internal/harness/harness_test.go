@@ -69,8 +69,10 @@ func TestAllExperimentsQuick(t *testing.T) {
 }
 
 func TestByID(t *testing.T) {
-	if _, ok := harness.ByID("e4"); !ok {
-		t.Error("lowercase id not found")
+	for _, id := range []string{"e4", "E12", "a1"} {
+		if _, ok := harness.ByID(id); !ok {
+			t.Errorf("%s not found", id)
+		}
 	}
 	if _, ok := harness.ByID("E99"); ok {
 		t.Error("nonexistent id found")

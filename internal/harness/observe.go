@@ -16,7 +16,8 @@ import "locality/internal/sim"
 
 // An Observer receives a sweep's round-level and batch-level telemetry.
 // Implementations must be safe for concurrent use: with Config.Workers > 1
-// the speculative row workers call SimRound concurrently. BatchDone is
+// the row computes running on their own goroutines call SimRound
+// concurrently. BatchDone is
 // always called from the driver goroutine, in commit order, and only for
 // freshly computed batches (replayed batches fire no telemetry, mirroring
 // OnBatch).

@@ -1,277 +1,138 @@
 package harness
 
-// Deterministic parallel row scheduling.
+// In-order row commits, inline or parallel.
 //
 // A sweep's rows are embarrassingly parallel: the checkpoint discipline
 // (checkpoint.go) already requires each compute closure to be a pure
 // function of its prep state and per-row seeds, with every shared-stream
-// RNG draw in the driver's prep section. Config.Workers exploits exactly
-// that contract: Row enqueues the closure instead of running it, a bounded
-// worker set computes batches speculatively — possibly out of order, each
-// into a private staging table — and the driver goroutine commits finished
-// batches strictly in row-index order. Because commits (table append,
-// checkpoint record, OnBatch) happen only on the driver goroutine and only
-// in order, everything observable — rendered bytes, checkpoint contents,
-// OnBatch sequence, resume behavior — is identical to a Workers=1 run.
+// RNG draw in the driver's prep section. One mechanism serves every worker
+// count. Each Row call appends a batch to the sweep's pending queue, and
+// the driver goroutine commits the queue's finished head batches strictly
+// in row-index order (table append, checkpoint record, OnBatch, Observer).
+// A replay, a hole, or a compute run inline (Workers <= 1) is finished when
+// it is queued; with Workers > 1 a compute runs on its own goroutine, into
+// a private staging table, and finishes when that goroutine returns.
+// Because commits happen only on the driver goroutine and only in order,
+// everything observable — rendered bytes, checkpoint contents, OnBatch
+// sequence, resume behavior — is identical at every worker count.
 //
 // Ordering and failure rules:
 //
-//   - Speculation is bounded: the queue holds at most `workers` batches, so
-//     at most 2×workers batches (queued + in flight) exist beyond the
-//     committed prefix, which bounds the prep state kept alive.
-//   - Cancellation keeps row granularity: a dead Config.Ctx is observed
-//     before each commit and while enqueueing or flushing; the sweep then
-//     stops committing, reaps its workers, and panics the same *SweepError
-//     a sequential sweep would. Speculative batches that finished after the
-//     cancellation point are discarded — determinism makes recomputing them
-//     on resume byte-equivalent.
-//   - A panicking compute closure is recovered on the worker, held with its
-//     batch, and re-panicked on the driver goroutine when the batch reaches
-//     its in-order commit slot — after the workers are reaped — so the
-//     (row-index)-first failure surfaces, exactly as it would sequentially.
-//
-// Replayed batches reach the scheduler only when speculation is already
-// pending: with a prefix resume checkpoint Row replays synchronously before
-// the first closure is enqueued, but a sparse checkpoint (sharded sweeps,
-// coordinator merges — see Config.RowSelect) interleaves replays and holes
-// with computes, so those ride the pending queue as pre-finished markers to
-// keep commits in row-index order.
+//   - Speculation is bounded: a slot channel of capacity Workers keeps at
+//     most that many computes running, and Row commits finished heads while
+//     it waits for a slot. A finished compute keeps only its staged rows.
+//   - Cancellation keeps row granularity: a dead Config.Ctx is observed at
+//     each Row call, while Row or Flush waits, and before each commit. An
+//     inline compute took its check at Row entry, before it ran, so it
+//     commits even if it cancelled the context itself. The sweep then stops
+//     committing, joins its running computes, and panics a *SweepError.
+//     Batches computed past the cancellation point are discarded —
+//     determinism makes recomputing them on resume byte-equivalent.
+//   - Failures keep their order: an inline compute's panic leaves Row
+//     directly; a goroutine's is recovered, held with its batch, and
+//     re-panicked on the driver goroutine when the batch reaches its commit
+//     slot — after the running computes are joined — so the lowest-index
+//     failure surfaces, exactly as it would sequentially.
 
-import (
-	"context"
-	"sync"
-)
-
-// batchKind distinguishes what a pending slot commits: a speculative
-// compute, a replay of recorded rows, or a hole skipped in sharded mode.
-type batchKind uint8
-
-const (
-	batchCompute batchKind = iota
-	batchReplay
-	batchSkip
-)
-
-// specBatch is one pending row batch. For batchCompute it carries the
-// closure, the private staging table it fills, and the recovered panic
-// value if it failed; done is closed when the worker finishes either way.
-// batchReplay and batchSkip slots are born finished (done pre-closed) and
-// exist only to hold their place in the commit order — rows holds the
-// recorded batch to replay.
-type specBatch struct {
-	kind     batchKind
-	compute  func(*Table)
-	staging  *Table
+// rowBatch is one Row call awaiting its in-order commit: a replay (rows
+// holds the recorded batch), a hole (nothing set), or a compute (staging
+// holds the rows it added). done is nil when the batch was finished on
+// arrival; otherwise its goroutine closes done on return, after recording
+// any panic in panicked.
+type rowBatch struct {
 	rows     [][]string
+	staging  *Table
 	panicked any
 	done     chan struct{}
 }
 
-// run executes the batch on a worker goroutine.
-func (sb *specBatch) run() {
-	defer close(sb.done)
-	defer func() {
-		if r := recover(); r != nil {
-			sb.panicked = r
+// finished reports whether b can commit.
+func (b *rowBatch) finished() bool {
+	if b.done == nil {
+		return true
+	}
+	select {
+	case <-b.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// commitReady commits the finished batches at the head of the queue.
+func (s *sweepState) commitReady(t *Table) {
+	for len(s.pending) > 0 && s.pending[0].finished() {
+		b := s.pending[0]
+		s.pending = s.pending[1:]
+		if b.done != nil || b.staging == nil {
+			// An inline compute was checked at Row entry, before it ran.
+			// Every other batch is checked here, so a cancellation raised
+			// by the previous commit's OnBatch stops the sweep before
+			// another batch lands.
+			s.live(t)
 		}
-	}()
-	sb.compute(sb.staging)
-}
-
-// rowScheduler owns a parallel sweep's worker goroutines and its uncommitted
-// batches. It is driven entirely from the driver goroutine; only specBatch
-// computation happens on workers.
-type rowScheduler struct {
-	workers int
-	ctx     context.Context // Config.Ctx; may be nil
-
-	queue   chan *specBatch
-	quit    chan struct{}
-	wg      sync.WaitGroup
-	pending []*specBatch // enqueued, uncommitted, in row-index order
-	started bool
-	stopped bool
-}
-
-// start spawns the workers on the first enqueue, so fully replayed sweeps
-// never spin up goroutines.
-func (sc *rowScheduler) start() {
-	if sc.started {
-		return
-	}
-	sc.started = true
-	sc.queue = make(chan *specBatch, sc.workers)
-	sc.quit = make(chan struct{})
-	for i := 0; i < sc.workers; i++ {
-		sc.wg.Add(1)
-		go func() {
-			defer sc.wg.Done()
-			for {
-				// Prefer quit so a stopping sweep stops promptly even when
-				// the queue still holds work.
-				select {
-				case <-sc.quit:
-					return
-				default:
-				}
-				select {
-				case sb, ok := <-sc.queue:
-					if !ok {
-						return
-					}
-					sb.run()
-				case <-sc.quit:
-					return
-				}
-			}
-		}()
-	}
-}
-
-// ctxDone returns the cancellation channel, or nil when the sweep has no
-// context.
-func (sc *rowScheduler) ctxDone() <-chan struct{} {
-	if sc.ctx == nil {
-		return nil
-	}
-	return sc.ctx.Done()
-}
-
-// stop reaps the workers without draining the queue: in-flight batches
-// finish their current compute, queued ones are abandoned. Used on abort
-// paths (cancellation, compute panic) before re-panicking on the driver
-// goroutine.
-func (sc *rowScheduler) stop() {
-	if sc.stopped {
-		return
-	}
-	sc.stopped = true
-	if sc.started {
-		close(sc.quit)
-		sc.wg.Wait()
-	}
-}
-
-// finish retires the workers after a fully committed sweep: the queue is
-// empty, so closing it lets each worker drain and exit.
-func (sc *rowScheduler) finish() {
-	if sc.stopped {
-		return
-	}
-	sc.stopped = true
-	if sc.started {
-		close(sc.queue)
-		sc.wg.Wait()
-	}
-}
-
-// pendingSpec reports whether speculative batches are awaiting commit — the
-// condition under which replays and skips must queue for ordering instead
-// of landing directly.
-func (s *sweepState) pendingSpec() bool {
-	return s.sched != nil && len(s.sched.pending) > 0
-}
-
-// enqueueDone appends a pre-finished marker batch (replay or skip) to the
-// pending queue. It never touches the workers: the slot exists purely so
-// the batch commits in row-index order behind the speculation ahead of it.
-func (s *sweepState) enqueueDone(sb *specBatch) {
-	sb.done = make(chan struct{})
-	close(sb.done)
-	s.sched.pending = append(s.sched.pending, sb)
-}
-
-// enqueue hands a compute closure to the workers. When the queue is
-// saturated it blocks — committing batches that become ready in the
-// meantime, and aborting if the sweep's context dies.
-func (s *sweepState) enqueue(t *Table, compute func(*Table)) {
-	sc := s.sched
-	sc.start()
-	sb := &specBatch{
-		compute: compute,
-		staging: &Table{ID: t.ID, Title: t.Title, Claim: t.Claim, Columns: t.Columns},
-		done:    make(chan struct{}),
-	}
-	for {
-		var headDone chan struct{}
-		if len(sc.pending) > 0 {
-			headDone = sc.pending[0].done
-		}
-		select {
-		case sc.queue <- sb:
-			sc.pending = append(sc.pending, sb)
-			return
-		case <-headDone:
-			s.commitHead(t)
-		case <-sc.ctxDone():
-			s.abort(s.interrupted(t))
-		}
-	}
-}
-
-// drainReady commits, in order, every pending batch that has already
-// finished, without blocking.
-func (s *sweepState) drainReady(t *Table) {
-	sc := s.sched
-	if sc == nil {
-		return
-	}
-	for len(sc.pending) > 0 {
-		select {
-		case <-sc.pending[0].done:
-			s.commitHead(t)
+		switch {
+		case b.panicked != nil:
+			s.abort(b.panicked)
+		case b.staging != nil:
+			s.commitBatch(t, b.staging.Rows)
+		case b.rows != nil:
+			s.replayRows(t, b.rows)
 		default:
-			return
+			// A hole fires no OnBatch — nothing was computed.
+			s.setBatch(s.committed, nil)
+			s.committed++
 		}
 	}
 }
 
-// flush blocks until every pending batch is committed in order, then
-// retires the workers. A dead context, or a panicked batch reaching its
-// commit slot, aborts instead.
-func (s *sweepState) flush(t *Table) {
-	sc := s.sched
-	for len(sc.pending) > 0 {
-		select {
-		case <-sc.pending[0].done:
-			s.commitHead(t)
-		case <-sc.ctxDone():
-			s.abort(s.interrupted(t))
-		}
+// spawn runs compute on its own goroutine once a slot is free, committing
+// finished heads while it waits. The goroutine records a panic for the
+// commit to re-raise, closes b.done and frees its slot.
+func (s *sweepState) spawn(t *Table, b *rowBatch, compute func(*Table)) {
+	for !s.wait(t, s.slots) {
 	}
-	sc.finish()
-	s.sched = nil // later Row calls (none in practice) fall back to inline
+	b.done = make(chan struct{})
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		defer func() { <-s.slots }()
+		defer close(b.done)
+		defer func() { b.panicked = recover() }()
+		compute(b.staging)
+	}()
 }
 
-// commitHead commits the oldest pending batch, which must have finished.
-// The context is re-checked first so a cancellation raised by the previous
-// commit's OnBatch (the supervision layer's kill point) stops the sweep
-// before another batch lands.
-func (s *sweepState) commitHead(t *Table) {
-	if s.ctx != nil && s.ctx.Err() != nil {
+// wait blocks until the head batch finishes, and then commits the
+// finished heads, or until it takes a token from slots (a nil slots never
+// gives one), which it reports. A dead context aborts the sweep.
+func (s *sweepState) wait(t *Table, slots chan<- struct{}) bool {
+	var head chan struct{}
+	if len(s.pending) > 0 {
+		head = s.pending[0].done
+	}
+	select {
+	case slots <- struct{}{}:
+		return true
+	case <-head:
+		s.commitReady(t)
+	case <-s.ctx.Done():
 		s.abort(s.interrupted(t))
 	}
-	sc := s.sched
-	sb := sc.pending[0]
-	sc.pending = sc.pending[1:]
-	if sb.panicked != nil {
-		s.abort(sb.panicked)
-	}
-	switch sb.kind {
-	case batchReplay:
-		s.replayRows(t, sb.rows)
-	case batchSkip:
-		s.skipBatch(s.committed)
-	default:
-		s.commitBatch(t, sb.staging.Rows, cloneBatch(sb.staging.Rows))
+	return false
+}
+
+// live aborts the sweep once its context is dead.
+func (s *sweepState) live(t *Table) {
+	if s.ctx.Err() != nil {
+		s.abort(s.interrupted(t))
 	}
 }
 
-// abort reaps the workers and re-panics v on the driver goroutine. The
-// sweep is unusable afterwards; supervision layers recover the panic.
+// abort joins the running computes and re-panics v on the driver
+// goroutine. The sweep is unusable afterwards; supervision layers recover
+// the panic.
 func (s *sweepState) abort(v any) {
-	if s.sched != nil {
-		s.sched.stop()
-	}
+	s.wg.Wait()
 	panic(v)
 }

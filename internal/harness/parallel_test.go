@@ -4,9 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // renderAll captures every rendering of a table — the aligned text, the CSV,
@@ -176,9 +177,14 @@ func syntheticSweep(cfg Config, rows int, hook func(i int, t *Table)) *Table {
 }
 
 // TestParallelComputePanic asserts a panicking compute closure surfaces on the
-// driver goroutine with the original panic value, and that it is the
-// lowest-index failure that surfaces even when later batches also finish.
+// driver goroutine with the original panic value, that it is the
+// lowest-index failure that surfaces even when later batches also finish,
+// and that every row goroutine has returned by then: row 3 panics only once
+// the slower row 5 has started, and row 5 must have finished when the panic
+// reaches the caller.
 func TestParallelComputePanic(t *testing.T) {
+	slowStarted := make(chan struct{})
+	var slowDone atomic.Bool
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -187,12 +193,64 @@ func TestParallelComputePanic(t *testing.T) {
 		if s, ok := r.(string); !ok || s != "boom 3" {
 			t.Fatalf("panicked %v, want the lowest-index failure \"boom 3\"", r)
 		}
+		if !slowDone.Load() {
+			t.Fatalf("row 5's compute was still running when the panic surfaced")
+		}
 	}()
 	syntheticSweep(Config{Workers: 4}, 16, func(i int, _ *Table) {
-		if i == 3 || i == 7 {
-			panic(fmt.Sprintf("boom %d", i))
+		switch i {
+		case 3:
+			<-slowStarted
+			panic("boom 3")
+		case 5:
+			close(slowStarted)
+			time.Sleep(20 * time.Millisecond)
+			slowDone.Store(true)
+		case 7:
+			panic("boom 7")
 		}
 	})
+}
+
+// TestSequentialCancelInCompute pins where a Workers <= 1 sweep observes a
+// cancellation raised inside a compute: the batch being computed still
+// commits, and the sweep stops at the next Row. Cancelling in the last
+// row's compute therefore ends the sweep normally.
+func TestSequentialCancelInCompute(t *testing.T) {
+	const rows = 5
+	for _, workers := range []int{0, 1} {
+		for _, tc := range []struct {
+			at, batches int
+			interrupted bool
+		}{{2, 3, true}, {rows - 1, rows, false}} {
+			ctx, cancel := context.WithCancel(context.Background())
+			batches := 0
+			cfg := Config{Workers: workers, Ctx: ctx, OnBatch: func(*Checkpoint) { batches++ }}
+			var tbl *Table
+			r := func() (r any) {
+				defer func() { r = recover() }()
+				tbl = syntheticSweep(cfg, rows, func(i int, _ *Table) {
+					if i == tc.at {
+						cancel()
+					}
+				})
+				return nil
+			}()
+			cancel()
+			if batches != tc.batches {
+				t.Errorf("workers=%d cancel at %d: OnBatch fired %d times, want %d", workers, tc.at, batches, tc.batches)
+			}
+			se, _ := r.(*SweepError)
+			switch {
+			case tc.interrupted && (se == nil || se.BatchesDone != tc.batches):
+				t.Errorf("workers=%d cancel at %d: ended with %v, want a SweepError after %d batches",
+					workers, tc.at, r, tc.batches)
+			case !tc.interrupted && (r != nil || len(tbl.Rows) != rows):
+				t.Errorf("workers=%d cancel at %d: ended with %v, want a normal end with %d rows",
+					workers, tc.at, r, rows)
+			}
+		}
+	}
 }
 
 // TestParallelUnflushedRenderPanics guards the misuse mode: rendering a
@@ -219,7 +277,7 @@ func TestParallelUnflushedRenderPanics(t *testing.T) {
 	tbl.Render(&buf)
 }
 
-// TestParallelSyntheticMatchesInline cross-checks the scheduler itself on a
+// TestParallelSyntheticMatchesInline cross-checks the commit queue itself on a
 // cheap synthetic sweep at several worker counts, including workers > rows.
 func TestParallelSyntheticMatchesInline(t *testing.T) {
 	want := renderAll(syntheticSweep(Config{}, 10, nil))

@@ -41,9 +41,6 @@ func TestPinnedTableHashes(t *testing.T) {
 		}
 		exp, ok := harness.ByID(id)
 		if !ok {
-			exp, ok = harness.ByIDSupplementary(id)
-		}
-		if !ok {
 			t.Fatalf("pin names unknown experiment %q", id)
 		}
 		rows++

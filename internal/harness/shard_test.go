@@ -147,8 +147,7 @@ func TestSparseResumeRecomputesHoles(t *testing.T) {
 }
 
 // TestSparseResumeParallel: the hole-recompute endgame also works under
-// Workers>1, where replays and computes interleave through the speculative
-// scheduler.
+// Workers>1, where replays queue behind unfinished parallel computes.
 func TestSparseResumeParallel(t *testing.T) {
 	const id, seed = "E4", uint64(7)
 	want := renderTable(lookupDriver(t, id)(Config{Quick: true, Seed: seed}))

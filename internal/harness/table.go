@@ -196,12 +196,12 @@ type Config struct {
 	Quick bool
 	// Seed drives all randomness.
 	Seed uint64
-	// Workers, when > 1, fans the sweep's row computations out over that
-	// many worker goroutines (see parallel.go): rows are computed
-	// speculatively out of order and committed strictly in row-index
-	// order, so tables, checkpoints and OnBatch calls are byte-identical
-	// to a Workers<=1 run. 0 and 1 compute rows inline (the historical
-	// behavior). Workers is not part of the checkpoint identity.
+	// Workers, when > 1, runs up to that many of the sweep's row
+	// computations at once, each on its own goroutine (see parallel.go):
+	// rows are computed speculatively out of order and committed strictly
+	// in row-index order, so tables, checkpoints and OnBatch calls are
+	// byte-identical to a Workers<=1 run. 0 and 1 compute rows inline.
+	// Workers is not part of the checkpoint identity.
 	Workers int
 	// Ctx, when non-nil, cancels a sweep between row batches: Config.Row
 	// aborts with a panicked *SweepError as soon as the context dies.

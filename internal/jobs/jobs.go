@@ -197,11 +197,3 @@ func cancelled(err error) bool {
 	return (errors.Is(err, context.Canceled) || errors.Is(err, harness.ErrSweepInterrupted)) &&
 		!errors.Is(err, context.DeadlineExceeded)
 }
-
-// lookup resolves an experiment ID across both harness registries.
-func lookup(id string) (func(harness.Config) *harness.Table, bool) {
-	if f, ok := harness.ByID(id); ok {
-		return f, true
-	}
-	return harness.ByIDSupplementary(id)
-}

@@ -19,9 +19,6 @@ func runDirect(t *testing.T, spec jobs.Spec) (string, int) {
 	t.Helper()
 	driver, ok := harness.ByID(spec.Experiment)
 	if !ok {
-		driver, ok = harness.ByIDSupplementary(spec.Experiment)
-	}
-	if !ok {
 		t.Fatalf("unknown experiment %s", spec.Experiment)
 	}
 	batches := 0

@@ -306,7 +306,7 @@ func (p *Pool) SubmitTenantSpan(parent trace.SpanContext, apiKey string, spec Sp
 			Workers:  p.opts.workers(),
 		}
 	}
-	if _, ok := lookup(spec.Experiment); !ok {
+	if _, ok := harness.ByID(spec.Experiment); !ok {
 		p.metrics.shedUnknown.Inc()
 		return shed(fmt.Errorf("%w %q", ErrUnknownExperiment, spec.Experiment))
 	}
@@ -739,7 +739,7 @@ func (p *Pool) attempt(ctx context.Context, j *job, ck **harness.Checkpoint) (ou
 		}
 		return out, err
 	}
-	driver, _ := lookup(j.spec.Experiment)
+	driver, _ := harness.ByID(j.spec.Experiment)
 	cfg := harness.Config{
 		Obs:     p.sweepObserver(j),
 		Quick:   j.spec.Quick,

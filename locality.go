@@ -317,7 +317,8 @@ type ExperimentTable = harness.Table
 var (
 	// RunAllExperiments regenerates every table of EXPERIMENTS.md.
 	RunAllExperiments = harness.All
-	// ExperimentByID looks up a single driver ("E1".."E11").
+	// ExperimentByID looks up a single driver ("E1".."E13", "A1".."A3"),
+	// case-insensitively.
 	ExperimentByID = harness.ByID
 )
 

@@ -51,10 +51,8 @@ func main() {
 // its AllowFuncs, keeping the intraprocedural leaf check and the
 // interprocedural reachability check in exact agreement.
 var leafExemptions = []analysis.FuncExemption{
-	{Func: "locality/internal/sim.runSequential", Kind: "wallclock",
-		Reason: "Config.Deadline watchdog: the wall clock bounds whether a run finishes, never what it computes"},
 	{Func: "locality/internal/sim.runConcurrent", Kind: "wallclock",
-		Reason: "deadline timer and abort grace period for reaping runaway concurrent runs"},
+		Reason: "abort grace period for reaping runaway concurrent runs; the wall clock bounds whether an abort returns, never what a run computes"},
 	{Func: "locality/internal/sim.runConcurrent", Kind: "goroutine",
 		Reason: "the concurrent engine itself: per-node workers, joined at every phase barrier"},
 	{Func: "locality/internal/harness.waitAttempt", Kind: "wallclock",
@@ -121,13 +119,13 @@ func contractAnalyzers() []*analysis.Analyzer {
 		"locality/cmd/localload",
 	}
 	return []*analysis.Analyzer{
-		analysis.NewNoRawRand(analysis.NoRawRandOptions{}),
+		analysis.NewNoRawRand(),
 		analysis.NewNoWallClock(analysis.NoWallClockOptions{
 			AllowPackages: supervision,
 			AllowFuncs:    wallclockAllowFuncs(),
 		}),
-		analysis.NewNoMapIter(analysis.NoMapIterOptions{}),
-		analysis.NewErrSentinel(analysis.ErrSentinelOptions{}),
+		analysis.NewNoMapIter(),
+		analysis.NewErrSentinel(),
 		analysis.NewPhaseDisc(analysis.PhaseDiscOptions{
 			AllowNodePackages: []string{"locality/internal/fault"},
 		}),
@@ -173,16 +171,10 @@ func contractAnalyzers() []*analysis.Analyzer {
 					Reason: "spawned-daemon stderr drain (reaped at process exit) and Wait watcher (reaped by select)"},
 			},
 		}),
-		analysis.NewMutexHold(analysis.MutexHoldOptions{}),
-		analysis.NewCtxFlow(analysis.CtxFlowOptions{
-			Exemptions: ctxExemptions,
-		}),
+		analysis.NewMutexHold(),
+		analysis.NewCtxFlow(),
 	}
 }
-
-// ctxExemptions are the sanctioned context-discipline deviations, verified
-// live by ctxflow.
-var ctxExemptions = []analysis.FuncExemption{}
 
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("localvet", flag.ContinueOnError)

@@ -15,8 +15,8 @@
 //
 //   - norawrand:   randomness enters only via internal/rng (Env.Rand);
 //     math/rand and crypto/rand are banned in model code.
-//   - nowallclock: model code never reads the wall clock; only the
-//     simulator's deadline machinery may.
+//   - nowallclock: model code never reads the wall clock; only exempted
+//     leaf functions may.
 //   - nomapiter:   map iteration order must not leak into messages or
 //     outputs; slices built while ranging over a map must be sorted.
 //   - errsentinel: kernel failures are matched with errors.Is against the

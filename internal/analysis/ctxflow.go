@@ -3,21 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
-
-// CtxFlowOptions configures the ctxflow analyzer.
-type CtxFlowOptions struct {
-	// AllowPackages lists import paths exempt from the check.
-	AllowPackages []string
-	// Exemptions sanction individual deviations by kind:
-	//   "background" — the function may mint context.Background()/TODO()
-	//     despite having a Context parameter (detached-cleanup idiom);
-	//   "noctx" — the function may call blocking module callees that take
-	//     no Context (sanctioned fire-and-forget).
-	// Entries are verified live against the code they describe.
-	Exemptions []FuncExemption
-}
 
 // NewCtxFlow returns the ctxflow analyzer: cancellation must actually flow.
 // Three rules, all scoped to non-test module code:
@@ -28,19 +14,18 @@ type CtxFlowOptions struct {
 //     via context.Background()/context.TODO() — doing so silently detaches
 //     everything downstream from the caller's cancellation. The sanctioned
 //     detach idiom is context.WithoutCancel (values flow, cancellation
-//     doesn't), or an explicit "background" exemption.
+//     doesn't).
 //  3. A function that receives a Context threads it into every blocking
 //     module callee: calling a callee that can park the goroutine but has
 //     no Context parameter means that wait is uncancellable. The callee's
 //     blocking-ness is resolved transitively through the call graph.
-func NewCtxFlow(opt CtxFlowOptions) *Analyzer {
+func NewCtxFlow() *Analyzer {
 	a := &Analyzer{
 		Name: "ctxflow",
 		Doc: "require context.Context first in parameter lists, forbid minting " +
 			"fresh root contexts in context-carrying functions, and require the " +
 			"context to reach every blocking module callee",
 	}
-	idx := indexExemptions(opt.Exemptions)
 	taints := map[*Program]*TaintSet{}
 	blockingTaint := func(prog *Program) *TaintSet {
 		if t := taints[prog]; t != nil {
@@ -55,10 +40,6 @@ func NewCtxFlow(opt CtxFlowOptions) *Analyzer {
 			return nil
 		}
 		t := blockingTaint(pass.Prog)
-		verifyCtxExemptions(pass, opt.Exemptions)
-		if pkgAllowed(pass, opt.AllowPackages) {
-			return nil
-		}
 		for _, n := range pass.funcNodes() {
 			if n.TestOnly || n.Decl.Body == nil {
 				continue
@@ -71,8 +52,6 @@ func NewCtxFlow(opt CtxFlowOptions) *Analyzer {
 			if ctxAt < 0 {
 				continue
 			}
-			checkBackground := !idx.exempt(n, "background")
-			checkNoCtx := !idx.exempt(n, "noctx")
 			ast.Inspect(n.Decl.Body, func(x ast.Node) bool {
 				call, ok := x.(*ast.CallExpr)
 				if !ok {
@@ -82,15 +61,12 @@ func NewCtxFlow(opt CtxFlowOptions) *Analyzer {
 				if fn == nil {
 					return true
 				}
-				if checkBackground && fn.Pkg() != nil && fn.Pkg().Path() == "context" &&
+				if fn.Pkg() != nil && fn.Pkg().Path() == "context" &&
 					(fn.Name() == "Background" || fn.Name() == "TODO") {
 					pass.Reportf(call.Pos(), "context.%s inside %s, which already receives "+
 						"a Context: this detaches downstream work from the caller's "+
 						"cancellation; derive from ctx (or context.WithoutCancel(ctx) "+
 						"for sanctioned detach)", fn.Name(), n.ShortName())
-				}
-				if !checkNoCtx {
-					return true
 				}
 				callee := pass.Prog.Node(fn)
 				if callee == nil || callee == n || !t.Tainted(callee, TaintBlocking) {
@@ -100,44 +76,14 @@ func NewCtxFlow(opt CtxFlowOptions) *Analyzer {
 					return true
 				}
 				pass.Reportf(call.Pos(), "%s can block (%s) but takes no Context: the "+
-					"wait is uncancellable from %s; thread ctx through or exempt the "+
-					"caller as \"noctx\"", callee.ShortName(), t.Chain(callee, TaintBlocking),
-					n.ShortName())
+					"wait is uncancellable from %s; thread ctx through",
+					callee.ShortName(), t.Chain(callee, TaintBlocking), n.ShortName())
 				return true
 			})
 		}
 		return nil
 	}
 	return a
-}
-
-// verifyCtxExemptions reports ctxflow exemption entries ("background",
-// "noctx") that are unknown, unjustified, or no longer describe the code.
-func verifyCtxExemptions(pass *Pass, exs []FuncExemption) {
-	pkgPath := pass.Pkg.Path()
-	for _, ex := range exs {
-		if (ex.Kind != "background" && ex.Kind != "noctx") || !qualifiedInPkg(ex.Func, pkgPath) {
-			continue
-		}
-		n := pass.Prog.ByName(ex.Func)
-		if n == nil {
-			pass.Reportf(pass.Files[0].Name.Pos(), "exemption %q (%s) names no function "+
-				"in this package: delete or fix the entry", ex.Func, ex.Kind)
-			continue
-		}
-		if strings.TrimSpace(ex.Reason) == "" {
-			pass.Reportf(n.Decl.Name.Pos(), "exemption %q (%s) has no justification", ex.Func, ex.Kind)
-		}
-		if ctxParamIndex(n.Fn) < 0 {
-			pass.Reportf(n.Decl.Name.Pos(), "stale exemption: %s has no context.Context "+
-				"parameter, so the %s entry is dead; delete it", ex.Func, ex.Kind)
-			continue
-		}
-		if ex.Kind == "background" && !mintsRootContext(pass.TypesInfo, n.Decl.Body) {
-			pass.Reportf(n.Decl.Name.Pos(), "stale exemption: %s no longer calls "+
-				"context.Background/TODO; delete the background entry", ex.Func)
-		}
-	}
 }
 
 // ctxParamIndex returns the index of fn's context.Context parameter, or -1.
@@ -162,25 +108,4 @@ func isContextType(t types.Type) bool {
 	}
 	obj := named.Obj()
 	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
-}
-
-// mintsRootContext reports whether body calls context.Background or
-// context.TODO.
-func mintsRootContext(info *types.Info, body *ast.BlockStmt) bool {
-	if body == nil {
-		return false
-	}
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return !found
-		}
-		if fn := calleeFunc(info, call); fn != nil && fn.Pkg() != nil &&
-			fn.Pkg().Path() == "context" && (fn.Name() == "Background" || fn.Name() == "TODO") {
-			found = true
-		}
-		return !found
-	})
-	return found
 }

@@ -8,14 +8,5 @@ import (
 )
 
 func TestCtxFlow(t *testing.T) {
-	a := analysis.NewCtxFlow(analysis.CtxFlowOptions{
-		Exemptions: []analysis.FuncExemption{
-			{Func: "ctxflow.ReaperLoop", Kind: "background", Reason: "fixture: reaper outlives the request"},
-			{Func: "ctxflow.ReaperFixed", Kind: "background", Reason: "fixture: stale after WithoutCancel remediation"},
-			{Func: "ctxflow.FireAndForget", Kind: "noctx", Reason: "fixture: sanctioned fire-and-forget"},
-			{Func: "ctxflow.NoCtxAnymore", Kind: "noctx", Reason: "fixture: signature lost its context"},
-			{Func: "ctxflow.Vanished", Kind: "noctx", Reason: "fixture: function was deleted"},
-		},
-	})
-	analysistest.Run(t, analysistest.TestData(), a, "ctxflow")
+	analysistest.Run(t, analysistest.TestData(), analysis.NewCtxFlow(), "ctxflow")
 }

@@ -16,15 +16,9 @@ var errTextMatchers = map[string]bool{
 	"Index":     true,
 }
 
-// ErrSentinelOptions configures the errsentinel analyzer.
-type ErrSentinelOptions struct {
-	// AllowPackages lists import paths exempt from the check.
-	AllowPackages []string
-}
-
 // NewErrSentinel returns the errsentinel analyzer. The simulator kernel
 // reports structured failures wrapped around the sentinels sim.ErrNodePanic,
-// sim.ErrOverSend, sim.ErrMaxRounds and sim.ErrDeadline, and the contract is
+// sim.ErrOverSend and sim.ErrMaxRounds, and the contract is
 // that callers classify them with errors.Is (plus errors.As for *NodeError
 // detail). Two anti-patterns defeat the wrapping and are flagged:
 //
@@ -35,16 +29,13 @@ type ErrSentinelOptions struct {
 //
 // Test files are exempt: tests may assert on the text of ad-hoc errors that
 // have no sentinel.
-func NewErrSentinel(opt ErrSentinelOptions) *Analyzer {
+func NewErrSentinel() *Analyzer {
 	a := &Analyzer{
 		Name: "errsentinel",
 		Doc: "flag error-text string matching and ==/!= error comparisons; classify " +
 			"kernel failures with errors.Is against the sim sentinels",
 	}
 	a.Run = func(pass *Pass) error {
-		if pkgAllowed(pass, opt.AllowPackages) {
-			return nil
-		}
 		for _, f := range pass.Files {
 			if pass.InTestFile(f.Pos()) {
 				continue
@@ -74,7 +65,7 @@ func checkErrComparison(pass *Pass, be *ast.BinaryExpr) {
 	if isErrorCall(pass.TypesInfo, be.X) || isErrorCall(pass.TypesInfo, be.Y) {
 		pass.Reportf(be.Pos(), "comparing err.Error() text; match the failure with "+
 			"errors.Is against the sim sentinels (ErrNodePanic, ErrOverSend, "+
-			"ErrMaxRounds, ErrDeadline) instead")
+			"ErrMaxRounds) instead")
 		return
 	}
 	if isNil(pass.TypesInfo, be.X) || isNil(pass.TypesInfo, be.Y) {

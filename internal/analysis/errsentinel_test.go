@@ -9,5 +9,5 @@ import (
 
 func TestErrSentinel(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(),
-		analysis.NewErrSentinel(analysis.ErrSentinelOptions{}), "errsentinel")
+		analysis.NewErrSentinel(), "errsentinel")
 }

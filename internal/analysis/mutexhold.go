@@ -4,19 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
-
-// MutexHoldOptions configures the mutexhold analyzer.
-type MutexHoldOptions struct {
-	// AllowPackages lists import paths exempt from the check.
-	AllowPackages []string
-	// Exemptions with Kind "mutexhold" sanction individual functions that
-	// may block while holding a lock. Each entry is verified live: the
-	// function must exist and actually acquire a mutex, or the entry is
-	// reported as stale.
-	Exemptions []FuncExemption
-}
 
 // NewMutexHold returns the mutexhold analyzer: no operation that can park
 // the goroutine — channel sends/receives, selects without default, network
@@ -34,14 +22,13 @@ type MutexHoldOptions struct {
 // their block. Calls are resolved through the module call graph, so a
 // helper that blocks three calls down is flagged at the locked call site
 // with full provenance.
-func NewMutexHold(opt MutexHoldOptions) *Analyzer {
+func NewMutexHold() *Analyzer {
 	a := &Analyzer{
 		Name: "mutexhold",
 		Doc: "forbid blocking operations (channel ops, network I/O, sim runs, " +
 			"transitively blocking calls) while holding a sync.Mutex/RWMutex; " +
 			"select-with-default is the sanctioned non-blocking idiom",
 	}
-	idx := indexExemptions(opt.Exemptions)
 	taints := map[*Program]*TaintSet{}
 	blockingTaint := func(prog *Program) *TaintSet {
 		if t := taints[prog]; t != nil {
@@ -56,12 +43,8 @@ func NewMutexHold(opt MutexHoldOptions) *Analyzer {
 			return nil
 		}
 		t := blockingTaint(pass.Prog)
-		verifyMutexExemptions(pass, opt.Exemptions)
-		if pkgAllowed(pass, opt.AllowPackages) {
-			return nil
-		}
 		for _, n := range pass.funcNodes() {
-			if n.TestOnly || n.Decl.Body == nil || idx.exempt(n, "mutexhold") {
+			if n.TestOnly || n.Decl.Body == nil {
 				continue
 			}
 			c := &mutexChecker{pass: pass, taint: t}
@@ -70,53 +53,6 @@ func NewMutexHold(opt MutexHoldOptions) *Analyzer {
 		return nil
 	}
 	return a
-}
-
-// verifyMutexExemptions reports, in the pass owning each entry's package,
-// "mutexhold" exemptions that are unknown, unjustified, or no longer
-// acquire any lock.
-func verifyMutexExemptions(pass *Pass, exs []FuncExemption) {
-	pkgPath := pass.Pkg.Path()
-	for _, ex := range exs {
-		if ex.Kind != "mutexhold" || !qualifiedInPkg(ex.Func, pkgPath) {
-			continue
-		}
-		n := pass.Prog.ByName(ex.Func)
-		if n == nil {
-			pass.Reportf(pass.Files[0].Name.Pos(), "exemption %q (mutexhold) names no "+
-				"function in this package: delete or fix the entry", ex.Func)
-			continue
-		}
-		if strings.TrimSpace(ex.Reason) == "" {
-			pass.Reportf(n.Decl.Name.Pos(), "exemption %q (mutexhold) has no justification", ex.Func)
-		}
-		if n.Decl.Body == nil || !acquiresLock(pass.TypesInfo, n.Decl.Body) {
-			pass.Reportf(n.Decl.Name.Pos(), "stale exemption: %s acquires no mutex; "+
-				"delete the mutexhold entry", ex.Func)
-		}
-	}
-}
-
-// qualifiedInPkg reports whether the import-path-qualified function name
-// belongs to pkgPath.
-func qualifiedInPkg(qualified, pkgPath string) bool {
-	slash := strings.LastIndex(qualified, "/")
-	d := strings.Index(qualified[slash+1:], ".")
-	return d >= 0 && qualified[:slash+1+d] == pkgPath
-}
-
-// acquiresLock reports whether body contains any mutex Lock/RLock call.
-func acquiresLock(info *types.Info, body *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			if m := mutexOp(info, call); m != nil && m.acquire {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
 }
 
 // heldLock is one currently-held mutex: the receiver expression it was

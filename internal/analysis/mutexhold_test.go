@@ -8,11 +8,5 @@ import (
 )
 
 func TestMutexHold(t *testing.T) {
-	a := analysis.NewMutexHold(analysis.MutexHoldOptions{
-		Exemptions: []analysis.FuncExemption{
-			{Func: "mutexhold.(*R).Sanctioned", Kind: "mutexhold", Reason: "fixture: single-consumer queue, reader never takes mu"},
-			{Func: "mutexhold.(*R).NoLock", Kind: "mutexhold", Reason: "fixture: stale, lock was removed"},
-		},
-	})
-	analysistest.Run(t, analysistest.TestData(), a, "mutexhold")
+	analysistest.Run(t, analysistest.TestData(), analysis.NewMutexHold(), "mutexhold")
 }

@@ -6,12 +6,6 @@ import (
 	"go/types"
 )
 
-// NoMapIterOptions configures the nomapiter analyzer.
-type NoMapIterOptions struct {
-	// AllowPackages lists import paths exempt from the check.
-	AllowPackages []string
-}
-
 // NewNoMapIter returns the nomapiter analyzer: Go map iteration order is
 // deliberately randomized, so a slice populated while ranging over a map
 // carries a nondeterministic order. If such a slice reaches a message
@@ -24,16 +18,13 @@ type NoMapIterOptions struct {
 // sort.* or slices.Sort* call (the sanctioned idiom: collect, sort, then
 // send). Aggregations that only read the map (max, count, sum, membership)
 // are not flagged.
-func NewNoMapIter(opt NoMapIterOptions) *Analyzer {
+func NewNoMapIter() *Analyzer {
 	a := &Analyzer{
 		Name: "nomapiter",
 		Doc: "flag map-range loops that build slices without a subsequent sort; " +
 			"map iteration order must never leak into messages or outputs",
 	}
 	a.Run = func(pass *Pass) error {
-		if pkgAllowed(pass, opt.AllowPackages) {
-			return nil
-		}
 		for _, f := range pass.Files {
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)

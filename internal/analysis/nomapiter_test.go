@@ -9,5 +9,5 @@ import (
 
 func TestNoMapIter(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(),
-		analysis.NewNoMapIter(analysis.NoMapIterOptions{}), "nomapiter")
+		analysis.NewNoMapIter(), "nomapiter")
 }

@@ -16,9 +16,6 @@ type NonDetFlowOptions struct {
 	// contain a source of the exempted kind, or the exemption itself is
 	// reported as stale).
 	Exemptions []FuncExemption
-	// Kinds restricts the checked fact families (default: all
-	// nondeterminism kinds — wallclock, rawrand, mapiter, goroutine).
-	Kinds []string
 }
 
 // NewNonDetFlow returns the nondetflow analyzer: no function in a domain
@@ -27,7 +24,7 @@ type NonDetFlowOptions struct {
 // leaf, nondetflow catches the laundering: a clock read hidden two helper
 // calls deep — possibly in another package — taints every caller, and the
 // report carries the full provenance chain
-// (sim.Run -> sim.RunContext -> sim.runConcurrent -> time.NewTimer (concurrent.go:186)).
+// (sim.Run -> sim.RunContext -> sim.runConcurrent -> time.After (concurrent.go:178)).
 //
 // Reports land on taint *roots*: tainted domain functions with no tainted
 // domain caller outside their own recursion component. That yields one
@@ -35,14 +32,6 @@ type NonDetFlowOptions struct {
 // the contract is breached — instead of one per function on the chain.
 func NewNonDetFlow(opt NonDetFlowOptions) *Analyzer {
 	kinds := NonDetKinds()
-	if len(opt.Kinds) > 0 {
-		kinds = kinds[:0]
-		for _, s := range opt.Kinds {
-			if k, ok := ParseTaintKind(s); ok {
-				kinds = append(kinds, k)
-			}
-		}
-	}
 	idx := indexExemptions(opt.Exemptions)
 	a := &Analyzer{
 		Name: "nondetflow",
@@ -144,7 +133,7 @@ func verifyExemptions(pass *Pass, t *TaintSet, exs []FuncExemption, kinds []Tain
 		}
 		k, ok := ParseTaintKind(ex.Kind)
 		if !ok || !containsKind(kinds, k) {
-			continue // per-analyzer rule tags (ctxflow) verify elsewhere
+			continue // not a nondeterminism kind
 		}
 		if t.DirectSource(n, k) == nil {
 			pass.Reportf(n.Decl.Name.Pos(), "stale exemption: %s no longer contains a "+

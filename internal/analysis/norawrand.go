@@ -13,28 +13,19 @@ var rawRandImports = map[string]bool{
 	"crypto/rand":  true,
 }
 
-// NoRawRandOptions configures the norawrand analyzer.
-type NoRawRandOptions struct {
-	// AllowPackages lists import paths of packages exempt from the check.
-	AllowPackages []string
-}
-
 // NewNoRawRand returns the norawrand analyzer: algorithm packages must not
 // import math/rand, math/rand/v2 or crypto/rand. The RandLOCAL model gives
 // every vertex a private stream; the reproduction realizes it as a
 // deterministic per-node internal/rng source derived from the run seed, and
 // any other randomness source silently breaks seeded reproducibility and the
 // sequential/concurrent engine equivalence. Test files are exempt.
-func NewNoRawRand(opt NoRawRandOptions) *Analyzer {
+func NewNoRawRand() *Analyzer {
 	a := &Analyzer{
 		Name: "norawrand",
 		Doc: "forbid math/rand and crypto/rand in model code; randomness must flow " +
 			"through internal/rng per-node sources (Env.Rand)",
 	}
 	a.Run = func(pass *Pass) error {
-		if pkgAllowed(pass, opt.AllowPackages) {
-			return nil
-		}
 		for _, f := range pass.Files {
 			for _, imp := range f.Imports {
 				if pass.InTestFile(imp.Pos()) {

@@ -9,13 +9,5 @@ import (
 
 func TestNoRawRand(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(),
-		analysis.NewNoRawRand(analysis.NoRawRandOptions{}), "norawrand")
-}
-
-// TestNoRawRandAllow checks the package allowlist: the "allowed" fixture
-// imports math/rand and uses the clock but carries no want comments, so any
-// diagnostic on it fails the test — unless the allowlist suppresses them all.
-func TestNoRawRandAllow(t *testing.T) {
-	a := analysis.NewNoRawRand(analysis.NoRawRandOptions{AllowPackages: []string{"allowed"}})
-	analysistest.Run(t, analysistest.TestData(), a, "allowed")
+		analysis.NewNoRawRand(), "norawrand")
 }

@@ -6,8 +6,8 @@ import (
 )
 
 // clockFuncs are the package time functions that read or depend on the wall
-// clock (or the process scheduler). Using time.Duration values — e.g. the
-// sim.Config.Deadline field — is fine; only these calls are banned.
+// clock (or the process scheduler). Using time.Duration values is fine;
+// only these calls are banned.
 var clockFuncs = map[string]bool{
 	"Now":       true,
 	"Since":     true,
@@ -23,14 +23,10 @@ var clockFuncs = map[string]bool{
 // NoWallClockOptions configures the nowallclock analyzer.
 type NoWallClockOptions struct {
 	// AllowPackages lists import paths exempt from the check. The repository
-	// gate allows locality/internal/sim (the kernel's Config.Deadline
-	// watchdog) and the supervision layer (internal/jobs, cmd/localityd),
-	// whose drain deadlines and backoff waits are wall-clock by nature.
+	// gate allows the supervision layer (internal/jobs, internal/cluster,
+	// internal/load, cmd/localityd, cmd/localload), whose job deadlines,
+	// drain grace periods and request timeouts are wall-clock by nature.
 	AllowPackages []string
-	// AllowFiles lists slash-separated file path suffixes exempt from the
-	// check — for a package with exactly one sanctioned clock consumer,
-	// leaving the rest of the package under the ban.
-	AllowFiles []string
 	// AllowFuncs lists import-path-qualified function names
 	// ("locality/internal/harness.waitAttempt") exempt from the check —
 	// the narrowest carve-out, shared with nondetflow's wallclock
@@ -51,7 +47,7 @@ func NewNoWallClock(opt NoWallClockOptions) *Analyzer {
 	a := &Analyzer{
 		Name: "nowallclock",
 		Doc: "forbid time.Now/Since/Sleep and friends in model code; logical time " +
-			"is the round number, and only the sim deadline machinery may consult the clock",
+			"is the round number, and only exempted leaf functions may consult the clock",
 	}
 	allowFunc := map[string]bool{}
 	for _, f := range opt.AllowFuncs {
@@ -74,9 +70,6 @@ func NewNoWallClock(opt NoWallClockOptions) *Analyzer {
 			return false
 		}
 		for _, f := range pass.Files {
-			if fileAllowed(pass, f.Pos(), opt.AllowFiles) {
-				continue
-			}
 			ast.Inspect(f, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
@@ -91,7 +84,7 @@ func NewNoWallClock(opt NoWallClockOptions) *Analyzer {
 				}
 				pass.Reportf(call.Pos(), "call of time.%s in model code: the LOCAL model's "+
 					"only clock is the round number (wall-clock reads make runs "+
-					"scheduling-dependent); deadline handling belongs to internal/sim", fn.Name())
+					"scheduling-dependent); bound a run with its context instead", fn.Name())
 				return true
 			})
 		}

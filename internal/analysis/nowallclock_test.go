@@ -12,16 +12,10 @@ func TestNoWallClock(t *testing.T) {
 		analysis.NewNoWallClock(analysis.NoWallClockOptions{}), "nowallclock")
 }
 
+// TestNoWallClockAllow checks the package allowlist: the "allowed" fixture
+// reads the clock but carries no want comments, so any diagnostic on it
+// fails the test unless the allowlist suppresses it.
 func TestNoWallClockAllow(t *testing.T) {
 	a := analysis.NewNoWallClock(analysis.NoWallClockOptions{AllowPackages: []string{"allowed"}})
 	analysistest.Run(t, analysistest.TestData(), a, "allowed")
-}
-
-func TestNoWallClockAllowFiles(t *testing.T) {
-	// One file of the package is the sanctioned clock consumer; the rest of
-	// the package stays under the ban.
-	a := analysis.NewNoWallClock(analysis.NoWallClockOptions{
-		AllowFiles: []string{"fileallowed/retry.go"},
-	})
-	analysistest.Run(t, analysistest.TestData(), a, "fileallowed")
 }

@@ -12,8 +12,6 @@ type PhaseDiscOptions struct {
 	// fault-injection shim legitimately maps itself to a host vertex to look
 	// up its entry in the fault plan (instrumentation, not algorithm).
 	AllowNodePackages []string
-	// AllowPackages lists import paths fully exempt from the check.
-	AllowPackages []string
 }
 
 // NewPhaseDisc returns the phasedisc analyzer, a cheap shape check on the
@@ -37,9 +35,6 @@ func NewPhaseDisc(opt PhaseDiscOptions) *Analyzer {
 			"state-mutating Init/Step, and no observation of Env.Node",
 	}
 	a.Run = func(pass *Pass) error {
-		if pkgAllowed(pass, opt.AllowPackages) {
-			return nil
-		}
 		machines := machineTypes(pass)
 		allowNode := pkgAllowed(pass, opt.AllowNodePackages)
 		for _, f := range pass.Files {

@@ -155,7 +155,7 @@ func (t *TaintSet) DirectSource(n *FuncNode, k TaintKind) *Source {
 
 // Chain renders the full provenance from n to its k-source:
 //
-//	sim.Run -> sim.RunContext -> sim.runConcurrent -> time.NewTimer (concurrent.go:186)
+//	sim.Run -> sim.RunContext -> sim.runConcurrent -> time.After (concurrent.go:178)
 //
 // Positions are basename:line so the string, and with it every finding's
 // message, is stable across checkouts.
@@ -195,8 +195,7 @@ type FuncExemption struct {
 	// or "locality/internal/harness.(*sweepState).spawn".
 	Func string
 	// Kind names the TaintKind ("wallclock", "rawrand", "mapiter",
-	// "goroutine"), or a per-analyzer rule tag (ctxflow's "background" /
-	// "noctx").
+	// "goroutine").
 	Kind string
 	// Reason is the mandatory one-line justification.
 	Reason string

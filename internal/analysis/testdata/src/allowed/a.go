@@ -1,14 +1,12 @@
-// Package allowed exercises the per-package allowlists: it imports a banned
-// randomness source and reads the clock, but carries no want comments — the
-// analyzers must stay silent when this path is configured as exempt.
+// Package allowed exercises nowallclock's package allowlist: it reads the
+// clock but carries no want comments — the analyzer must stay silent when
+// this path is configured as exempt.
 package allowed
 
-import (
-	"math/rand"
-	"time"
-)
+import "time"
 
-// Jitter mixes both exemptions in one helper.
-func Jitter() time.Duration {
-	return time.Duration(rand.Intn(10)) * time.Millisecond
+// Elapsed reads the clock twice.
+func Elapsed() time.Duration {
+	start := time.Now()
+	return time.Since(start)
 }

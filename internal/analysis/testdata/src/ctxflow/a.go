@@ -1,7 +1,7 @@
 // Package ctxflow is the fixture for the ctxflow analyzer: the Context
 // parameter comes first, context-carrying functions neither mint fresh
 // roots nor call blocking module callees that cannot receive the context.
-package ctxflow // want `exemption "ctxflow\.Vanished" \(noctx\) names no function in this package`
+package ctxflow
 
 import (
 	"context"

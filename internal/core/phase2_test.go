@@ -8,6 +8,16 @@ import (
 	"locality/internal/sim"
 )
 
+// t10SizeBoundOne is the Theorem 10 plan for n vertices with its Phase 2
+// planned for a component size bound of 1, laid out as newT10Plan lays out
+// the default bound.
+func t10SizeBoundOne(n int, opt T10Options) t10Plan {
+	p := newT10Plan(n, opt)
+	p.p2 = newPhase2Plan(n, p.reserve, 1, p.markBad)
+	p.total = p.p2.end + 2
+	return p
+}
+
 // TestPhase2HarvestFailure runs Theorems 10 and 11 with a component size
 // bound of 1. Phase 2 then peels for one round only, so a member with more
 // than A = 2 forest neighbors (both 3-color their components here) is never
@@ -18,7 +28,8 @@ import (
 func TestPhase2HarvestFailure(t *testing.T) {
 	g9 := graph.RandomTree(600, 9, rng.New(31))
 	g4 := graph.RandomTree(600, 4, rng.New(32))
-	t10opt := T10Options{Delta: 9, SizeBound: 1, PaletteSlack: 1}
+	t10p := t10SizeBoundOne(g9.N(), T10Options{Delta: 9, PaletteSlack: 1})
+	t10plans := sim.NewPlanMemo(func(int, int) t10Plan { return t10p })
 	t11opt := T11Options{Delta: 4, SizeBound: 1}
 	cases := []struct {
 		name string
@@ -29,7 +40,7 @@ func TestPhase2HarvestFailure(t *testing.T) {
 		// color and phase.
 		result func(out any) (member bool, color, phase int)
 	}{
-		{"t10", g9, NewT10Factory(t10opt), newT10Plan(g9.N(), t10opt).p2, func(out any) (bool, int, int) {
+		{"t10", g9, func() sim.Machine { return &t10{plans: t10plans} }, t10p.p2, func(out any) (bool, int, int) {
 			r := out.(T10Result)
 			return r.Bad, r.Color, r.Phase
 		}},

@@ -13,10 +13,6 @@ type T10Options struct {
 	// large, and the machine requires Delta >= 9 so the reserved palette
 	// √Δ >= 3 can drive the Phase 2 forest coloring.
 	Delta int
-	// SizeBound caps the bad components Phase 2 must color; 0 means
-	// max(32, 8·ceil(log2 n)) (the paper proves Δ⁴·log n; measured
-	// components are far smaller, see experiment E3).
-	SizeBound int
 	// PaletteSlack is the Filtering(1) threshold divisor: a vertex is bad
 	// after round 1 if |Ψ₂|-|N'₂| < Δ/PaletteSlack. The paper uses 200 in
 	// the analysis; the default 8 is the practical choice documented in
@@ -64,8 +60,10 @@ type t10Plan struct {
 	total   int
 }
 
+// newT10Plan lays out the run. Phase 2 colors bad components of at most
+// max(32, 8·ceil(log2 n)) vertices (the paper proves Δ⁴·log n; measured
+// components are far smaller, see experiment E3).
 func newT10Plan(n int, opt T10Options) t10Plan {
-	opt.SizeBound = phase2SizeBound(n, opt.SizeBound)
 	if opt.PaletteSlack == 0 {
 		opt.PaletteSlack = 8
 	}
@@ -76,7 +74,7 @@ func newT10Plan(n int, opt T10Options) t10Plan {
 	// Step layout: step 1 hello; iterations i = 1..t occupy steps 2i, 2i+1.
 	p.p1End = 1 + 2*p.iters
 	p.markBad = p.p1End + 1
-	p.p2 = newPhase2Plan(n, p.reserve, opt.SizeBound, p.markBad)
+	p.p2 = newPhase2Plan(n, p.reserve, phase2SizeBound(n, 0), p.markBad)
 	p.total = p.p2.end + 2 // harvest step, then halt
 	return p
 }

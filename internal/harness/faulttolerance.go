@@ -75,8 +75,6 @@ func ftErrString(err error) string {
 	switch {
 	case errors.Is(err, sim.ErrMaxRounds):
 		return "max rounds"
-	case errors.Is(err, sim.ErrDeadline):
-		return "deadline"
 	case errors.Is(err, ErrSweepInterrupted), errors.Is(err, context.Canceled):
 		return "cancelled"
 	case errors.Is(err, context.DeadlineExceeded):

@@ -176,7 +176,7 @@ func classify(err error) string {
 	switch {
 	case err == nil:
 		return ""
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, sim.ErrDeadline):
+	case errors.Is(err, context.DeadlineExceeded):
 		return "deadline"
 	case errors.Is(err, context.Canceled), errors.Is(err, harness.ErrSweepInterrupted):
 		return "cancelled"

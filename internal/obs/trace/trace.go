@@ -92,8 +92,6 @@ type Options struct {
 	// mints, so IDs from different processes never collide and
 	// cmd/localtrace can attribute spans to processes. Default "proc".
 	Proc string
-	// Seed starts the span-ID counter (tests pin IDs with it).
-	Seed uint64
 	// Metrics, when non-nil, receives the spans-emitted counter.
 	Metrics *obs.Registry
 }
@@ -158,7 +156,6 @@ func Open(o Options) (*Tracer, error) {
 		enc:   json.NewEncoder(f),
 		spans: o.Metrics.Counter("locality_trace_spans_total", "Trace spans emitted to the artifact."),
 	}
-	t.seq.Store(o.Seed)
 	t.write(Record{
 		Type:   "meta",
 		Schema: Schema,

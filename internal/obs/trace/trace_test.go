@@ -149,7 +149,7 @@ func TestIDFromIdentity(t *testing.T) {
 
 func TestEmitAndSeededIDs(t *testing.T) {
 	dir := t.TempDir()
-	tr, err := Open(Options{Dir: dir, Proc: "coord", Seed: 100})
+	tr, err := Open(Options{Dir: dir, Proc: "coord"})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -157,8 +157,9 @@ func TestEmitAndSeededIDs(t *testing.T) {
 	tr.Close()
 	recs := readRecords(t, filepath.Join(dir, "coord.trace.jsonl"))
 	sp := recs[1]
-	if sp.Span != "coord-101" {
-		t.Fatalf("seeded span ID = %q", sp.Span)
+	// The span-ID counter starts at zero, so the first span is <proc>-1.
+	if sp.Span != "coord-1" {
+		t.Fatalf("first span ID = %q, want coord-1", sp.Span)
 	}
 	if sp.Start != 1000 || sp.Dur != 2000 || sp.Attrs["shard"] != "a" {
 		t.Fatalf("emit record = %+v", sp)

@@ -28,10 +28,9 @@ const abortGrace = 2 * time.Second
 // Failure discipline: machine panics and over-degree sends are captured as
 // *NodeError statuses; the coordinator finishes the round, picks the
 // (round, node)-minimal fault (matching the sequential engine's sweep
-// order) and shuts the run down gracefully. Cancellation and the
-// Config.Deadline watchdog abort via a dedicated channel that every
-// blocking operation in the node loop selects on, so all goroutines are
-// reaped even mid-round.
+// order) and shuts the run down gracefully. Cancellation aborts via a
+// dedicated channel that every blocking operation in the node loop selects
+// on, so all goroutines are reaped even mid-round.
 func runConcurrent(ctx context.Context, g Topology, cfg Config, f Factory) (*Result, error) {
 	n := g.N()
 	maxDeg := topologyMaxDegree(g)
@@ -181,15 +180,9 @@ func runConcurrent(ctx context.Context, g Topology, cfg Config, f Factory) (*Res
 		}
 	}
 
-	var watchdog <-chan time.Time
-	if cfg.Deadline > 0 {
-		timer := time.NewTimer(cfg.Deadline)
-		defer timer.Stop()
-		watchdog = timer.C
-	}
 	ctxDone := ctx.Done()
 	collect := func(round int) (status, error) {
-		if ctxDone == nil && watchdog == nil {
+		if ctxDone == nil {
 			return <-statusCh, nil
 		}
 		select {
@@ -197,8 +190,6 @@ func runConcurrent(ctx context.Context, g Topology, cfg Config, f Factory) (*Res
 			return st, nil
 		case <-ctxDone:
 			return status{}, cancelErr(ctx, round)
-		case <-watchdog:
-			return status{}, deadlineErr(cfg.Deadline, round)
 		}
 	}
 

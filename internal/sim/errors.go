@@ -18,9 +18,6 @@ var (
 	// its degree. The send is clamped to the degree, the node is halted, and
 	// the run aborts with this error — identically on both engines.
 	ErrOverSend = errors.New("sim: machine sent on more ports than its degree")
-	// ErrDeadline reports a run that exceeded Config.Deadline wall-clock
-	// time (the watchdog that reaps deadlocked or runaway concurrent runs).
-	ErrDeadline = errors.New("sim: run exceeded wall-clock deadline")
 )
 
 // NodeError is the structured report of a misbehaving Machine. It satisfies

@@ -1,7 +1,7 @@
 package sim_test
 
 // Hardening suite: misbehaving machines (panics, over-degree sends),
-// cooperative cancellation, the wall-clock watchdog, and goroutine hygiene.
+// cooperative cancellation, runs stuck inside Step, and goroutine hygiene.
 // Both engines must report identical structured errors for identical
 // misbehavior, and aborted concurrent runs must not leak goroutines.
 
@@ -170,30 +170,6 @@ func TestRunContextCancellation(t *testing.T) {
 	}
 }
 
-func TestDeadlineWatchdog(t *testing.T) {
-	// Machines sleep each step, so the wall clock expires long before the
-	// round budget; the watchdog must fire and return ErrDeadline promptly.
-	g := graph.Ring(4)
-	slow := func() sim.Machine {
-		return &sim.FuncMachine{
-			OnStep: func(round int, recv []sim.Message) ([]sim.Message, bool) {
-				time.Sleep(2 * time.Millisecond)
-				return nil, false
-			},
-		}
-	}
-	for _, engine := range []sim.Engine{sim.EngineSequential, sim.EngineConcurrent} {
-		startT := time.Now()
-		_, err := sim.Run(g, sim.Config{Engine: engine, MaxRounds: 1 << 30, Deadline: 30 * time.Millisecond}, slow)
-		if !errors.Is(err, sim.ErrDeadline) {
-			t.Fatalf("engine %v: error = %v, want ErrDeadline", engine, err)
-		}
-		if elapsed := time.Since(startT); elapsed > 2*time.Second {
-			t.Errorf("engine %v: watchdog took %v to trip", engine, elapsed)
-		}
-	}
-}
-
 func TestNoGoroutineLeakOnAbort(t *testing.T) {
 	g := graph.Ring(32)
 	before := runtime.NumGoroutine()
@@ -257,9 +233,10 @@ func TestDeadlockedRunAborts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("waits out the abort grace period")
 	}
-	// One machine blocks forever inside Step. The watchdog must still
-	// return (with an error noting the unreapable goroutine) instead of
-	// hanging the caller forever.
+	// One machine blocks forever inside Step on the concurrent engine. The
+	// context's timeout must still abort the run: it returns after the
+	// abort grace period, with an error noting the unreapable goroutine,
+	// instead of hanging the caller forever.
 	g := graph.Path(3)
 	stuck := func() sim.Machine {
 		var env sim.Env
@@ -273,17 +250,19 @@ func TestDeadlockedRunAborts(t *testing.T) {
 			},
 		}
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		_, err := sim.Run(g, sim.Config{Engine: sim.EngineConcurrent, MaxRounds: 1 << 30, Deadline: 20 * time.Millisecond}, stuck)
+		_, err := sim.RunContext(ctx, g, sim.Config{Engine: sim.EngineConcurrent, MaxRounds: 1 << 30}, stuck)
 		done <- err
 	}()
 	select {
 	case err := <-done:
-		if !errors.Is(err, sim.ErrDeadline) {
-			t.Fatalf("error = %v, want ErrDeadline", err)
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("error = %v, want wrapped context.DeadlineExceeded", err)
 		}
-	case <-time.After(10 * time.Second):
+	case <-time.After(sim.AbortGrace + 3*time.Second):
 		t.Fatal("deadlocked run hung instead of aborting")
 	}
 }

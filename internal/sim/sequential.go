@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"time"
 )
 
 // runSequential executes all nodes in index order within one goroutine,
@@ -25,10 +24,6 @@ import (
 func runSequential(ctx context.Context, g Topology, cfg Config, f Factory) (*Result, error) {
 	n := g.N()
 	maxDeg := topologyMaxDegree(g)
-	var deadline time.Time
-	if cfg.Deadline > 0 {
-		deadline = time.Now().Add(cfg.Deadline)
-	}
 
 	// The working buffers come from the caller's arena when one is set;
 	// haltRound is always fresh because the Result keeps it.
@@ -54,9 +49,6 @@ func runSequential(ctx context.Context, g Topology, cfg Config, f Factory) (*Res
 	for step := 1; live > 0; step++ {
 		if ctx.Err() != nil {
 			return nil, cancelErr(ctx, step-1)
-		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			return nil, deadlineErr(cfg.Deadline, step-1)
 		}
 		if step > cfg.MaxRounds+1 {
 			return nil, fmt.Errorf("%w: budget %d, %d nodes still live", ErrMaxRounds, cfg.MaxRounds, live)

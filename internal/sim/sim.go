@@ -28,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"locality/internal/ids"
 	"locality/internal/rng"
@@ -197,11 +196,6 @@ type Config struct {
 	MaxRounds int
 	// Engine selects the executor; zero value means EngineSequential.
 	Engine Engine
-	// Deadline bounds the wall-clock duration of the run; 0 means no bound.
-	// It is the watchdog that aborts a deadlocked or runaway run (a machine
-	// stuck inside Step, a round that never completes) where the logical
-	// MaxRounds budget cannot trigger. Expiry returns ErrDeadline.
-	Deadline time.Duration
 	// Arena, when non-nil, supplies reusable scratch buffers for the run's
 	// machine table and inboxes, so a trial loop that reuses one Arena pays
 	// the buffer allocations once instead of per run. Results never alias
@@ -293,10 +287,13 @@ func Run(g Topology, cfg Config, f Factory) (*Result, error) {
 
 // RunContext is Run with cooperative cancellation: the run aborts cleanly
 // (every node goroutine reaped) as soon as ctx is cancelled or its deadline
-// passes, returning an error that wraps ctx.Err(). Cancellation is checked
-// at round granularity, so a run whose machines return from Step aborts
-// within one round; a machine stuck *inside* Step can only be abandoned by
-// the Config.Deadline watchdog (Go cannot kill a goroutine).
+// passes, returning an error that wraps ctx.Err(). A context with a
+// deadline is the run's only wall-clock bound. Cancellation is checked at
+// round granularity, so a run whose machines return from Step aborts within
+// one round. A machine stuck *inside* Step cannot be reaped (Go cannot kill
+// a goroutine): the sequential engine then never returns, and the
+// concurrent engine returns after its abort grace period with an error
+// that reports the leak.
 func RunContext(ctx context.Context, g Topology, cfg Config, f Factory) (*Result, error) {
 	n := g.N()
 	if cfg.IDs != nil {
@@ -326,11 +323,6 @@ func RunContext(ctx context.Context, g Topology, cfg Config, f Factory) (*Result
 // cancelErr wraps a context cancellation with round context.
 func cancelErr(ctx context.Context, round int) error {
 	return fmt.Errorf("sim: run cancelled at round %d: %w", round, context.Cause(ctx))
-}
-
-// deadlineErr reports a tripped Config.Deadline watchdog.
-func deadlineErr(d time.Duration, round int) error {
-	return fmt.Errorf("%w: budget %v, tripped at round %d", ErrDeadline, d, round)
 }
 
 // Topology is the read-only view of the communication graph the kernel

@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"slices"
 
-	"locality/internal/rng"
 	"locality/internal/sim"
 )
 
@@ -351,14 +350,12 @@ type SimOptions struct {
 	Steps int
 	// UseIDs passes each record's Name as the node ID.
 	UseIDs bool
-	// RandFor, when non-nil, supplies the private stream of the simulated
-	// node with the given name; required to replay randomized machines.
-	RandFor func(name uint64) *rng.Source
 }
 
 // SimulateCenter re-executes the machine on the ball and returns the
 // center's output and the number of communication rounds it used. An error
 // is returned if the center has not halted within opt.Steps steps.
+// Simulated nodes get no random stream, so f must be deterministic.
 func (b *Ball) SimulateCenter(f sim.Factory, opt SimOptions) (any, int, error) {
 	if opt.Steps <= 0 {
 		opt.Steps = b.T + 1
@@ -380,9 +377,6 @@ func (b *Ball) SimulateCenter(f sim.Factory, opt SimOptions) (any, int, error) {
 		if opt.UseIDs {
 			env.ID = rec.Name
 			env.HasID = true
-		}
-		if opt.RandFor != nil {
-			env.Rand = opt.RandFor(rec.Name)
 		}
 		machines[u] = f()
 		machines[u].Init(env)

@@ -140,8 +140,8 @@ func Run(g *Graph, cfg RunConfig, f MachineFactory) (*RunResult, error) {
 }
 
 // RunContext is Run with cooperative cancellation: the run aborts cleanly
-// (all goroutines reaped) when ctx is cancelled or RunConfig.Deadline
-// expires.
+// (all goroutines reaped) when ctx is cancelled or its deadline passes. A
+// context with a deadline is a run's only wall-clock bound.
 var RunContext = sim.RunContext
 
 // NodeError locates a misbehaving machine: which node, which round, what it
@@ -157,8 +157,6 @@ var (
 	ErrOverSend = sim.ErrOverSend
 	// ErrMaxRounds marks a run that exhausted its round budget.
 	ErrMaxRounds = sim.ErrMaxRounds
-	// ErrDeadline marks a run aborted by the wall-clock watchdog.
-	ErrDeadline = sim.ErrDeadline
 )
 
 // ---- Fault injection (off-model instrumentation) ----

@@ -63,6 +63,7 @@ race:
 # per target.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzGenerateTree -fuzztime=5s ./internal/graph
+	$(GO) test -run='^$$' -fuzz=FuzzBuild -fuzztime=5s ./internal/graph
 	$(GO) test -run='^$$' -fuzz=FuzzLCLCheck -fuzztime=5s ./internal/lcl
 	$(GO) test -run='^$$' -fuzz=FuzzFaultPlan -fuzztime=5s ./internal/fault
 	$(GO) test -run='^$$' -fuzz=FuzzIdentityKey -fuzztime=5s ./internal/jobs

@@ -37,22 +37,22 @@ const allocTolerance = 0.02
 // allocations lowers its budget in the same diff, so the history of this
 // literal is the suite's perf trajectory.
 var allocBudget = map[string]float64{
-	"E1":  154_487,
-	"E2":  53_952,
-	"E3":  2_981_844,
-	"E4":  22_499,
+	"E1":  144_736,
+	"E2":  46_511,
+	"E3":  2_919_534,
+	"E4":  22_048,
 	"E5":  381_415,
-	"E6":  17_880,
+	"E6":  17_297,
 	"E7":  76_440,
 	"E8":  129_662,
-	"E9":  33_085,
+	"E9":  25_062,
 	"E10": 545_217,
-	"E11": 19_186,
+	"E11": 17_891,
 	"E12": 31_187,
-	"E13": 386_586,
-	"A1":  13_956,
-	"A2":  49_542,
-	"A3":  33_279,
+	"E13": 20_566,
+	"A1":  12_107,
+	"A2":  47_678,
+	"A3":  32_319,
 }
 
 // allocVerdict returns why allocs (per op, under the runtime.Version

@@ -104,7 +104,8 @@ func NewNonDetFlow(opt NonDetFlowOptions) *Analyzer {
 }
 
 // verifyExemptions reports, in the pass owning each exemption's package,
-// every table entry that is unknown, unjustified, or not leaf-confined.
+// every table entry that is unknown, unjustified, of a kind nondetflow does
+// not check, or not leaf-confined.
 // Verification runs even for exempt packages: a stale entry is a stale
 // entry wherever it points.
 func verifyExemptions(pass *Pass, t *TaintSet, exs []FuncExemption, kinds []TaintKind) {
@@ -133,7 +134,10 @@ func verifyExemptions(pass *Pass, t *TaintSet, exs []FuncExemption, kinds []Tain
 		}
 		k, ok := ParseTaintKind(ex.Kind)
 		if !ok || !containsKind(kinds, k) {
-			continue // not a nondeterminism kind
+			// A misspelt kind would otherwise sanction nothing and pass.
+			pass.Reportf(n.Decl.Name.Pos(), "exemption %q has kind %q, which nondetflow "+
+				"does not check (it checks %s): fix or delete the entry", ex.Func, ex.Kind, kindList(kinds))
+			continue
 		}
 		if t.DirectSource(n, k) == nil {
 			pass.Reportf(n.Decl.Name.Pos(), "stale exemption: %s no longer contains a "+
@@ -141,6 +145,15 @@ func verifyExemptions(pass *Pass, t *TaintSet, exs []FuncExemption, kinds []Tain
 				"read (move or delete the entry)", ex.Func, ex.Kind)
 		}
 	}
+}
+
+// kindList renders kinds as a comma-separated list.
+func kindList(kinds []TaintKind) string {
+	names := make([]string, len(kinds))
+	for i, k := range kinds {
+		names[i] = k.String()
+	}
+	return strings.Join(names, ", ")
 }
 
 func containsKind(kinds []TaintKind, k TaintKind) bool {

@@ -35,3 +35,16 @@ func helper() { // want `nondeterminism \(wallclock\) reachable from nondetflows
 func Unjustified() { // want `exemption "nondetflowstale\.Unjustified" \(wallclock\) has no justification`
 	_ = time.Now()
 }
+
+// Misspelt reads the clock under an exemption whose kind, "wallclok", names
+// no kind: the entry is reported, and since it sanctions nothing the read
+// is reported too.
+func Misspelt() { // want `exemption "nondetflowstale\.Misspelt" has kind "wallclok", which nondetflow does not check \(it checks wallclock, rawrand, mapiter, goroutine\): fix or delete the entry` `nondeterminism \(wallclock\) reachable from nondetflowstale\.Misspelt`
+	_ = time.Now()
+}
+
+// Blocks is exempted under "blocking", a real taint kind that nondetflow
+// does not check: the entry is reported, and it does not cover the sleep.
+func Blocks() { // want `exemption "nondetflowstale\.Blocks" has kind "blocking", which nondetflow does not check` `nondeterminism \(wallclock\) reachable from nondetflowstale\.Blocks`
+	time.Sleep(time.Millisecond)
+}

@@ -16,7 +16,7 @@ func (g *Graph) BFS(src int) []int {
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		for _, h := range g.adj[v] {
+		for _, h := range g.Ports(v) {
 			if dist[h.To] < 0 {
 				dist[h.To] = dist[v] + 1
 				queue = append(queue, h.To)
@@ -44,7 +44,7 @@ func (g *Graph) Components() ([]int, int) {
 		for len(stack) > 0 {
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			for _, h := range g.adj[v] {
+			for _, h := range g.Ports(v) {
 				if comp[h.To] < 0 {
 					comp[h.To] = k
 					stack = append(stack, h.To)
@@ -87,21 +87,26 @@ func (g *Graph) IsForest() bool {
 func (g *Graph) Girth(limit int) int {
 	best := -1
 	dist := make([]int, g.N())
+	for i := range dist {
+		dist[i] = -1
+	}
 	parentEdge := make([]int, g.N())
+	// One queue serves every source. The vertices it holds are the only
+	// ones a search labels, so clearing their dist readies the next one.
+	queue := make([]int, 0, g.N())
 	for src := 0; src < g.N(); src++ {
-		for i := range dist {
-			dist[i] = -1
+		for _, v := range queue {
+			dist[v] = -1
 		}
 		dist[src] = 0
 		parentEdge[src] = -1
-		queue := []int{src}
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
+		queue = append(queue[:0], src)
+		for qi := 0; qi < len(queue); qi++ {
+			v := queue[qi]
 			if best > 0 && 2*dist[v] >= best {
 				break // no shorter cycle through src can be found deeper
 			}
-			for _, h := range g.adj[v] {
+			for _, h := range g.Ports(v) {
 				if h.Edge == parentEdge[v] {
 					continue
 				}
@@ -162,7 +167,7 @@ func (g *Graph) PeelLayers(threshold int) ([]int, int) {
 			layer[v] = round
 		}
 		for _, v := range removed {
-			for _, h := range g.adj[v] {
+			for _, h := range g.Ports(v) {
 				deg[h.To]--
 			}
 			remaining--
@@ -232,7 +237,7 @@ func (g *Graph) PowerGraph(k int) *Graph {
 			if dist[v] == k {
 				continue
 			}
-			for _, h := range g.adj[v] {
+			for _, h := range g.Ports(v) {
 				if dist[h.To] < 0 {
 					dist[h.To] = dist[v] + 1
 					queue = append(queue, h.To)
@@ -262,7 +267,7 @@ func (g *Graph) BallVertices(v, t int) []int {
 		if dist[u] == t {
 			continue
 		}
-		for _, h := range g.adj[u] {
+		for _, h := range g.Ports(u) {
 			if dist[h.To] < 0 {
 				dist[h.To] = dist[u] + 1
 				out = append(out, h.To)

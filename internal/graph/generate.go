@@ -205,17 +205,22 @@ func (g *EdgeColoredGraph) VerifyEdgeColoring() error {
 	if len(g.Colors) != g.M() {
 		return fmt.Errorf("graph: edge color table has %d entries for %d edges", len(g.Colors), g.M())
 	}
+	// seen[c] is the last vertex that met color c and the edge it met it on.
+	type stamp struct{ v, edge int }
+	seen := make([]stamp, max(g.NumColors, 0)+1)
+	for c := range seen {
+		seen[c].v = -1
+	}
 	for v := 0; v < g.N(); v++ {
-		seen := make(map[int]int)
 		for _, h := range g.Ports(v) {
 			c := g.Colors[h.Edge]
 			if c < 1 || c > g.NumColors {
 				return fmt.Errorf("graph: edge %d has color %d outside 1..%d", h.Edge, c, g.NumColors)
 			}
-			if other, dup := seen[c]; dup {
-				return fmt.Errorf("graph: vertex %d has two incident edges (%d, %d) with color %d", v, other, h.Edge, c)
+			if seen[c].v == v {
+				return fmt.Errorf("graph: vertex %d has two incident edges (%d, %d) with color %d", v, seen[c].edge, h.Edge, c)
 			}
-			seen[c] = h.Edge
+			seen[c] = stamp{v, h.Edge}
 		}
 	}
 	return nil
@@ -237,21 +242,25 @@ func RandomRegularBipartite(half, d int, r *rng.Source) *EdgeColoredGraph {
 	// random transpositions (whole-tuple rejection would succeed with
 	// probability only about e^{-d(d-1)/2}). The repair can stall on
 	// near-complete graphs, hence the budget and completeMatching.
-	used := make([]map[int]struct{}, half)
-	for i := range used {
-		used[i] = make(map[int]struct{}, d)
-	}
-	perms := make([][]int, d)
+	//
+	// cols holds the matchings back to back, matching c joining row i to
+	// column cols[c*half+i]. The columns a row already uses are its entries
+	// in the matchings placed before, at most d, so a scan replaces a set.
+	cols := make([]int, d*half)
 	for c := 0; c < d; c++ {
-		perm := r.Perm(half)
+		perm, placed := cols[c*half:(c+1)*half], cols[:c*half]
+		copy(perm, r.Perm(half))
+		// Rows before from are conflict-free; a transposition changes only
+		// rows conflict and j, so the scan resumes at the smaller of them.
+		from := 0
 		for attempt := 0; ; attempt++ {
 			if attempt > 1000*(half+d) {
-				completeMatching(perm, used)
+				completeMatching(perm, placed)
 				break
 			}
 			conflict := -1
-			for i := 0; i < half; i++ {
-				if _, dup := used[i][perm[i]]; dup {
+			for i := from; i < half; i++ {
+				if taken(placed, half, i, perm[i]) {
 					conflict = i
 					break
 				}
@@ -261,20 +270,18 @@ func RandomRegularBipartite(half, d int, r *rng.Source) *EdgeColoredGraph {
 			}
 			j := r.Intn(half)
 			perm[conflict], perm[j] = perm[j], perm[conflict]
+			from = min(conflict, j)
 		}
-		for i := 0; i < half; i++ {
-			used[i][perm[i]] = struct{}{}
-		}
-		perms[c] = perm
 	}
-	b := NewBuilder(2 * half)
+	pairs := make([][2]int, 0, d*half)
 	colors := make([]int, 0, d*half)
 	for c := 0; c < d; c++ {
 		for i := 0; i < half; i++ {
-			b.AddEdge(i, half+perms[c][i])
+			pairs = append(pairs, [2]int{i, half + cols[c*half+i]})
 			colors = append(colors, c+1)
 		}
 	}
+	b := &Builder{n: 2 * half, pairs: pairs}
 	g := &EdgeColoredGraph{Graph: b.MustBuild(), Colors: colors, NumColors: d}
 	if err := g.VerifyEdgeColoring(); err != nil {
 		panic(fmt.Sprintf("graph: permutation model produced improper coloring: %v", err))
@@ -282,12 +289,24 @@ func RandomRegularBipartite(half, d int, r *rng.Source) *EdgeColoredGraph {
 	return g
 }
 
-// completeMatching makes perm a perfect matching that avoids the edges in
-// used: rows whose edge is unused keep it, and every other row is matched
-// along an augmenting path (Kuhn's algorithm). After c matchings the unused
-// edges form a (half-c)-regular bipartite graph, which by Hall's theorem
-// has a perfect matching, so the search always succeeds while c < half.
-func completeMatching(perm []int, used []map[int]struct{}) {
+// taken reports whether one of the matchings in placed, each half entries
+// long, joins row i to column j.
+func taken(placed []int, half, i, j int) bool {
+	for k := i; k < len(placed); k += half {
+		if placed[k] == j {
+			return true
+		}
+	}
+	return false
+}
+
+// completeMatching makes perm a perfect matching that avoids the edges of
+// the matchings in placed: rows whose edge is unused keep it, and every
+// other row is matched along an augmenting path (Kuhn's algorithm). After
+// c matchings the unused edges form a (half-c)-regular bipartite graph,
+// which by Hall's theorem has a perfect matching, so the search always
+// succeeds while c < half.
+func completeMatching(perm, placed []int) {
 	half := len(perm)
 	owner := make([]int, half) // owner[j] is the row matched to column j, or -1
 	for j := range owner {
@@ -295,7 +314,7 @@ func completeMatching(perm []int, used []map[int]struct{}) {
 	}
 	var unmatched []int
 	for i, j := range perm {
-		if _, dup := used[i][j]; dup {
+		if taken(placed, half, i, j) {
 			unmatched = append(unmatched, i)
 			continue
 		}
@@ -305,7 +324,7 @@ func completeMatching(perm []int, used []map[int]struct{}) {
 	var augment func(i int) bool
 	augment = func(i int) bool {
 		for j := 0; j < half; j++ {
-			if _, dup := used[i][j]; dup || seen[j] {
+			if taken(placed, half, i, j) || seen[j] {
 				continue
 			}
 			seen[j] = true
@@ -349,8 +368,17 @@ func RandomBoundedDegree(n, m, maxDeg int, r *rng.Source) *Graph {
 		panic(fmt.Sprintf("graph: RandomBoundedDegree infeasible: m=%d > n*maxDeg/2=%d", m, n*maxDeg/2))
 	}
 	deg := make([]int, n)
-	seen := make(map[[2]int]struct{}, m)
-	b := NewBuilder(n)
+	// The edges placed so far, as per-vertex linked lists of half-edges:
+	// half k (edge k/2) leads to to[k], and next[k] is the vertex's previous
+	// half, -1 at the end. head[u] is u's latest half, so a duplicate check
+	// scans at most maxDeg entries.
+	head := make([]int, n)
+	for u := range head {
+		head[u] = -1
+	}
+	to := make([]int, 0, 2*m)
+	next := make([]int, 0, 2*m)
+	b := &Builder{n: n, pairs: make([][2]int, 0, m)}
 	added := 0
 	stall := 0
 	for added < m {
@@ -362,15 +390,17 @@ func RandomBoundedDegree(n, m, maxDeg int, r *rng.Source) *Graph {
 			}
 			continue
 		}
-		key := [2]int{u, v}
-		if u > v {
-			key = [2]int{v, u}
+		dup := false
+		for k := head[u]; k >= 0 && !dup; k = next[k] {
+			dup = to[k] == v
 		}
-		if _, dup := seen[key]; dup {
+		if dup {
 			stall++
 			continue
 		}
-		seen[key] = struct{}{}
+		to = append(to, v, u)
+		next = append(next, head[u], head[v])
+		head[u], head[v] = len(to)-2, len(to)-1
 		b.AddEdge(u, v)
 		deg[u]++
 		deg[v]++

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"fmt"
+	"hash/fnv"
 	"testing"
 	"testing/quick"
 
@@ -198,6 +200,84 @@ func TestRandomBoundedDegree(t *testing.T) {
 	if g.MaxDegree() > 5 {
 		t.Errorf("max degree %d exceeds bound 5", g.MaxDegree())
 	}
+}
+
+// TestGeneratorDraws pins, at fixed seeds, what the random generators build
+// and how many draws they take: a hash of the edge table, every port and the
+// colors, plus the next Uint64 of the stream afterwards. A change to the
+// generators' internals must keep both. The girth-8 rows pin the draws of a
+// search that exhausts its 500 attempts, which no table shows. At seed 3,
+// RandomRegularBipartite(12, 11) goes through completeMatching.
+func TestGeneratorDraws(t *testing.T) {
+	tests := []struct {
+		name string
+		seed uint64
+		gen  func(r *rng.Source) (*Graph, []int, error)
+		hash uint64 // 0 when gen fails
+		next uint64
+	}{
+		{"HighGirthRegular(64,3,6)", 1, highGirth(6), 0x2266030f124ff29f, 0x331c189d71e80cfa},
+		{"HighGirthRegular(64,3,6)", 2016, highGirth(6), 0x6af2855bb155aef, 0x7681f4096f497038},
+		{"HighGirthRegular(64,3,8)", 1, highGirth(8), 0, 0xc6872ade268e0250},
+		{"HighGirthRegular(64,3,8)", 2016, highGirth(8), 0, 0x58b71bb9d621d515},
+		{"RandomRegularBipartite(64,3)", 1, regularBipartite(64, 3), 0x188d217570ed2cd9, 0xa6f2cbd578548182},
+		{"RandomRegularBipartite(64,3)", 2016, regularBipartite(64, 3), 0xa0735e9b7dd52635, 0xd9505e3458e6c4e3},
+		{"RandomRegularBipartite(12,11)", 3, regularBipartite(12, 11), 0xc7b42a1a4fe3215f, 0xd42ee932df27bb84},
+		{"RandomBoundedDegree(100,200,8)", 1, boundedDegree(100, 200, 8), 0xe4377353e4817920, 0x5266315d5e4e9fef},
+		{"RandomBoundedDegree(100,200,8)", 2016, boundedDegree(100, 200, 8), 0x51bb64104900e6c1, 0x29ebc13ac4030336},
+		{"RandomBoundedDegree(20,30,4)", 2016, boundedDegree(20, 30, 4), 0x942b77ecb1294529, 0xb9f68044afad4f90},
+	}
+	for _, tt := range tests {
+		r := rng.New(tt.seed)
+		g, colors, err := tt.gen(r)
+		var hash uint64
+		if err == nil {
+			hash = drawHash(g, colors)
+		}
+		if next := r.Uint64(); hash != tt.hash || next != tt.next {
+			t.Errorf("%s seed %d: hash %#x next %#x (err %v), want hash %#x next %#x",
+				tt.name, tt.seed, hash, next, err, tt.hash, tt.next)
+		}
+	}
+}
+
+func highGirth(minGirth int) func(*rng.Source) (*Graph, []int, error) {
+	return func(r *rng.Source) (*Graph, []int, error) {
+		g, err := HighGirthRegular(64, 3, minGirth, 500, r)
+		if err != nil {
+			return nil, nil, err
+		}
+		return g.Graph, g.Colors, nil
+	}
+}
+
+func regularBipartite(half, d int) func(*rng.Source) (*Graph, []int, error) {
+	return func(r *rng.Source) (*Graph, []int, error) {
+		g := RandomRegularBipartite(half, d, r)
+		return g.Graph, g.Colors, nil
+	}
+}
+
+func boundedDegree(n, m, maxDeg int) func(*rng.Source) (*Graph, []int, error) {
+	return func(r *rng.Source) (*Graph, []int, error) {
+		return RandomBoundedDegree(n, m, maxDeg, r), nil, nil
+	}
+}
+
+// drawHash is FNV-64a over the edge table, every vertex's ports in order
+// and the colors.
+func drawHash(g *Graph, colors []int) uint64 {
+	h := fnv.New64a()
+	for _, e := range g.Edges() {
+		fmt.Fprint(h, e[0], e[1], ";")
+	}
+	for v := 0; v < g.N(); v++ {
+		for _, p := range g.Ports(v) {
+			fmt.Fprint(h, p.To, p.Edge, p.Rev, ",")
+		}
+	}
+	fmt.Fprint(h, colors)
+	return h.Sum64()
 }
 
 func TestGrid(t *testing.T) {

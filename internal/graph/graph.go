@@ -26,28 +26,34 @@ type Half struct {
 
 // Graph is an immutable simple undirected graph.
 // Construct with a Builder or one of the generators.
+//
+// All ports live in one table, vertex after vertex: v's ports are
+// ports[off[v]:off[v+1]]. The edge table and off are never written after
+// construction, so ShufflePorts shares them.
 type Graph struct {
-	adj    [][]Half
+	ports  []Half
+	off    []int    // len N()+1
 	edges  [][2]int // edges[e] = {u, v} with u < v
-	m      int
 	maxDeg int
 }
 
 // N returns the number of vertices.
-func (g *Graph) N() int { return len(g.adj) }
+func (g *Graph) N() int { return len(g.off) - 1 }
 
 // M returns the number of edges.
-func (g *Graph) M() int { return g.m }
+func (g *Graph) M() int { return len(g.edges) }
 
 // MaxDegree returns Δ(G), the maximum vertex degree (0 for an empty graph).
 func (g *Graph) MaxDegree() int { return g.maxDeg }
 
 // Degree returns the degree of vertex v.
-func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
+func (g *Graph) Degree(v int) int { return g.off[v+1] - g.off[v] }
 
 // Ports returns the incident half-edges of v in port order.
-// The returned slice is shared; callers must not modify it.
-func (g *Graph) Ports(v int) []Half { return g.adj[v] }
+// The returned slice is shared; callers must not modify it. Its capacity
+// ends with v's ports, so an append copies rather than overwrite the next
+// vertex's.
+func (g *Graph) Ports(v int) []Half { return g.ports[g.off[v]:g.off[v+1]:g.off[v+1]] }
 
 // EdgeEndpoints returns the two endpoints of edge id e (u < v).
 // It costs O(1) via the endpoint table built at construction.
@@ -76,40 +82,75 @@ func (b *Builder) AddEdge(u, v int) *Builder {
 }
 
 // Build validates the accumulated edges (endpoint range, no self-loops,
-// no parallel edges) and returns the Graph.
+// no parallel edges) and returns the Graph. When several pairs are invalid
+// it reports the one AddEdge received first.
+//
+// Edges are placed in AddEdge order into the port table, so an edge's port
+// at an endpoint is the number of that endpoint's ports placed before it,
+// and Rev is known as the edge is placed.
 func (b *Builder) Build() (*Graph, error) {
-	g := &Graph{adj: make([][]Half, b.n)}
-	seen := make(map[[2]int]struct{}, len(b.pairs))
-	g.edges = make([][2]int, 0, len(b.pairs))
-	for _, p := range b.pairs {
+	// Range and self-loops are checked in order; the first failure ends the
+	// prefix that is placed and searched for parallel edges, which can only
+	// fail at an earlier pair.
+	n, valid := b.n, len(b.pairs)
+	var err error
+	off := make([]int, n+1) // degrees at off[v+1], then prefix sums
+	for i, p := range b.pairs {
 		u, v := p[0], p[1]
-		if u < 0 || u >= b.n || v < 0 || v >= b.n {
-			return nil, fmt.Errorf("graph: edge {%d,%d} out of range [0,%d)", u, v, b.n)
+		if u < 0 || u >= n || v < 0 || v >= n {
+			valid, err = i, fmt.Errorf("graph: edge {%d,%d} out of range [0,%d)", u, v, n)
+			break
 		}
 		if u == v {
-			return nil, fmt.Errorf("graph: self-loop at vertex %d", u)
+			valid, err = i, fmt.Errorf("graph: self-loop at vertex %d", u)
+			break
 		}
-		key := [2]int{u, v}
-		if u > v {
-			key = [2]int{v, u}
-		}
-		if _, dup := seen[key]; dup {
-			return nil, fmt.Errorf("graph: parallel edge {%d,%d}", u, v)
-		}
-		seen[key] = struct{}{}
-		e := g.m
-		g.adj[u] = append(g.adj[u], Half{To: v, Edge: e})
-		g.adj[v] = append(g.adj[v], Half{To: u, Edge: e})
-		g.edges = append(g.edges, key)
-		g.m++
+		off[u+1]++
+		off[v+1]++
 	}
-	g.fillRev()
-	for v := range g.adj {
-		if d := len(g.adj[v]); d > g.maxDeg {
-			g.maxDeg = d
-		}
+	pairs := b.pairs[:valid]
+	g := &Graph{ports: make([]Half, 2*len(pairs)), off: off, edges: make([][2]int, len(pairs))}
+	for v := 0; v < n; v++ {
+		g.maxDeg = max(g.maxDeg, off[v+1])
+		off[v+1] += off[v]
+	}
+	placed := make([]int, n)
+	for e, p := range pairs {
+		u, v := p[0], p[1]
+		pu, pv := placed[u], placed[v]
+		g.ports[off[u]+pu] = Half{To: v, Edge: e, Rev: pv}
+		g.ports[off[v]+pv] = Half{To: u, Edge: e, Rev: pu}
+		placed[u], placed[v] = pu+1, pv+1
+		g.edges[e] = [2]int{min(u, v), max(u, v)}
+	}
+	if e := g.firstParallel(placed); e >= 0 {
+		return nil, fmt.Errorf("graph: parallel edge {%d,%d}", pairs[e][0], pairs[e][1])
+	}
+	if err != nil {
+		return nil, err
 	}
 	return g, nil
+}
+
+// firstParallel returns the smallest id of an edge that repeats an earlier
+// one, or -1. Ports list edges in id order, so at each vertex the repeat is
+// the later port to a neighbour already seen; mark, which it overwrites,
+// records the last vertex that saw each neighbour.
+func (g *Graph) firstParallel(mark []int) int {
+	for i := range mark {
+		mark[i] = -1
+	}
+	first := -1
+	for v := range mark {
+		for _, h := range g.Ports(v) {
+			if mark[h.To] != v {
+				mark[h.To] = v
+			} else if first < 0 || h.Edge < first {
+				first = h.Edge
+			}
+		}
+	}
+	return first
 }
 
 // MustBuild is Build that panics on error; used by generators whose
@@ -122,25 +163,28 @@ func (b *Builder) MustBuild() *Graph {
 	return g
 }
 
-// fillRev computes, for every half-edge, the port index of its twin.
+// fillRev computes, for every half-edge, the port index of its twin. Build
+// writes Rev as it places edges; ShufflePorts, which reorders ports after
+// the fact, needs this pass.
 func (g *Graph) fillRev() {
 	// portOf[e] remembers the first-seen (vertex, port) of each edge; when the
 	// second half is visited both Rev fields are set. O(n + m).
 	type vp struct{ v, p int }
-	portOf := make([]vp, g.m)
+	portOf := make([]vp, g.M())
 	for i := range portOf {
 		portOf[i] = vp{-1, -1}
 	}
-	for v := range g.adj {
-		for p := range g.adj[v] {
-			e := g.adj[v][p].Edge
+	for v := 0; v < g.N(); v++ {
+		ports := g.Ports(v)
+		for p := range ports {
+			e := ports[p].Edge
 			if portOf[e].v < 0 {
 				portOf[e] = vp{v, p}
 				continue
 			}
 			w, q := portOf[e].v, portOf[e].p
-			g.adj[v][p].Rev = q
-			g.adj[w][q].Rev = p
+			ports[p].Rev = q
+			g.Ports(w)[q].Rev = p
 		}
 	}
 }
@@ -157,7 +201,7 @@ func (g *Graph) DegreeSequence() []int {
 
 // Edges returns a copy of the edge endpoint table: Edges()[e] = {u,v}, u < v.
 func (g *Graph) Edges() [][2]int {
-	out := make([][2]int, g.m)
+	out := make([][2]int, g.M())
 	copy(out, g.edges)
 	return out
 }
@@ -166,7 +210,7 @@ func (g *Graph) Edges() [][2]int {
 // and the port of that edge at the opposite endpoint. It is the routing
 // primitive of the simulator kernel (it satisfies sim.Topology).
 func (g *Graph) NeighborPort(v, p int) (int, int) {
-	h := g.adj[v][p]
+	h := g.Ports(v)[p]
 	return h.To, h.Rev
 }
 
@@ -175,16 +219,11 @@ func (g *Graph) NeighborPort(v, p int) (int, int) {
 // on a friendly port numbering; the robustness tests run every algorithm
 // under shuffled ports and require identical correctness.
 func (g *Graph) ShufflePorts(r interface{ Shuffle(int, func(int, int)) }) *Graph {
-	ng := &Graph{
-		adj:    make([][]Half, g.N()),
-		edges:  append([][2]int(nil), g.edges...),
-		m:      g.m,
-		maxDeg: g.maxDeg,
-	}
-	for v := range ng.adj {
-		ng.adj[v] = append([]Half(nil), g.adj[v]...)
-		r.Shuffle(len(ng.adj[v]), func(i, j int) {
-			ng.adj[v][i], ng.adj[v][j] = ng.adj[v][j], ng.adj[v][i]
+	ng := &Graph{ports: append([]Half(nil), g.ports...), off: g.off, edges: g.edges, maxDeg: g.maxDeg}
+	for v := 0; v < ng.N(); v++ {
+		ports := ng.Ports(v)
+		r.Shuffle(len(ports), func(i, j int) {
+			ports[i], ports[j] = ports[j], ports[i]
 		})
 	}
 	ng.fillRev()

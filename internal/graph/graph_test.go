@@ -36,6 +36,36 @@ func TestBuilderValidation(t *testing.T) {
 	}
 }
 
+// TestBuildErrorPrecedence checks that Build reports the invalid pair
+// AddEdge received first, whichever check it fails.
+func TestBuildErrorPrecedence(t *testing.T) {
+	tests := []struct {
+		name  string
+		n     int
+		edges [][2]int
+		want  string
+	}{
+		{"parallel before out of range", 3, [][2]int{{0, 1}, {1, 0}, {0, 5}}, "graph: parallel edge {1,0}"},
+		{"out of range before parallel", 3, [][2]int{{0, 1}, {0, 5}, {1, 0}}, "graph: edge {0,5} out of range [0,3)"},
+		{"self-loop first", 10, [][2]int{{2, 2}, {0, 10}, {0, 1}, {1, 0}}, "graph: self-loop at vertex 2"},
+		{"parallel before self-loop", 3, [][2]int{{0, 1}, {0, 1}, {1, 1}}, "graph: parallel edge {0,1}"},
+		{"negative endpoint", 2, [][2]int{{-1, 0}, {0, 0}}, "graph: edge {-1,0} out of range [0,2)"},
+		{"first repeat at a later vertex", 4, [][2]int{{0, 1}, {2, 3}, {3, 2}, {1, 0}}, "graph: parallel edge {3,2}"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			b := NewBuilder(tt.n)
+			for _, e := range tt.edges {
+				b.AddEdge(e[0], e[1])
+			}
+			g, err := b.Build()
+			if err == nil || err.Error() != tt.want || g != nil {
+				t.Errorf("Build() = %v, %v; want nil, %q", g, err, tt.want)
+			}
+		})
+	}
+}
+
 func TestPortsAndRev(t *testing.T) {
 	g := NewBuilder(4).AddEdge(0, 1).AddEdge(0, 2).AddEdge(0, 3).AddEdge(1, 2).MustBuild()
 	if g.N() != 4 || g.M() != 4 || g.MaxDegree() != 3 {

@@ -74,6 +74,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSleepSchedule -fuzztime=5s ./internal/sim
 	$(GO) test -run='^$$' -fuzz=FuzzQuietEngines -fuzztime=5s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzSweepCommits -fuzztime=5s ./internal/harness
+	$(GO) test -run='^$$' -fuzz=FuzzCollector -fuzztime=5s ./internal/view
 
 # Perf trajectory: run the Go benchmarks (benchmarks only: the tests run
 # in make test and make race) with allocation reporting. Each experiment

@@ -41,15 +41,15 @@ var allocBudget = map[string]float64{
 	"E2":  46_511,
 	"E3":  2_919_534,
 	"E4":  22_048,
-	"E5":  381_415,
-	"E6":  17_297,
+	"E5":  103_640,
+	"E6":  13_290,
 	"E7":  76_440,
 	"E8":  129_662,
 	"E9":  25_062,
 	"E10": 545_217,
 	"E11": 17_891,
 	"E12": 31_187,
-	"E13": 20_566,
+	"E13": 17_499,
 	"A1":  12_107,
 	"A2":  47_678,
 	"A3":  32_319,

@@ -99,6 +99,9 @@ type Options struct {
 	// nowNanos overrides the monotonic clock feeding the tenant registry's
 	// token buckets. Tests only; nil uses the process monotonic clock.
 	nowNanos func() int64
+	// persisted, when non-nil, runs with a succeeded job's ID after its
+	// result is persisted and before its success is published. Tests only.
+	persisted func(id string)
 }
 
 func (o Options) workers() int {
@@ -618,34 +621,42 @@ func (p *Pool) runJob(j *job, ten *tenant.Tenant) {
 		final = rr.LastErr
 	}
 
-	p.mu.Lock()
 	if final == nil {
+		// A sharded job's checkpoint IS its product: keep the file so a
+		// resubmitted shard (coordinator retry, restarted worker) replays to
+		// instant completion instead of recomputing. An unsharded success
+		// drops its checkpoint and writes the rendered table through to the
+		// result store — the next identical submit completes at admission.
+		// Both happen before the success is published, so a submit that
+		// sees the job succeeded also finds its result in the store.
+		if j.spec.Rows == nil {
+			p.store.clear(j.spec)
+			if p.opts.Store != nil {
+				p.mu.Lock()
+				batches := j.batchesDone
+				p.mu.Unlock()
+				ps := p.opts.Tracer.Start(j.root, "store.put")
+				p.opts.Store.Put(j.ikey, store.Result{Output: table, Batches: batches})
+				ps.End()
+			}
+		}
+		if p.opts.persisted != nil {
+			p.opts.persisted(j.id)
+		}
+		p.mu.Lock()
 		j.state = StateSucceeded
 		j.output = table
-		batches := j.batchesDone
 		p.retainLocked(j)
 		p.tenants.Finish(ten)
 		subs := j.takeSubsLocked()
 		p.mu.Unlock()
 		closeSubs(subs)
 		p.metrics.terminal(StateSucceeded)
-		// A sharded job's checkpoint IS its product: keep the file so a
-		// resubmitted shard (coordinator retry, restarted worker) replays to
-		// instant completion instead of recomputing. An unsharded success
-		// drops its checkpoint and writes the rendered table through to the
-		// result store — the next identical submit completes at admission.
-		if j.spec.Rows == nil {
-			p.store.clear(j.spec)
-			if p.opts.Store != nil {
-				ps := p.opts.Tracer.Start(j.root, "store.put")
-				p.opts.Store.Put(j.ikey, store.Result{Output: table, Batches: batches})
-				ps.End()
-			}
-		}
 		rspan.SetAttr("state", string(StateSucceeded))
 		rspan.End()
 		return
 	}
+	p.mu.Lock()
 	p.finishLocked(j, final)
 	p.tenants.Finish(ten)
 	subs := j.takeSubsLocked()

@@ -108,3 +108,41 @@ func TestRetentionNoIdentityWithoutDedup(t *testing.T) {
 		t.Errorf("non-idempotent pool holds %d identity entries, want 0", identityLen)
 	}
 }
+
+// TestSuccessPersistedBeforePublished runs an identical submit in the window
+// between a success's store write and its publication, on every run: the
+// job must still be running there, and the submit must already hit the
+// store. Publishing first would let that submit miss and compute again.
+func TestSuccessPersistedBeforePublished(t *testing.T) {
+	st, err := store.Open(store.Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatalf("store.Open: %v", err)
+	}
+	defer st.Close()
+	spec := Spec{Experiment: "E8", Quick: true, Seed: 12}
+	var p *Pool
+	var inWindow Job
+	var warm SubmitResult
+	var warmErr error
+	opts := Options{Workers: 1, Store: st}
+	opts.persisted = func(id string) {
+		inWindow, _ = p.Get(id)
+		warm, warmErr = p.SubmitTenant("", spec)
+	}
+	p = New(opts)
+	defer closePoolWB(t, p)
+	id, err := p.Submit(spec)
+	if err != nil {
+		t.Fatalf("cold submit: %v", err)
+	}
+	cold := waitStateWB(t, p, id, StateSucceeded)
+	if inWindow.State != StateRunning {
+		t.Errorf("job was %s between the store write and publication, want %s", inWindow.State, StateRunning)
+	}
+	if warmErr != nil || !warm.Cached {
+		t.Fatalf("submit between the store write and publication: %+v, %v; want a store hit", warm, warmErr)
+	}
+	if got, _ := p.Get(warm.ID); got.Output != cold.Output {
+		t.Errorf("cached output differs from the computed one")
+	}
+}

@@ -92,6 +92,7 @@ func (m *relabelMachine) Step(step int, recv []sim.Message) ([]sim.Message, bool
 		// not send, so the channel is clean and the relabeling is free
 		// local computation) — total rounds are exactly Radius + inner.
 		rl := m.opt.Relabel(m.coll.Ball(), m.env)
+		m.coll = nil // release the known set; no later step reads it
 		innerEnv := m.env
 		innerEnv.ID = rl.ID
 		innerEnv.HasID = true
@@ -163,18 +164,16 @@ func PowerLinialID(b *view.Ball, d, idSpace, deltaPow int) (int, int) {
 // known, which covers everything the exactness zone ever reads.
 func powerNeighbors(b *view.Ball, d int) [][]int {
 	n := b.N()
-	adj := make([][]int, n)
-	for u := 0; u < n; u++ {
-		adj[u] = ballNeighbors(b, u)
-	}
+	adj := ballNeighbors(b)
 	out := make([][]int, n)
 	dist := make([]int, n)
+	for i := range dist {
+		dist[i] = -1
+	}
+	var queue []int
 	for src := 0; src < n; src++ {
-		for i := range dist {
-			dist[i] = -1
-		}
 		dist[src] = 0
-		queue := []int{src}
+		queue = append(queue[:0], src)
 		for qi := 0; qi < len(queue); qi++ {
 			u := queue[qi]
 			if dist[u] == d {
@@ -188,35 +187,30 @@ func powerNeighbors(b *view.Ball, d int) [][]int {
 				}
 			}
 		}
+		for _, u := range queue {
+			dist[u] = -1
+		}
 	}
 	return out
 }
 
-// ballNeighbors lists u's known ball-internal neighbors.
-func ballNeighbors(b *view.Ball, u int) []int {
-	rec := b.Recs[u]
-	if rec.Ports == nil {
-		// Bare boundary vertex: wiring known only from the inside; collect
-		// from enriched records pointing at u.
-		var nbrs []int
-		for w := 0; w < b.N(); w++ {
-			wrec := b.Recs[w]
-			if wrec.Ports == nil {
+// ballNeighbors lists every ball vertex's known ball-internal neighbors in
+// one pass over the enriched records' ports. An enriched vertex lists its
+// ports' neighbors in port order. A bare boundary vertex's wiring is known
+// only from the inside, so it lists, in ascending order and once each, the
+// enriched vertices with a port pointing at it.
+func ballNeighbors(b *view.Ball) [][]int {
+	nbrs := make([][]int, b.N())
+	for u, rec := range b.Recs {
+		for _, pl := range rec.Ports {
+			w := b.LocalIndex(pl.Name)
+			if w < 0 {
 				continue
 			}
-			for _, pl := range wrec.Ports {
-				if int(pl.Name) >= 0 && b.LocalIndex(pl.Name) == u {
-					nbrs = append(nbrs, w)
-					break
-				}
+			nbrs[u] = append(nbrs[u], w)
+			if in := nbrs[w]; b.Recs[w].Ports == nil && (len(in) == 0 || in[len(in)-1] != u) {
+				nbrs[w] = append(in, u)
 			}
-		}
-		return nbrs
-	}
-	var nbrs []int
-	for _, pl := range rec.Ports {
-		if w := b.LocalIndex(pl.Name); w >= 0 {
-			nbrs = append(nbrs, w)
 		}
 	}
 	return nbrs

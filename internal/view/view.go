@@ -7,14 +7,18 @@
 //
 //   - Collector is a (sub-)machine that gathers the radius-t ball of every
 //     vertex in exactly t communication rounds, using names (IDs) to stitch
-//     flooded records together. Each round a vertex floods only the records
-//     it added or enriched since its previous flood; see Collector for why
-//     that yields the same ball as re-flooding everything it knows.
+//     flooded records together. Its known set is a slot table: one map from
+//     name to slot and a slice of records, slot 0 being the vertex itself.
+//     Each round a vertex floods only the records it added or enriched
+//     since its previous flood, and a round with nothing new sends one
+//     shared empty flood; see Collector for why that yields the same ball
+//     as re-flooding everything it knows.
 //   - Ball.SimulateCenter re-executes an arbitrary Machine on a collected
 //     ball and reproduces the center's t-round output exactly. Only the
-//     tests call it: it is the exactness oracle that Collector is held to.
-//     The speedup transforms (Theorems 6 and 8) use Collector alone and
-//     read the collected Ball directly.
+//     tests call it: it is the exactness oracle that Collector is held to,
+//     and the only reader of the ball's port adjacency, which it builds on
+//     its first call. The speedup transforms (Theorems 6 and 8) use
+//     Collector alone and read the collected Ball's records directly.
 //
 // Exactness argument (mirrored in the tests): the center's state after step
 // t+1 depends on the step-(t+1-k) states of vertices at distance k, down to
@@ -28,6 +32,7 @@
 package view
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -69,6 +74,10 @@ type floodMsg struct {
 	Recs []Record
 }
 
+// emptyFlood is the one boxed floodMsg every collector sends on a step with
+// no changes. It is never written, so all nodes of both engines may share it.
+var emptyFlood sim.Message = floodMsg{}
+
 // Collector gathers the radius-T ball of one vertex. It is written as an
 // embeddable phase: composite machines call Step and, when it reports done,
 // read Ball. Use NewCollectMachineFactory for a standalone run.
@@ -76,26 +85,34 @@ type floodMsg struct {
 // The collector occupies steps 1..T+1 of its machine's life (T communication
 // rounds; the final step only absorbs the last messages).
 //
+// Its known set is a slot table: slot maps each known name to an index into
+// recs, and slot 0 is the vertex itself. A name keeps its slot for the whole
+// collection; enriching its record overwrites recs in place.
+//
 // It floods what changed since its last flood: the first flood (step 2)
 // carries the enriched self record and the step-1 neighbours, every later one
 // the records merge added or enriched while absorbing that step. Every port
 // still gets one floodMsg per round, possibly empty, so message and round
-// counts match full flooding. The known sets also match full flooding
-// exactly, name collisions included: merge only moves a name from absent to
-// bare to enriched, so re-merging a record merged before is a no-op, and a
-// sender's current record for a name was delivered at the step it became
-// current — the only step at which it could change the receiver.
+// counts match full flooding; the empty ones are all the shared emptyFlood.
+// The known sets also match full flooding exactly, name collisions included:
+// merge only moves a name from absent to bare to enriched, so re-merging a
+// record merged before is a no-op, and a sender's current record for a name
+// was delivered at the step it became current — the only step at which it
+// could change the receiver.
 type Collector struct {
-	t     int
-	env   sim.Env
-	name  uint64
-	known map[uint64]Record
-	// changed holds the names merge added or enriched since the last flood,
+	t    int
+	env  sim.Env
+	slot map[uint64]int32
+	recs []Record
+	// changed holds the slots merge added or enriched since the last flood,
 	// unsorted and possibly repeated; nil once collection is done.
-	changed []uint64
+	changed []int32
 	// send is the send slice of every step: the step-1 messages, then
 	// each flood broadcast (see sim.BroadcastInto).
 	send []sim.Message
+	// ball is the collected ball, built on the first Ball call from the
+	// slot table, whose records it then holds.
+	ball *Ball
 }
 
 // NewCollector returns a collector for radius t at a vertex whose unique
@@ -105,9 +122,12 @@ func NewCollector(t int, name uint64, env sim.Env) *Collector {
 	if t < 0 {
 		panic(fmt.Sprintf("view: negative radius %d", t))
 	}
-	c := &Collector{t: t, env: env, name: name, known: make(map[uint64]Record)}
-	c.known[name] = Record{Name: name, Degree: env.Degree, Input: env.Input}
-	return c
+	return &Collector{
+		t:    t,
+		env:  env,
+		slot: map[uint64]int32{name: 0},
+		recs: []Record{{Name: name, Degree: env.Degree, Input: env.Input}},
+	}
 }
 
 // Step advances the collection by one simulator step. The step argument must
@@ -123,24 +143,31 @@ func (c *Collector) Step(step int, recv []sim.Message) (send []sim.Message, done
 	}
 	if step == 1 {
 		c.send = make([]sim.Message, c.env.Degree)
-		self := c.known[c.name]
+		self := c.recs[0]
 		for p := range c.send {
 			c.send[p] = stepOneMsg{Rec: Record{Name: self.Name, Degree: self.Degree, Input: self.Input}, SenderPort: p}
 		}
 		return c.send, false
 	}
-	return sim.BroadcastInto(&c.send, c.env.Degree, floodMsg{Recs: c.delta()}), false
+	msg := emptyFlood
+	if recs := c.delta(); recs != nil {
+		msg = floodMsg{Recs: recs}
+	}
+	return sim.BroadcastInto(&c.send, c.env.Degree, msg), false
 }
 
-// delta returns the records changed since the last flood, sorted by name so
-// that no map order leaks into messages (the engines are compared
-// byte-for-byte), and starts a new change set.
+// delta returns the records changed since the last flood, or nil when none
+// did, sorted by name so that no map order leaks into messages (the engines
+// are compared byte-for-byte), and starts a new change set.
 func (c *Collector) delta() []Record {
-	slices.Sort(c.changed)
-	names := slices.Compact(c.changed)
-	recs := make([]Record, len(names))
-	for i, name := range names {
-		recs[i] = c.known[name]
+	if len(c.changed) == 0 {
+		return nil
+	}
+	slices.SortFunc(c.changed, func(a, b int32) int { return cmp.Compare(c.recs[a].Name, c.recs[b].Name) })
+	slots := slices.Compact(c.changed)
+	recs := make([]Record, len(slots))
+	for i, s := range slots {
+		recs[i] = c.recs[s]
 	}
 	c.changed = c.changed[:0]
 	return recs
@@ -151,18 +178,17 @@ func (c *Collector) delta() []Record {
 func (c *Collector) absorb(step int, recv []sim.Message) {
 	if step == 2 {
 		// The step-1 messages (consumed now) define our own port wiring.
-		self := c.known[c.name]
-		self.Ports = make([]PortLink, c.env.Degree)
+		ports := make([]PortLink, c.env.Degree)
 		for p, m := range recv {
 			som, ok := m.(stepOneMsg)
 			if !ok {
 				panic(fmt.Sprintf("view: expected stepOneMsg on port %d, got %T", p, m))
 			}
-			self.Ports[p] = PortLink{Name: som.Rec.Name, Back: som.SenderPort}
+			ports[p] = PortLink{Name: som.Rec.Name, Back: som.SenderPort}
 			c.merge(som.Rec)
 		}
-		c.known[c.name] = self
-		c.changed = append(c.changed, c.name)
+		c.recs[0].Ports = ports
+		c.changed = append(c.changed, 0)
 		return
 	}
 	for _, m := range recv {
@@ -182,16 +208,40 @@ func (c *Collector) absorb(step int, recv []sim.Message) {
 // merge keeps the most informative record per name and notes a change for
 // the next flood.
 func (c *Collector) merge(r Record) {
-	old, exists := c.known[r.Name]
-	if !exists || (!old.enriched() && r.enriched()) {
-		c.known[r.Name] = r
-		c.changed = append(c.changed, r.Name)
+	s, exists := c.slot[r.Name]
+	switch {
+	case !exists:
+		s = int32(len(c.recs))
+		c.slot[r.Name] = s
+		if len(c.recs) == cap(c.recs) {
+			// Names never outnumber the graph's vertices, so doubling
+			// stops at Env.N.
+			size := 2 * len(c.recs)
+			if c.env.N > len(c.recs) {
+				size = min(size, c.env.N)
+			}
+			grown := make([]Record, len(c.recs), size)
+			copy(grown, c.recs)
+			c.recs = grown
+		}
+		c.recs = append(c.recs, r)
+	case !c.recs[s].enriched() && r.enriched():
+		c.recs[s] = r
+	default:
+		return
 	}
+	c.changed = append(c.changed, s)
 }
 
-// Ball assembles the radius-T ball once collection is done.
+// Ball assembles the radius-T ball once collection is done. The ball takes
+// over the collector's slot table, which no later Step changes, and later
+// calls return the same ball.
 func (c *Collector) Ball() *Ball {
-	return buildBall(c.t, c.name, c.known)
+	if c.ball == nil {
+		c.ball = buildBall(c.t, c.slot, c.recs)
+		c.recs = nil
+	}
+	return c.ball
 }
 
 // Rounds returns the number of communication rounds the collection costs.
@@ -237,12 +287,15 @@ type Ball struct {
 	T    int
 	Dist []int
 	Recs []Record
+	// slot is the collector's name table and local[s] the local index of
+	// slot s's record, or -1 when that record is outside the ball.
+	slot  map[uint64]int32
+	local []int32
 	// adj[u][p] = local index of u's port-p neighbor, or -1 when that
 	// neighbor is outside the ball or unknown. Entries exist only for ports
 	// with known wiring; adj[u] is nil for vertices with no known wiring.
+	// SimulateCenter, its only reader, wires it on first use.
 	adj [][]int
-	// index maps names to local indices.
-	index map[uint64]int
 }
 
 // N returns the number of vertices in the ball.
@@ -251,72 +304,76 @@ func (b *Ball) N() int { return len(b.Recs) }
 // LocalIndex returns the local index of the vertex with the given name,
 // or -1 if it is not in the ball.
 func (b *Ball) LocalIndex(name uint64) int {
-	if i, ok := b.index[name]; ok {
-		return i
+	if s, ok := b.slot[name]; ok {
+		return int(b.local[s])
 	}
 	return -1
 }
 
-// buildBall BFS-explores the known records from the center, keeping vertices
-// within distance t, and wires local adjacency.
-func buildBall(t int, center uint64, known map[uint64]Record) *Ball {
-	b := &Ball{T: t, index: make(map[uint64]int)}
-	// BFS over names.
-	type item struct {
-		name uint64
-		dist int
+// buildBall BFS-explores the slot table from the center (slot 0), keeping
+// vertices within distance t. It reorders recs in place into BFS order and
+// returns the ball on that array, so the table's records are not copied: a
+// table passed in is the ball's from then on.
+func buildBall(t int, slot map[uint64]int32, recs []Record) *Ball {
+	n := len(recs)
+	idx := make([]int32, 3*n)
+	// local[s] is slot s's ball index once BFS reaches it, else -1; until
+	// then its record sits at recs[where[s]]. at[p] is the slot whose record
+	// sits at recs[p]. Reached slots fill recs[:k] in BFS order, so the
+	// others always lie at or beyond k.
+	local, where, at := idx[:n:n], idx[n:2*n:2*n], idx[2*n:]
+	for s := range local {
+		local[s], where[s], at[s] = -1, int32(s), int32(s)
 	}
-	queue := []item{{center, 0}}
-	b.index[center] = 0
-	b.Recs = append(b.Recs, known[center])
-	b.Dist = append(b.Dist, 0)
-	for qi := 0; qi < len(queue); qi++ {
-		it := queue[qi]
-		rec := known[it.name]
-		if it.dist >= t || !rec.enriched() {
+	local[0] = 0
+	dists := make([]int, 1, n)
+	// recs[:k] is the BFS queue.
+	k := int32(1)
+	for qi := int32(0); qi < k; qi++ {
+		rec, dist := recs[qi], dists[qi]
+		if dist >= t || !rec.enriched() {
 			continue
 		}
 		for _, pl := range rec.Ports {
-			if _, seen := b.index[pl.Name]; seen {
+			s, ok := slot[pl.Name]
+			if !ok || local[s] >= 0 {
+				// Unknown names can lie only beyond the collection
+				// horizon (outside the ball); seen ones are queued already.
 				continue
 			}
-			nrec, ok := known[pl.Name]
-			if !ok {
-				// Known name but no record: can happen only beyond the
-				// collection horizon; skip (outside ball).
-				continue
-			}
-			b.index[pl.Name] = len(b.Recs)
-			b.Recs = append(b.Recs, nrec)
-			b.Dist = append(b.Dist, it.dist+1)
-			queue = append(queue, item{pl.Name, it.dist + 1})
+			// Swap slot s's record into recs[k].
+			p, o := where[s], at[k]
+			recs[k], recs[p] = recs[p], recs[k]
+			at[k], at[p] = s, o
+			where[s], where[o] = k, p
+			local[s] = k
+			k++
+			dists = append(dists, dist+1)
 		}
 	}
-	// Wire adjacency from enriched records; bare boundary records get their
-	// inward ports wired from the neighbor side (using Back indices).
+	return &Ball{T: t, Dist: dists, Recs: recs[:k:k], slot: slot, local: local}
+}
+
+// wire builds adj from enriched records; bare boundary records get their
+// inward ports wired from the neighbor side (using Back indices).
+func (b *Ball) wire() {
 	b.adj = make([][]int, len(b.Recs))
-	for u := range b.Recs {
-		rec := b.Recs[u]
+	for u, rec := range b.Recs {
 		if !rec.enriched() {
 			continue
 		}
 		b.adj[u] = make([]int, len(rec.Ports))
 		for p, pl := range rec.Ports {
-			if w, ok := b.index[pl.Name]; ok {
-				b.adj[u][p] = w
-			} else {
-				b.adj[u][p] = -1
-			}
+			b.adj[u][p] = b.LocalIndex(pl.Name)
 		}
 	}
-	for u := range b.Recs {
-		rec := b.Recs[u]
+	for u, rec := range b.Recs {
 		if !rec.enriched() {
 			continue
 		}
 		for _, pl := range rec.Ports {
-			w, ok := b.index[pl.Name]
-			if !ok {
+			w := b.LocalIndex(pl.Name)
+			if w < 0 {
 				continue
 			}
 			if b.adj[w] == nil {
@@ -327,7 +384,6 @@ func buildBall(t int, center uint64, known map[uint64]Record) *Ball {
 			}
 		}
 	}
-	return b
 }
 
 func makeFilled(n, v int) []int {
@@ -362,6 +418,9 @@ func (b *Ball) SimulateCenter(f sim.Factory, opt SimOptions) (any, int, error) {
 	}
 	if opt.Steps > b.T+1 {
 		return nil, 0, fmt.Errorf("view: %d steps exceed exactness horizon %d of a radius-%d ball", opt.Steps, b.T+1, b.T)
+	}
+	if b.adj == nil {
+		b.wire()
 	}
 	n := b.N()
 	machines := make([]sim.Machine, n)

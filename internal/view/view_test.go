@@ -73,8 +73,30 @@ func TestBallOnTree(t *testing.T) {
 	balls, _ := collectBalls(t, g, assignment, 3)
 	for v := 0; v < g.N(); v++ {
 		want := len(g.BallVertices(v, 3))
-		if got := balls[v].N(); got != want {
+		b := balls[v]
+		if got := b.N(); got != want {
 			t.Fatalf("vertex %d: ball size %d, want %d", v, got, want)
+		}
+		// The ball is laid out in BFS order from the center, every vertex
+		// at its graph distance, and LocalIndex inverts the layout.
+		dist := g.BFS(v)
+		for u := 0; u < g.N(); u++ {
+			i := b.LocalIndex(assignment[u])
+			if (i >= 0) != (dist[u] <= 3) {
+				t.Fatalf("vertex %d: LocalIndex of vertex %d at distance %d is %d", v, u, dist[u], i)
+			}
+			if i >= 0 && (b.Recs[i].Name != assignment[u] || b.Dist[i] != dist[u]) {
+				t.Fatalf("vertex %d: local %d holds name %d at distance %d, want vertex %d's name %d at %d",
+					v, i, b.Recs[i].Name, b.Dist[i], u, assignment[u], dist[u])
+			}
+		}
+		if b.Recs[0].Name != assignment[v] {
+			t.Fatalf("vertex %d: local 0 is name %d, want the center %d", v, b.Recs[0].Name, assignment[v])
+		}
+		for i := 1; i < b.N(); i++ {
+			if b.Dist[i] < b.Dist[i-1] {
+				t.Fatalf("vertex %d: distances %v are not in BFS order", v, b.Dist)
+			}
 		}
 	}
 }

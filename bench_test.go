@@ -37,22 +37,22 @@ const allocTolerance = 0.02
 // allocations lowers its budget in the same diff, so the history of this
 // literal is the suite's perf trajectory.
 var allocBudget = map[string]float64{
-	"E1":  144_736,
-	"E2":  46_511,
-	"E3":  2_919_534,
-	"E4":  22_048,
+	"E1":  139_358,
+	"E2":  33_512,
+	"E3":  2_061_708,
+	"E4":  12_842,
 	"E5":  103_640,
 	"E6":  13_290,
 	"E7":  76_440,
-	"E8":  129_662,
+	"E8":  124_955,
 	"E9":  25_062,
 	"E10": 545_217,
-	"E11": 17_891,
-	"E12": 31_187,
+	"E11": 16_930,
+	"E12": 29_002,
 	"E13": 17_499,
 	"A1":  12_107,
 	"A2":  47_678,
-	"A3":  32_319,
+	"A3":  30_238,
 }
 
 // allocVerdict returns why allocs (per op, under the runtime.Version

@@ -54,7 +54,7 @@ func (c *freshCheck) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
 
 // SleepUntil forwards to the wrapped machine, so the sequential engine
 // skips the same steps it skips without the wrapper.
-func (c *freshCheck) SleepUntil() int { return c.Machine.(sim.Sleeper).SleepUntil() }
+func (c *freshCheck) SleepUntil() (int, bool) { return c.Machine.(sim.Sleeper).SleepUntil() }
 
 // TestStatusBoxNeverStale runs T10 (with and without a bad set) and T11
 // (with and without S) on both engines and checks every status sent

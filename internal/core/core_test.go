@@ -170,6 +170,7 @@ func TestT10EngineEquivalence(t *testing.T) {
 	// E3's quick-scale shape: the complete 35-ary tree of depth 2, where
 	// most vertices are final after the first iteration and rest.
 	e3 := graph.CompleteKAry(35, 2)
+	g200 := graph.RandomTree(400, 200, rng.New(12))
 	for _, c := range []struct {
 		name    string
 		g       *graph.Graph
@@ -183,6 +184,12 @@ func TestT10EngineEquivalence(t *testing.T) {
 		{"slack2", g, core.T10Options{Delta: 16, PaletteSlack: 2}, true},
 		{"e3-slack8", e3, core.T10Options{Delta: 36, PaletteSlack: 8}, false},
 		{"e3-slack2", e3, core.T10Options{Delta: 36, PaletteSlack: 2}, true},
+		// Δ = 200 leaves 185 colours for Phase 1, so a bid spans three
+		// 64-bit words, and its Phase 2 forest colours with 15. On the
+		// caterpillar with 195 legs per spine vertex, a spine vertex whose
+		// first bid a leg also bid is bad under PaletteSlack 1.
+		{"delta200", g200, core.T10Options{Delta: 200}, false},
+		{"delta200-slack1", graph.Caterpillar(3, 195), core.T10Options{Delta: 200, PaletteSlack: 1}, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			res := engineResults(t, c.g, randomized(14), core.NewT10Factory(c.opt))

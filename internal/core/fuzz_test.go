@@ -11,13 +11,15 @@ import (
 	"locality/internal/sim"
 )
 
-// FuzzQuietEngines runs the two machines that send a status only when a
-// neighbour reads it — T10, whose final vertices send once and rest, and
-// the forest coloring, which resends only before Linial steps — on random
-// trees under both engines. Each input must give the same Result and
-// RoundStats sequence on both: the sequential engine drops the mail of a
-// sleeping node, so a status sent to a vertex that should have read it
-// shows up as a difference.
+// FuzzQuietEngines runs the machines that the sequential engine lets
+// sleep on random trees under both engines: T10, whose final vertices send
+// once and rest in discard mode; T11 at small Δ, where the shattered set S
+// is often non-empty and sleeps through Phase 2 with its forest machine;
+// and the forest coloring on its own, which resends only before Linial
+// steps and sleeps between its slots in mail mode. Each input must give
+// the same Result and RoundStats sequence on both: a status sent to a
+// vertex that should have read it, but slept through it, shows up as a
+// difference.
 func FuzzQuietEngines(f *testing.F) {
 	f.Add(uint8(16), uint8(8), uint8(4), uint64(1), uint16(200))
 	f.Add(uint8(36), uint8(2), uint8(3), uint64(2), uint16(250))
@@ -30,6 +32,10 @@ func FuzzQuietEngines(f *testing.F) {
 		g := graph.RandomTree(size, d, rng.New(seed))
 		engineResults(t, g, randomized(seed),
 			core.NewT10Factory(core.T10Options{Delta: d, PaletteSlack: 1 + int(slack)%16}))
+
+		d11 := 4 + int(delta)%3 // Δ = 4..6, where Phase 1 leaves S non-empty
+		g11 := graph.RandomTree(size, d11, rng.New(seed+3))
+		engineResults(t, g11, randomized(seed), core.NewT11Factory(core.T11Options{Delta: d11}))
 
 		fq := 3 + int(q)%8
 		tree := graph.RandomTree(size, 2+int(seed%8), rng.New(seed+1))

@@ -52,8 +52,14 @@ func (p *phase2Plan) owns(step int) bool { return step > p.start && step <= p.en
 // induced subgraph of the members.
 type phase2 struct {
 	window *phase2Plan // the run's Phase 2 plan, set at startForest
-	inner  sim.Machine // nil for a non-member and after the harvest
+	inner  forestNode  // nil for a non-member and after the harvest
 	done   bool        // inner has halted, or was never built
+}
+
+// forestNode is the inner forest machine, which sleeps in mail mode.
+type forestNode interface {
+	sim.Machine
+	sim.Sleeper
 }
 
 // startForest runs at step plan.start. A member builds its inner machine
@@ -66,34 +72,37 @@ func (f *phase2) startForest(plan *phase2Plan, env sim.Env, member bool, id uint
 		return
 	}
 	env.ID, env.HasID = id, true
-	f.inner = forest.NewMachine(&plan.forest)
+	f.inner = forest.NewMachine(&plan.forest).(forestNode)
 	f.inner.Init(env)
 }
 
 // forestStep drives the inner machine at a step the window owns. The
 // outer machine stays live to its harvest step whatever the inner does.
+// At the inner machine's first step the messages in flight are outer
+// statuses from the start step; its hello step reads no mail.
 func (f *phase2) forestStep(step int, recv []sim.Message) ([]sim.Message, bool) {
 	if f.done {
 		return nil, false
 	}
-	local := step - f.window.start
-	if local == 1 {
-		// The messages in flight are outer statuses from the start step;
-		// the inner machine's first step consumes nothing.
-		recv = make([]sim.Message, len(recv))
-	}
-	send, done := f.inner.Step(local, recv)
+	send, done := f.inner.Step(step-f.window.start, recv)
 	f.done = done
 	return send, false
 }
 
-// SleepUntil implements sim.Sleeper: once the inner machine is done, every
-// step up to the harvest step is a no-op.
-func (f *phase2) SleepUntil() int {
-	if f.done {
-		return f.window.end + 1
+// SleepUntil implements sim.Sleeper. Once the inner machine is done, every
+// step up to the harvest step is a no-op whatever arrives, so the vertex
+// sleeps there in discard mode. While the inner machine runs, the vertex
+// sleeps with it, in its mail mode, to its next slot shifted into the
+// window.
+func (f *phase2) SleepUntil() (int, bool) {
+	switch {
+	case f.done:
+		return f.window.end + 1, false
+	case f.inner != nil:
+		w, onMail := f.inner.SleepUntil()
+		return f.window.start + w, onMail
 	}
-	return 0
+	return 0, false
 }
 
 // harvestForest runs at step plan.end+1 and returns the color Phase 2 gave

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"locality/internal/sim"
 )
@@ -50,14 +51,15 @@ func CSequence(delta int) []float64 {
 
 // t10Plan is the round schedule every machine of a run shares read-only.
 type t10Plan struct {
-	opt     T10Options // resolved against n
-	reserve int        // √Δ reserved colors
-	cs      []float64
-	iters   int        // t = len(cs)
-	p1End   int        // last phase-1 step
-	markBad int        // step marking the uncolored as bad
-	p2      phase2Plan // Phase 2 on the bad components, from markBad on
-	total   int
+	opt      T10Options // resolved against n
+	reserve  int        // √Δ reserved colors
+	cs       []float64
+	iters    int        // t = len(cs)
+	bidWords int        // ⌈k/64⌉ words per color bitset, k = Δ-√Δ+1 indices
+	p1End    int        // last phase-1 step
+	markBad  int        // step marking the uncolored as bad
+	p2       phase2Plan // Phase 2 on the bad components, from markBad on
+	total    int
 }
 
 // newT10Plan lays out the run. Phase 2 colors bad components of at most
@@ -71,6 +73,7 @@ func newT10Plan(n int, opt T10Options) t10Plan {
 	p.reserve = int(math.Ceil(math.Sqrt(float64(opt.Delta))))
 	p.cs = CSequence(opt.Delta)
 	p.iters = len(p.cs)
+	p.bidWords = (opt.Delta - p.reserve + 64) / 64
 	// Step layout: step 1 hello; iterations i = 1..t occupy steps 2i, 2i+1.
 	p.p1End = 1 + 2*p.iters
 	p.markBad = p.p1End + 1
@@ -91,11 +94,41 @@ func T10Phase2Rounds(n int, opt T10Options) int {
 	return newT10Plan(n, opt).p2.forest.Rounds()
 }
 
-// t10Status is the phase-1 broadcast.
+// t10Status is the phase-1 broadcast. It is comparable, so the machine
+// re-sends an unchanged one through sim.Box: the bid is named, not held,
+// as the sender's bid log and the iteration that drew it. That part of the
+// log is written once, before the first status naming it is sent, and
+// never again, so a sent status never changes.
 type t10Status struct {
 	Participating bool
 	Color         int
-	Bid           []int
+	log           *bidLog // the sender's bid log; nil before its first bid
+	iter          int     // the iteration whose bid the status names
+}
+
+// t10Hello is the status every vertex sends at step 1, before its first
+// bid, boxed once for all of them.
+var t10Hello sim.Message = t10Status{Participating: true}
+
+// bidWord returns word i of the bid st names, or 0 when it names none.
+func (st *t10Status) bidWord(i int) uint64 {
+	if st.log == nil {
+		return 0
+	}
+	return st.log.bits[(st.iter-1)*st.log.words+i]
+}
+
+// bidLog is a vertex's record of its bids: the bid S_v of iteration i is
+// the bitset bits[(i-1)·words : i·words] over the colors, bit c of word
+// c/64 for color c.
+type bidLog struct {
+	words int
+	bits  []uint64
+}
+
+// bid returns iteration iter's bid.
+func (l *bidLog) bid(iter int) []uint64 {
+	return l.bits[(iter-1)*l.words : iter*l.words : iter*l.words]
 }
 
 // t10 is one vertex of ColorBidding. It broadcasts its status at every
@@ -103,25 +136,31 @@ type t10Status struct {
 // final (coloured or bad); from then on it rests, absorbing nothing and
 // sending nothing. Its neighbours lose nothing by that: resolveStep and
 // filter treat a silent port like a non-participating one, and the palette
-// update reads the colour each neighbour sent last. A bad vertex wakes at
-// markBad to start Phase 2; a coloured one wakes only to halt. Phase 2's
-// first inner step discards the mail of markBad, and every vertex halts
-// one step after the harvest, so neither of those steps sends.
+// update reads the colour each neighbour sent last. A resting vertex
+// sleeps in the sim.Sleeper discard mode. A bad vertex wakes at markBad to
+// start Phase 2, through which it sleeps with its forest machine in mail
+// mode; a coloured one wakes only to halt. Phase 2's first inner step, the
+// forest's hello, reads no mail, and every vertex halts one step after
+// the harvest, so neither markBad nor the harvest step sends.
 type t10 struct {
 	plans *sim.PlanMemo[t10Plan]
 	plan  *t10Plan
 	env   sim.Env
 
-	id       uint64
-	color    int
-	phase    int
-	bad      bool
-	palette  []bool // Ψ: palette[c] reports whether color c is still available
-	paletteN int    // |Ψ|
-	taken    []bool // resolveStep's scratch set of colors bid by neighbors
-	// bid is allocated afresh at every bid: neighbors keep the slice in
-	// their nbr[p].Bid, so it must never be written after it is sent.
-	bid []int
+	id    uint64
+	color int
+	phase int
+	bad   bool
+	// palette is Ψ, a bitset over the colors 1..Δ-√Δ (bit c of word c/64;
+	// bit 0 is never set), and shares its backing with log, both
+	// allocated at Init.
+	palette  []uint64
+	paletteN int // |Ψ|
+	// log holds every bid the vertex drew. Neighbors read a bid through
+	// the status naming it, so the header is never reassigned after Init
+	// and a bid is never written after the step that drew it.
+	log     bidLog
+	bidIter int // the iteration of the vertex's latest bid; 0 before its first
 
 	phase2 // the embedded Phase 2 forest coloring
 	failed bool
@@ -129,11 +168,12 @@ type t10 struct {
 	// and cleared at the wake step.
 	resting bool
 
-	nbr   []t10Status
-	heard []bool // heard, fresh, palette and taken share one backing
-	fresh []bool
-	sent  sim.Message   // the status sent last; nil before the first
-	send  []sim.Message // reused status broadcast
+	// nbr keeps the status each port delivered last. A port whose status
+	// arrived in this step's inbox is fresh; a silent port reads like a
+	// non-participating neighbor.
+	nbr  []t10Status
+	box  sim.Box[t10Status] // the last status broadcast, boxed
+	send []sim.Message      // reused status broadcast
 }
 
 var (
@@ -157,49 +197,32 @@ func (m *t10) Init(env sim.Env) {
 	m.env = env
 	m.plan = m.plans.Get(env)
 	m.id = randomID(env)
-	// Colors 1..Δ-√Δ; index 0 is unused in both sets.
-	k, d := m.plan.opt.Delta-m.plan.reserve+1, env.Degree
-	flags := make([]bool, 2*k+2*d)
-	m.palette, m.taken = flags[:k:k], flags[k:2*k:2*k]
-	m.heard, m.fresh = flags[2*k:2*k+d:2*k+d], flags[2*k+d:]
-	for c := 1; c < k; c++ {
-		m.palette[c] = true
+	// Colors 1..Δ-√Δ; bit 0 is unused.
+	k, words := m.plan.opt.Delta-m.plan.reserve+1, m.plan.bidWords
+	sets := make([]uint64, (1+m.plan.iters)*words)
+	m.palette = sets[:words:words]
+	for i := range m.palette {
+		m.palette[i] = ^uint64(0)
+	}
+	m.palette[0] &^= 1
+	if r := k % 64; r != 0 {
+		m.palette[words-1] &= 1<<r - 1
 	}
 	m.paletteN = k - 1
-	m.nbr = make([]t10Status, d)
+	m.log = bidLog{words: words, bits: sets[words:]}
+	m.nbr = make([]t10Status, env.Degree)
 }
 
 func (m *t10) statusNow() t10Status {
-	return t10Status{
-		Participating: m.color == 0 && !m.bad,
-		Color:         m.color,
-		Bid:           m.bid,
+	st := t10Status{Participating: m.color == 0 && !m.bad, Color: m.color}
+	if m.bidIter > 0 {
+		st.log, st.iter = &m.log, m.bidIter
 	}
-}
-
-// boxStatus returns statusNow as a Message, boxing it only when it differs
-// from the status sent last; otherwise it re-sends that immutable value.
-// t10Status holds a slice, so sim.Box cannot compare it: the bid is
-// compared by identity, which is enough because a sent bid is never
-// written again and every new bid is a new slice.
-func (m *t10) boxStatus() sim.Message {
-	st := m.statusNow()
-	if last, ok := m.sent.(t10Status); !ok || st.Participating != last.Participating ||
-		st.Color != last.Color || !sameSlice(st.Bid, last.Bid) {
-		m.sent = st
-	}
-	return m.sent
-}
-
-// sameSlice reports whether a and b are the same slice: equal length and,
-// when non-empty, the same first element.
-func sameSlice(a, b []int) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+	return st
 }
 
 func (m *t10) absorb(recv []sim.Message) {
 	for p, msg := range recv {
-		m.fresh[p] = false
 		if msg == nil {
 			continue
 		}
@@ -208,8 +231,6 @@ func (m *t10) absorb(recv []sim.Message) {
 			panic(fmt.Sprintf("core: unexpected message %T", msg))
 		}
 		m.nbr[p] = st
-		m.heard[p] = true
-		m.fresh[p] = true
 	}
 }
 
@@ -223,10 +244,10 @@ func (m *t10) wake() int {
 }
 
 // SleepUntil implements sim.Sleeper: a resting vertex sleeps to its wake
-// step, and a Phase 2 vertex whose inner machine is done to its harvest.
-func (m *t10) SleepUntil() int {
+// step in discard mode, and a Phase 2 vertex sleeps as phase2 does.
+func (m *t10) SleepUntil() (int, bool) {
 	if m.resting {
-		return m.wake()
+		return m.wake(), false
 	}
 	return m.phase2.SleepUntil()
 }
@@ -245,14 +266,14 @@ func (m *t10) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
 	m.absorb(recv)
 	switch {
 	case step == 1:
-		// Hello.
+		return sim.BroadcastInto(&m.send, m.env.Degree, t10Hello), false
 	case step <= pl.p1End:
 		local := step - 1 // 1-based within phase 1
 		iter := (local + 1) / 2
 		if local%2 == 1 {
-			m.bidStep(iter)
+			m.bidStep(iter, recv)
 		} else {
-			m.resolveStep()
+			m.resolveStep(recv)
 		}
 	case step == pl.markBad:
 		// Only uncoloured vertices get here: Filtering(t) makes every
@@ -274,17 +295,17 @@ func (m *t10) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
 	if m.color != 0 || m.bad {
 		m.resting = true // this status is final: send it once, then rest
 	}
-	return sim.BroadcastInto(&m.send, m.env.Degree, m.boxStatus()), false
+	msg, _ := m.box.Of(m.statusNow())
+	return sim.BroadcastInto(&m.send, m.env.Degree, msg), false
 }
 
 // bidStep is sub-step A of iteration iter: apply the previous iteration's
-// filtering, refresh the palette, then draw the bid S_v.
-func (m *t10) bidStep(iter int) {
+// filtering, refresh the palette, then draw the bid S_v into the log.
+func (m *t10) bidStep(iter int, recv []sim.Message) {
 	m.updatePaletteAndNeighbors()
 	if iter >= 2 {
-		m.filter(iter - 1)
+		m.filter(iter-1, recv)
 	}
-	m.bid = nil
 	if m.color != 0 || m.bad {
 		return
 	}
@@ -293,76 +314,79 @@ func (m *t10) bidStep(iter int) {
 		return
 	}
 	// Ψ is scanned in ascending color order, so the RNG draws are the same
-	// on every engine; scanning the palette in place allocates nothing.
+	// on every engine.
+	bid := m.log.bid(iter)
+	m.bidIter = iter
 	if iter == 1 {
 		k := m.env.Rand.Intn(m.paletteN) // draw the k-th color of Ψ
-		for c, ok := range m.palette {
-			if ok {
-				if k == 0 {
-					m.bid = []int{c}
-					return
-				}
-				k--
+		for wi, word := range m.palette {
+			if n := bits.OnesCount64(word); k >= n {
+				k -= n
+				continue
 			}
+			for ; k > 0; k-- {
+				word &= word - 1
+			}
+			bid[wi] = word & -word
+			return
 		}
 		panic("core: |Ψ| disagrees with the palette (internal bug)")
 	}
 	prob := m.plan.cs[iter-1] / float64(m.paletteN)
-	for c, ok := range m.palette {
-		if ok && m.env.Rand.Bernoulli(prob) {
-			m.bid = append(m.bid, c)
+	for wi, word := range m.palette {
+		for ; word != 0; word &= word - 1 {
+			if m.env.Rand.Bernoulli(prob) {
+				bid[wi] |= word & -word
+			}
 		}
 	}
 }
 
-// resolveStep is sub-step B: color the vertex if some bid color is not bid
-// by any participating neighbor.
-func (m *t10) resolveStep() {
-	if m.color != 0 || m.bad || len(m.bid) == 0 {
+// resolveStep is sub-step B: color the vertex with the lowest color of
+// its bid that no fresh participating neighbor bid.
+func (m *t10) resolveStep(recv []sim.Message) {
+	if m.color != 0 || m.bad || m.bidIter == 0 {
 		return
 	}
-	for p := range m.nbr {
-		if !m.fresh[p] || !m.nbr[p].Participating {
-			continue
+	for wi, free := range m.log.bid(m.bidIter) {
+		for p := range m.nbr {
+			if recv[p] != nil && m.nbr[p].Participating {
+				free &^= m.nbr[p].bidWord(wi)
+			}
 		}
-		for _, c := range m.nbr[p].Bid {
-			m.taken[c] = true
-		}
-	}
-	best := 0
-	for _, c := range m.bid {
-		if !m.taken[c] && (best == 0 || c < best) {
-			best = c
+		if free != 0 {
+			m.color = wi<<6 | bits.TrailingZeros64(free)
+			m.phase = 1
+			return
 		}
 	}
-	clear(m.taken)
-	if best != 0 {
-		m.color = best
-		m.phase = 1
-	}
-	m.bid = nil
 }
 
 // updatePaletteAndNeighbors removes the colors permanently taken by
 // neighbors from Ψ.
 func (m *t10) updatePaletteAndNeighbors() {
 	for p := range m.nbr {
-		if c := m.nbr[p].Color; m.heard[p] && c > 0 && c < len(m.palette) && m.palette[c] {
-			m.palette[c] = false
+		c := m.nbr[p].Color // 0 for a port never heard
+		if c <= 0 || c >= len(m.palette)<<6 {
+			continue
+		}
+		if bit := uint64(1) << (c & 63); m.palette[c>>6]&bit != 0 {
+			m.palette[c>>6] &^= bit
 			m.paletteN--
 		}
 	}
 }
 
-// filter applies Filtering(i) using the post-iteration-i state.
-func (m *t10) filter(i int) {
+// filter applies Filtering(i) using the post-iteration-i state, read from
+// this step's inbox recv.
+func (m *t10) filter(i int, recv []sim.Message) {
 	if m.color != 0 || m.bad {
 		return
 	}
 	// N'_{i+1}: participating uncolored neighbors after iteration i.
 	survivors := 0
 	for p := range m.nbr {
-		if m.fresh[p] && m.nbr[p].Participating {
+		if recv[p] != nil && m.nbr[p].Participating {
 			survivors++
 		}
 	}

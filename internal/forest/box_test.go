@@ -16,19 +16,28 @@ import (
 // status it sent, or at a quiet step the one it sent last. It also records
 // the steps that break the send rule: a live vertex sends before every
 // Linial step, and at any other step exactly when its status changed.
+// The embedded machine's SleepUntil is the wrapper's, so the sequential
+// engine skips the steps it sleeps through; those count as quiet, since
+// the Sleeper contract makes each of them a Step that sends nothing.
 type freshCheck struct {
 	*machine
 	t        *testing.T
 	sends    int // steps at which the machine broadcast
 	changes  int // of those, steps at which the status sent changed
-	quiet    int // live steps at which it sent nothing
+	quiet    int // live steps at which it sent nothing, slept ones included
+	slept    int // of those, steps the engine skipped
 	resends  int // unchanged statuses sent because a Linial step follows
 	badSends []string
 	last     sim.Message
+	stepped  int // the last step at which Step was called
 	faulted  bool
 }
 
 func (c *freshCheck) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
+	skipped := step - c.stepped - 1
+	c.stepped = step
+	c.quiet += skipped
+	c.slept += skipped
 	before := c.statusNow()
 	send, done := c.machine.Step(step, recv)
 	if done {
@@ -114,7 +123,8 @@ func TestStatusBoxNeverStale(t *testing.T) {
 // H-sweep and final-sweep steps a vertex sends only a changed status, and
 // before every Linial step every live vertex sends, changed or not. A
 // Linial step seldom leaves a colour as it was; with Q = 3 on this tree a
-// few vertices resend an unchanged status, which the rule must cover.
+// few vertices resend an unchanged status, which the rule must cover. On
+// the sequential engine most quiet steps are slept through, not stepped.
 func TestQuietTraffic(t *testing.T) {
 	for _, engine := range []sim.Engine{sim.EngineSequential, sim.EngineConcurrent} {
 		checks := runChecked(t, engine, 3)
@@ -127,9 +137,9 @@ func TestQuietTraffic(t *testing.T) {
 		if linial == 0 {
 			t.Fatal("the plan has no Linial step")
 		}
-		sends, quiet, resends := 0, 0, 0
+		sends, quiet, slept, resends := 0, 0, 0, 0
 		for v, c := range checks {
-			sends, quiet, resends = sends+c.sends, quiet+c.quiet, resends+c.resends
+			sends, quiet, slept, resends = sends+c.sends, quiet+c.quiet, slept+c.slept, resends+c.resends
 			for _, msg := range c.badSends {
 				t.Errorf("engine %d node %d: %s", engine, v, msg)
 			}
@@ -139,6 +149,9 @@ func TestQuietTraffic(t *testing.T) {
 		if least := len(checks) * (linial + 1); sends < least || quiet < sends || resends == 0 {
 			t.Errorf("engine %d: %d sends (at least %d expected), %d quiet steps, %d unchanged resends",
 				engine, sends, least, quiet, resends)
+		}
+		if (engine == sim.EngineSequential) != (slept > 0) {
+			t.Errorf("engine %d: %d steps slept through", engine, slept)
 		}
 	}
 }

@@ -146,6 +146,13 @@ func (p *Plan) linialStep(step int) bool {
 	return i >= 0 && i < p.red.LinialSteps()
 }
 
+// sweepStep returns the step of the H-sweep that recolors class c, one of
+// the classes above A: the sweep runs from the fixed point's top class
+// down, one class per step, after the Linial steps.
+func (p *Plan) sweepStep(c int) int {
+	return p.Peel + 3 + p.red.LinialSteps() + p.red.FixedPoint() - 1 - c
+}
+
 // NewFactory returns the forest coloring machine factory.
 // Output: final color in 1..Q, or 0 when the vertex failed.
 func NewFactory(opt Options) sim.Factory {
@@ -156,7 +163,8 @@ func NewFactory(opt Options) sim.Factory {
 
 // NewMachine returns one forest coloring machine that runs on a plan its
 // caller already holds; Theorems 10 and 11 embed it this way as their
-// Phase 2.
+// Phase 2. The machine is a sim.Sleeper in mail mode, so an embedding
+// caller can sleep with it.
 func NewMachine(plan *Plan) sim.Machine {
 	return &machine{plan: plan}
 }
@@ -186,7 +194,6 @@ type machine struct {
 	// The per-port flags and used share one backing, allocated at Init.
 	nbr       []status // latest status per port (zero value until heard)
 	heard     []bool   // whether port p has ever delivered a status
-	fresh     []bool   // whether port p delivered a status this step
 	parentOf  []bool   // valid after layers settle
 	sameLayer []bool
 	used      []bool // reused color set of the H-sweep and the final sweep
@@ -194,6 +201,7 @@ type machine struct {
 
 	hcolor int
 	final  int
+	wake   int             // the next slot, from the last Step (see slotAfter)
 	box    sim.Box[status] // the last status broadcast, boxed
 	send   []sim.Message   // reused status broadcast
 	// failed is set when a *probabilistic* precondition breaks (a component
@@ -205,7 +213,10 @@ type machine struct {
 	failed bool
 }
 
-var _ sim.Machine = (*machine)(nil)
+var (
+	_ sim.Machine = (*machine)(nil)
+	_ sim.Sleeper = (*machine)(nil)
+)
 
 func (m *machine) Init(env sim.Env) {
 	m.env = env
@@ -219,10 +230,10 @@ func (m *machine) Init(env sim.Env) {
 		panic(fmt.Sprintf("forest: ID %d outside 1..%d", env.ID, m.plan.Opt.IDSpace))
 	}
 	d, q := env.Degree, m.plan.Opt.Q
-	flags := make([]bool, 4*d+q)
-	m.heard, m.fresh = flags[:d:d], flags[d:2*d:2*d]
-	m.parentOf, m.sameLayer = flags[2*d:3*d:3*d], flags[3*d:4*d:4*d]
-	m.used = flags[4*d:]
+	flags := make([]bool, 3*d+q)
+	m.heard = flags[:d:d]
+	m.parentOf, m.sameLayer = flags[d:2*d:2*d], flags[2*d:3*d:3*d]
+	m.used = flags[3*d:]
 	m.nbr = make([]status, d)
 	m.nbrColors = make([]int, 0, d)
 	m.hcolor = -1
@@ -237,11 +248,20 @@ func (m *machine) Init(env sim.Env) {
 //	                      H-sweep (classes FP-1 .. A+1 descending)
 //	steps P+3+R..P+2+R+F: final sweep over (layer desc, h-class asc)
 //	step P+3+R+F:         halt
+//
+// Between its slots (see slotAfter) a Step whose inbox is all nil changes
+// nothing and sends nothing, so the machine sleeps in mail mode: the
+// sequential engine steps it at its next slot or at the step after mail
+// reaches it, whichever comes first.
 func (m *machine) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
 	if m.failed {
 		return nil, true
 	}
-	m.absorb(recv)
+	// The hello step reads no inbox: it is empty in a run of the forest's
+	// own, and holds the caller's mail when Phase 2 embeds the machine.
+	if step > 1 {
+		m.absorb(recv)
+	}
 	p, r := m.plan.Peel, m.plan.red.Steps()
 	switch {
 	case step == 1:
@@ -251,7 +271,7 @@ func (m *machine) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
 	case step == p+2:
 		m.settleLayers()
 	case step <= p+2+r:
-		m.reduceStep(step - p - 3)
+		m.reduceStep(step-p-3, recv)
 	case step <= p+2+r+m.plan.Final:
 		m.finalStep(step - p - 2 - r)
 	default:
@@ -263,12 +283,13 @@ func (m *machine) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
 	if m.failed {
 		return nil, true
 	}
+	m.wake = m.slotAfter(step)
 	// Peel, settle, H-sweep and final-sweep steps read the statuses each
 	// port delivered last, so an unchanged status need not be sent again.
 	// A Linial step also reads which ports spoke (a silent parent has
-	// failed), so before one every live vertex sends. The machine cannot
-	// sleep between its slots instead: a sleeping node drops its mail, and
-	// a change a neighbour sends once would be lost.
+	// failed), so before one every live vertex sends. A change a
+	// neighbour sends once is not lost while the vertex sleeps: in mail
+	// mode that mail wakes it.
 	msg, changed := m.box.Of(m.statusNow())
 	if !changed && !m.plan.linialStep(step+1) {
 		return nil, false
@@ -276,13 +297,45 @@ func (m *machine) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
 	return sim.BroadcastInto(&m.send, m.env.Degree, msg), false
 }
 
+// slotAfter returns the first step after step at which the vertex acts
+// without mail; at every step in between, a Step with an all-nil inbox
+// is a no-op. The slots are step 2, the first peel round, where a vertex
+// with no forest neighbor peels on silence; the settle step P+2 and every
+// step through the last Linial step, where every vertex sends and reads
+// which parents spoke; its H-sweep class step while its color is above A;
+// its final-sweep slot; and the halt step. A later peel round changes
+// nothing unless a neighbor's peeling arrives, and the sweeps read only
+// statuses that arrived as mail.
+func (m *machine) slotAfter(step int) int {
+	pl := m.plan
+	p, a := pl.Peel, pl.Opt.A
+	switch {
+	case step == 1:
+		return 2
+	case step < p+2:
+		return p + 2
+	case step < p+2+pl.red.LinialSteps():
+		return step + 1
+	case m.hcolor > a:
+		return pl.sweepStep(m.hcolor)
+	case m.final == 0:
+		return p + 2 + pl.red.Steps() + (p-m.layer)*(a+1) + m.hcolor + 1
+	}
+	return p + 3 + pl.red.Steps() + pl.Final
+}
+
+// SleepUntil implements sim.Sleeper in mail mode: the vertex sleeps to its
+// next slot, and mail wakes it earlier.
+func (m *machine) SleepUntil() (int, bool) { return m.wake, true }
+
 func (m *machine) statusNow() status {
 	return status{ID: m.env.ID, Peeled: m.peeled, Layer: m.layer, HColor: m.hcolor, Final: m.final}
 }
 
+// absorb keeps the latest status each port delivered. An all-nil inbox
+// changes nothing, which is what lets the machine sleep between slots.
 func (m *machine) absorb(recv []sim.Message) {
 	for p, msg := range recv {
-		m.fresh[p] = false
 		if msg == nil {
 			continue
 		}
@@ -292,7 +345,6 @@ func (m *machine) absorb(recv []sim.Message) {
 		}
 		m.nbr[p] = st
 		m.heard[p] = true
-		m.fresh[p] = true
 	}
 }
 
@@ -355,8 +407,10 @@ func (m *machine) settleLayers() {
 
 // reduceStep applies reduction step i (0-based): a Linial step reduces
 // against the parents' colors only, an H-sweep step recolors one class
-// against the colors of the same-layer neighbors.
-func (m *machine) reduceStep(i int) {
+// against the colors of the same-layer neighbors. recv is the step's
+// inbox: every live vertex sends before a Linial step, so a parent whose
+// port is silent in it has failed.
+func (m *machine) reduceStep(i int, recv []sim.Message) {
 	if class := m.plan.red.SweepClass(i); class >= 0 && m.hcolor != class {
 		return // not the class this sweep step recolors
 	}
@@ -364,7 +418,7 @@ func (m *machine) reduceStep(i int) {
 	if i < m.plan.red.LinialSteps() {
 		for p := range m.nbr {
 			if m.parentOf[p] {
-				if !m.fresh[p] || m.nbr[p].HColor == m.hcolor {
+				if recv[p] == nil || m.nbr[p].HColor == m.hcolor {
 					// Parent halted (it failed) or an ID collision at distance
 					// two made colors coincide: stop and fail.
 					m.failed = true

@@ -46,16 +46,21 @@ type Source struct {
 // as recommended by the xoshiro authors.
 func New(seed uint64) *Source {
 	var src Source
+	src.seed(seed)
+	return &src
+}
+
+// seed resets r to the stream New(seed) starts.
+func (r *Source) seed(seed uint64) {
 	sm := seed
-	for i := range src.s {
-		src.s[i] = splitmix64(&sm)
+	for i := range r.s {
+		r.s[i] = splitmix64(&sm)
 	}
 	// xoshiro256** requires a nonzero state; SplitMix64 outputs four zeros
 	// with probability 2^-256, but be defensive.
-	if src.s[0]|src.s[1]|src.s[2]|src.s[3] == 0 {
-		src.s[0] = 0x9e3779b97f4a7c15
+	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
+		r.s[0] = 0x9e3779b97f4a7c15
 	}
-	return &src
 }
 
 // Split derives an independent child stream identified by index.
@@ -69,6 +74,13 @@ func (r *Source) Split(index uint64) *Source {
 // of node v for a run with the given seed.
 func NewNode(seed uint64, v int) *Source {
 	return New(Mix64(seed, uint64(v)))
+}
+
+// SeedNode resets r, in place, to the stream NewNode(seed, v) returns. A
+// run that seeds every node's stream into one []Source slab makes one
+// allocation for all of them instead of one per node.
+func (r *Source) SeedNode(seed uint64, v int) {
+	r.seed(Mix64(seed, uint64(v)))
 }
 
 // Uint64 returns the next 64 pseudo-random bits.

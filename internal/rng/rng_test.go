@@ -40,6 +40,25 @@ func TestNodeStreamsReproducible(t *testing.T) {
 	}
 }
 
+// TestSeedNodeMatchesNewNode: a slab entry seeded in place, even one that
+// held another stream before, yields NewNode's stream for the same
+// (seed, node).
+func TestSeedNodeMatchesNewNode(t *testing.T) {
+	slab := make([]Source, 3)
+	for i := range slab {
+		slab[i] = *New(uint64(1000 + i)) // stale state to overwrite
+	}
+	for v := range slab {
+		slab[v].SeedNode(7, v)
+		want := NewNode(7, v)
+		for i := 0; i < 50; i++ {
+			if got, w := slab[v].Uint64(), want.Uint64(); got != w {
+				t.Fatalf("node %d draw %d: slab %x, NewNode %x", v, i, got, w)
+			}
+		}
+	}
+}
+
 func TestSplitReproducible(t *testing.T) {
 	// Splitting equal-state sources with equal indices must agree.
 	a, b := New(99), New(99)

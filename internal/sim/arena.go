@@ -29,7 +29,7 @@ type Arena struct {
 	inboxes  [][]Message
 	msgs     []Message
 	ready    []uint64
-	wakes    wakeQueue
+	sleep    []int64
 	slots    []int32
 	chans    [][]chan Message
 	chanFlat []chan Message
@@ -67,29 +67,23 @@ type seqBufs struct {
 	// ready is a bitset over the nodes, bit v of word v/64: set while v is
 	// live and awake, so a step visits only those nodes, in index order.
 	ready []uint64
-	// wakes holds the sleeping nodes, a min-heap on the wake step; its
-	// capacity is n, since a node sleeps in at most one entry.
-	wakes wakeQueue
 }
 
-// wakeEntry is a sleeping node and the first step at which it is stepped
-// again.
-type wakeEntry struct {
-	step int
-	node int
-}
+// wakeQueue is a binary min-heap of wake entries. An entry packs a
+// sleeping node's wake step into its high 32 bits and the node into its
+// low 32, and the heap orders entries by step alone: entries of one step
+// never swap, so popping a run of equal steps, such as every T10 vertex
+// resting to the same step, costs O(1) per entry. It is written out
+// rather than built on container/heap, whose Push boxes every entry; this
+// one allocates nothing while it stays within its capacity.
+type wakeQueue []int64
 
-// wakeQueue is a binary min-heap of wakeEntry ordered by step. It is
-// written out rather than built on container/heap, whose Push boxes every
-// entry; this one allocates nothing once its capacity is reserved.
-type wakeQueue []wakeEntry
-
-// push adds e.
-func (q *wakeQueue) push(e wakeEntry) {
-	h := append(*q, e)
+// push adds the entry waking node at step.
+func (q *wakeQueue) push(step, node int) {
+	h := append(*q, int64(step)<<32|int64(node))
 	for i := len(h) - 1; i > 0; {
 		parent := (i - 1) / 2
-		if h[parent].step <= h[i].step {
+		if h[parent]>>32 <= h[i]>>32 {
 			break
 		}
 		h[parent], h[i] = h[i], h[parent]
@@ -98,23 +92,23 @@ func (q *wakeQueue) push(e wakeEntry) {
 	*q = h
 }
 
-// popDue removes an entry whose step is at most step and returns its node,
-// or returns false when no entry is due.
-func (q *wakeQueue) popDue(step int) (int, bool) {
+// popDue removes an entry whose step is at most step and returns its step
+// and node, or returns false when no entry is due.
+func (q *wakeQueue) popDue(step int) (wake, node int, ok bool) {
 	h := *q
-	if len(h) == 0 || h[0].step > step {
-		return 0, false
+	if len(h) == 0 || int(h[0]>>32) > step {
+		return 0, 0, false
 	}
-	node := h[0].node
+	e := h[0]
 	last := len(h) - 1
 	h[0] = h[last]
 	h = h[:last]
 	for i := 0; ; {
 		least, l, r := i, 2*i+1, 2*i+2
-		if l < last && h[l].step < h[least].step {
+		if l < last && h[l]>>32 < h[least]>>32 {
 			least = l
 		}
-		if r < last && h[r].step < h[least].step {
+		if r < last && h[r]>>32 < h[least]>>32 {
 			least = r
 		}
 		if least == i {
@@ -124,15 +118,30 @@ func (q *wakeQueue) popDue(step int) (int, bool) {
 		i = least
 	}
 	*q = h
-	return node, true
+	return int(e >> 32), int(e & (1<<32 - 1)), true
+}
+
+// sleepState acquires the sleep state of a run in which some machine is a
+// Sleeper: an empty wake queue with room for n entries, and the queued
+// table of n nodes, cleared, both carved out of one backing. A run
+// without a Sleeper never acquires it. A nil arena degrades to plain
+// allocation.
+func (a *Arena) sleepState(n int) (wakeQueue, []int64) {
+	if a == nil {
+		a = &Arena{}
+	}
+	a.sleep = grow(a.sleep, 2*n)
+	queued := a.sleep[n:]
+	clear(queued)
+	return a.sleep[:0:n], queued
 }
 
 // sequential acquires the runSequential working set for g: the machine and
 // sleeper tables, the two flat inbox buffers, the slot offsets, the route
 // table and the two write lists (all four carved out of one int32
-// backing), the ready set with every node in it, and an empty wake queue.
-// A nil arena degrades to plain allocation. It fails only when g has more
-// ports than an int32 slot index can address.
+// backing), and the ready set with every node in it. A nil arena degrades
+// to plain allocation. It fails only when g has more ports than an int32
+// slot index can address.
 func (a *Arena) sequential(g Topology) (seqBufs, error) {
 	n := g.N()
 	sumDeg := 0
@@ -159,7 +168,6 @@ func (a *Arena) sequential(g Topology) (seqBufs, error) {
 	if n%64 != 0 {
 		a.ready[words-1] = 1<<(n%64) - 1
 	}
-	a.wakes = grow(a.wakes, n)[:0]
 	a.slots = grow(a.slots, n+3*sumDeg)
 	s := a.slots
 	b := seqBufs{
@@ -172,7 +180,6 @@ func (a *Arena) sequential(g Topology) (seqBufs, error) {
 		curW:     s[n+sumDeg : n+sumDeg : n+2*sumDeg],
 		nextW:    s[n+2*sumDeg : n+2*sumDeg : n+3*sumDeg],
 		ready:    a.ready,
-		wakes:    a.wakes,
 	}
 	off := 0
 	for v := 0; v < n; v++ {

@@ -69,6 +69,7 @@ func runConcurrent(ctx context.Context, g Topology, cfg Config, f Factory) (*Res
 	var msgCount atomic.Int64
 
 	var wg sync.WaitGroup
+	srcs := nodeStreams(cfg, n)
 	outputs := make([]any, n)
 	outFaults := make([]*NodeError, n)
 	haltRound := make([]int, n)
@@ -79,7 +80,7 @@ func runConcurrent(ctx context.Context, g Topology, cfg Config, f Factory) (*Res
 		go func(v int) {
 			defer wg.Done()
 			m := f()
-			initFault := initGuarded(m, v, makeEnv(g, cfg, maxDeg, v))
+			initFault := initGuarded(m, v, makeEnv(g, cfg, srcs, maxDeg, v))
 			deg := g.Degree(v)
 			recv := recvs[v]
 			done := initFault != nil
@@ -103,7 +104,7 @@ func runConcurrent(ctx context.Context, g Topology, cfg Config, f Factory) (*Res
 				var send []Message
 				if !done {
 					var ne *NodeError
-					send, done, _, ne = stepGuarded(m, nil, v, round, recv)
+					send, done, _, _, ne = stepGuarded(m, nil, v, round, recv)
 					switch {
 					case ne != nil:
 						st.fault = ne

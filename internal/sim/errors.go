@@ -92,18 +92,18 @@ func initGuarded(m Machine, node int, env Env) (ne *NodeError) {
 // stepGuarded runs m.Step and, when s is non-nil and the node did not halt,
 // s.SleepUntil, converting a panic in either into a structured fault (the
 // node is then treated as halted with nothing sent).
-func stepGuarded(m Machine, s Sleeper, node, round int, recv []Message) (send []Message, done bool, wake int, ne *NodeError) {
+func stepGuarded(m Machine, s Sleeper, node, round int, recv []Message) (send []Message, done bool, wake int, onMail bool, ne *NodeError) {
 	defer func() {
 		if r := recover(); r != nil {
-			send, done, wake = nil, true, 0
+			send, done, wake, onMail = nil, true, 0, false
 			ne = &NodeError{Node: node, Round: round, Value: r, Stack: debug.Stack(), kind: ErrNodePanic}
 		}
 	}()
 	send, done = m.Step(round, recv)
 	if !done && s != nil {
-		wake = s.SleepUntil()
+		wake, onMail = s.SleepUntil()
 	}
-	return send, done, wake, nil
+	return send, done, wake, onMail, nil
 }
 
 // outputGuarded runs m.Output, converting a panic into a structured fault.

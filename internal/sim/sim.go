@@ -108,21 +108,31 @@ type Machine interface {
 // than to n × rounds.
 //
 // The contract: after a Step at step r that did not halt, SleepUntil
-// returns a step w. If w > r+1, the machine promises that every Step at a
-// step in (r, w) would return (nil, false) and change no state, whatever it
-// received; the sequential engine then does not call Step until step w,
-// nor visits the node: it waits in a wake queue until step w. Any w <= r+1
-// means "step me as usual". The engine checks for Sleeper once per node
-// after Init.
+// returns a step w and a mode. Any w <= r+1 means "step me as usual". If
+// w > r+1 the node sleeps, in one of two modes:
 //
-// A sleeping node is live, not halted: messages sent to it are delivered
-// into its inbox as usual (and discarded unread, as its no-op Steps would
-// have discarded them), and it counts toward Result.Rounds, HaltRound,
-// MessagesSent and RoundStats exactly as if it had been stepped. The
-// concurrent engine ignores Sleeper and steps every live node; it is the
-// reference semantics the sequential engine is tested against.
+//   - Discard mode (onMail false): the machine promises that every Step at
+//     a step in (r, w) would return (nil, false) and change no state,
+//     whatever it received. The engine does not call Step until step w.
+//     Messages sent to the node meanwhile are delivered into its inbox as
+//     usual and discarded unread, as its no-op Steps would have discarded
+//     them.
+//   - Mail mode (onMail true): the machine promises only that every Step in
+//     (r, w) whose inbox is all nil would return (nil, false) and change no
+//     state. Mail delivered to the node while it sleeps wakes it: a message
+//     sent to it during step s puts it back among the awake nodes, and it
+//     is stepped at s+1 with that mail, after which SleepUntil is asked
+//     again. Without mail it sleeps until step w.
+//
+// The engine checks for Sleeper once per node after Init.
+//
+// A sleeping node is live, not halted: it counts toward Result.Rounds,
+// HaltRound, MessagesSent and RoundStats exactly as if it had been
+// stepped. The concurrent engine ignores Sleeper and steps every live
+// node; it is the reference semantics the sequential engine is tested
+// against.
 type Sleeper interface {
-	SleepUntil() int
+	SleepUntil() (wake int, onMail bool)
 }
 
 // Factory creates a fresh Machine for each node. Machines must not share
@@ -336,8 +346,18 @@ type Topology interface {
 	NeighborPort(v, p int) (u, rev int)
 }
 
-// makeEnv builds node v's initial knowledge.
-func makeEnv(g Topology, cfg Config, maxDeg, v int) Env {
+// nodeStreams returns the slab that makeEnv seeds the node streams of a
+// Randomized run into, one entry per node; nil when the run has none.
+func nodeStreams(cfg Config, n int) []rng.Source {
+	if !cfg.Randomized {
+		return nil
+	}
+	return make([]rng.Source, n)
+}
+
+// makeEnv builds node v's initial knowledge. In a Randomized run it seeds
+// node v's stream in place at srcs[v], the slab from nodeStreams.
+func makeEnv(g Topology, cfg Config, srcs []rng.Source, maxDeg, v int) Env {
 	env := Env{
 		Node:   v,
 		N:      g.N(),
@@ -349,7 +369,8 @@ func makeEnv(g Topology, cfg Config, maxDeg, v int) Env {
 		env.HasID = true
 	}
 	if cfg.Randomized {
-		env.Rand = rng.NewNode(cfg.Seed, v)
+		env.Rand = &srcs[v]
+		env.Rand.SeedNode(cfg.Seed, v)
 	}
 	if cfg.Inputs != nil {
 		env.Input = cfg.Inputs[v]

@@ -22,8 +22,12 @@ func mix(seed uint64, node, step int) uint64 {
 
 // fuzzSleeper follows a random schedule of work, naps, far sleeps, sleeps
 // that end at a step shared by many nodes, halts (often right at a wake
-// step) and one fault at a chosen (step, node). While it sleeps, Step is a
-// no-op whatever arrives, as the Sleeper contract asks.
+// step) and one fault at a chosen (step, node). Each sleep is in discard
+// mode or in mail mode at random. In discard mode Step is a no-op whatever
+// arrives; in mail mode it is a no-op when the inbox is all nil, and mail
+// makes it work as at any other step, which may keep the old wake step
+// (the engine's queued entry serves again) or pick a new one (leaving that
+// entry stale), as the Sleeper contract allows.
 type fuzzSleeper struct {
 	seed      uint64
 	lastStep  int // every node halts by this step
@@ -31,11 +35,12 @@ type fuzzSleeper struct {
 	faultNode int
 	overSend  bool // the fault is an over-degree send, not a panic
 
-	node  int
-	deg   int
-	until int // Steps before it are no-ops
-	sum   int
-	send  []sim.Message
+	node   int
+	deg    int
+	until  int  // Steps before it are no-ops
+	onMail bool // ... unless their inbox holds mail
+	sum    int
+	send   []sim.Message
 }
 
 func (m *fuzzSleeper) Init(env sim.Env) {
@@ -43,7 +48,7 @@ func (m *fuzzSleeper) Init(env sim.Env) {
 }
 
 func (m *fuzzSleeper) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
-	if step < m.until {
+	if step < m.until && !(m.onMail && hasMail(recv)) {
 		return nil, false
 	}
 	if step == m.faultStep && m.node == m.faultNode {
@@ -69,6 +74,7 @@ func (m *fuzzSleeper) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
 	if step >= m.lastStep || h%8 == 0 || (step == m.until && h%3 == 0) {
 		return m.send, true
 	}
+	prev := m.until
 	switch h >> 3 % 5 {
 	case 0: // a short nap
 		m.until = step + 2 + int(h>>40%3)
@@ -77,15 +83,29 @@ func (m *fuzzSleeper) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
 	case 2: // a wake step many nodes share
 		m.until = (step/8 + 2) * 8
 	}
+	if m.until != prev {
+		m.onMail = h>>50&1 == 1
+	}
 	return m.send, false
 }
 
-func (m *fuzzSleeper) SleepUntil() int { return m.until }
+func (m *fuzzSleeper) SleepUntil() (int, bool) { return m.until, m.onMail }
+
+// hasMail reports whether any message arrived.
+func hasMail(recv []sim.Message) bool {
+	for _, msg := range recv {
+		if msg != nil {
+			return true
+		}
+	}
+	return false
+}
 
 func (m *fuzzSleeper) Output() any { return m.sum }
 
-// FuzzSleepSchedule: on random trees and rings, machines that sleep, wake
-// and halt on random schedules (and one of which may fault) give the same
+// FuzzSleepSchedule: on random trees and rings, machines that sleep in
+// either mode, wake on schedule or on mail, and halt on random schedules
+// (and one of which may fault) give the same
 // Result, the same RoundStats sequence and the same first error on the
 // sequential engine, fresh or on a reused arena, as on the concurrent
 // engine, which steps every live node.

@@ -115,14 +115,11 @@ func testClusterFrontend(t *testing.T, opts jobs.Options, workerURLs ...string) 
 	reg := obs.NewRegistry()
 	opts.Metrics = reg
 	opts, err := coordinatorOptions(opts, cluster.Options{
-		Shards:         shards,
-		RequestTimeout: 2 * time.Second,
-		Retries:        2,
-		Backoff:        harness.Backoff{Base: 10 * time.Millisecond, Max: 100 * time.Millisecond, Seed: 1},
-		PollInterval:   15 * time.Millisecond,
-		ProbeInterval:  15 * time.Millisecond,
-		ProbeThreshold: 2,
-		Logf:           t.Logf,
+		Shards:        shards,
+		Backoff:       cluster.Backoff{Base: 10 * time.Millisecond, Max: 100 * time.Millisecond, Seed: 1},
+		PollInterval:  15 * time.Millisecond,
+		ProbeInterval: 15 * time.Millisecond,
+		Logf:          t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -55,13 +55,7 @@ func TestMultiTenantFairnessE2E(t *testing.T) {
 		AbuseClients:     2,
 		DuplicateSubmits: 6,
 		Streams:          2,
-		MaxFairnessRatio: 2,
-		// On a shared single core the flood's own HTTP handling is CPU
-		// the measured workload needs; a 10ms pace keeps tens of sheds
-		// per run while leaving the admission layer as the bottleneck
-		// under test.
-		FloodPause: 10 * time.Millisecond,
-		Logf:       t.Logf,
+		Logf:             t.Logf,
 	})
 	if err != nil {
 		t.Fatalf("load.Run: %v", err)

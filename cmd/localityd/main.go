@@ -19,8 +19,8 @@
 // absent). With -tenants-file, each tenant is admitted under its own quotas
 // — submit rate, queued and in-flight caps, stream cap — and dispatched by
 // weighted round-robin fair share, so one flooding tenant cannot starve the
-// rest. With -idempotent (the default), duplicate submissions of the same
-// determinism identity return the existing job instead of recomputing.
+// rest. Duplicate submissions of the same determinism identity return the
+// existing job instead of recomputing.
 //
 // Every retryable rejection (429 rate/quota/queue, 503 draining or
 // overloaded) carries a Retry-After header derived from what the server
@@ -63,7 +63,6 @@ import (
 	"time"
 
 	"locality/internal/cluster"
-	"locality/internal/harness"
 	"locality/internal/jobs"
 	"locality/internal/obs"
 	"locality/internal/obs/trace"
@@ -359,21 +358,12 @@ func main() {
 		coordinator    = flag.Bool("coordinator", false, "run as a cluster front-end sharding sweeps across worker instances")
 		shardsFlag     = flag.String("shards", "", "comma-separated worker membership: name=url or url (coordinator mode)")
 		membershipFile = flag.String("membership-file", "", "file with one worker per line: name=url or url, # comments (coordinator mode)")
-		shardTimeout   = flag.Duration("shard-timeout", 5*time.Second, "per-attempt HTTP timeout against a worker shard")
-		shardRetries   = flag.Int("shard-retries", 3, "attempt budget per shard API call")
-		pollInterval   = flag.Duration("poll-interval", 100*time.Millisecond, "coordinator dispatch/merge cadence")
-		probeInterval  = flag.Duration("probe-interval", 500*time.Millisecond, "shard health probe cadence")
-		probeThreshold = flag.Int("probe-threshold", 3, "consecutive probe failures that mark a shard unhealthy")
 		workers        = flag.Int("workers", 2, "concurrent experiment runners (always 1 with -coordinator)")
 		queueDepth     = flag.Int("queue", 16, "submission queue bound (excess is shed)")
 		checkpointDir  = flag.String("checkpoint-dir", "", "directory for job checkpoints (empty = in-memory only)")
 		storeDir       = flag.String("store-dir", "", "directory for the persistent content-addressed result cache (empty = disabled)")
 		storeMaxBytes  = flag.Int64("store-max-bytes", store.DefaultMaxBytes, "result-cache byte budget; oldest segments are evicted past it")
 		retention      = flag.Int("retention", 4096, "terminal jobs kept pollable; the oldest (and their dedup entries) are evicted past it (0 = unlimited)")
-		retryBudget    = flag.Int("retry", 1, "attempts per job for transient failures")
-		retryBase      = flag.Duration("retry-base", 100*time.Millisecond, "base backoff between retry attempts")
-		retryMax       = flag.Duration("retry-max", 5*time.Second, "backoff cap")
-		backoffSeed    = flag.Uint64("backoff-seed", 1, "seed for the deterministic backoff jitter")
 		drainTimeout   = flag.Duration("drain-timeout", 30*time.Second, "grace period for in-flight jobs on shutdown")
 		requestTimeout = flag.Duration("request-timeout", 10*time.Second, "per-request handler deadline")
 		maxInflight    = flag.Int("max-inflight", 64, "concurrent request limit (excess rejected 503)")
@@ -381,7 +371,6 @@ func main() {
 		traceDir       = flag.String("trace-dir", "", "directory for JSONL span trace artifacts (empty = tracing disabled)")
 		traceProc      = flag.String("trace-proc", "", "process name stamped on this instance's spans (default localityd-<pid>)")
 		tenantsFile    = flag.String("tenants-file", "", "JSON tenant config: default quotas, pinned tenants keyed by API key (empty = permissive)")
-		idempotent     = flag.Bool("idempotent", true, "dedup submissions by determinism identity (duplicates return the existing job)")
 		version        = flag.Bool("version", false, "print build version and exit")
 	)
 	flag.Parse()
@@ -395,16 +384,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		co = &cluster.Options{
-			Shards:         shards,
-			RequestTimeout: *shardTimeout,
-			Retries:        *shardRetries,
-			Backoff:        harness.Backoff{Base: *retryBase, Max: *retryMax, Seed: *backoffSeed},
-			PollInterval:   *pollInterval,
-			ProbeInterval:  *probeInterval,
-			ProbeThreshold: *probeThreshold,
-			Logf:           log.Printf,
-		}
+		co = &cluster.Options{Shards: shards, Logf: log.Printf}
 	} else if *shardsFlag != "" || *membershipFile != "" {
 		log.Fatal("localityd: -shards/-membership-file require -coordinator")
 	}
@@ -416,10 +396,8 @@ func main() {
 		Workers:       *workers,
 		QueueDepth:    *queueDepth,
 		CheckpointDir: *checkpointDir,
-		RetryBudget:   *retryBudget,
-		Backoff:       harness.Backoff{Base: *retryBase, Max: *retryMax, Seed: *backoffSeed},
 		Tenancy:       tcfg,
-		Idempotent:    *idempotent,
+		Idempotent:    true,
 		Retention:     *retention,
 	}, co, storeConfig{dir: *storeDir, maxBytes: *storeMaxBytes},
 		traceConfig{dir: *traceDir, proc: *traceProc},

@@ -55,8 +55,6 @@ var leafExemptions = []analysis.FuncExemption{
 		Reason: "abort grace period for reaping runaway concurrent runs; the wall clock bounds whether an abort returns, never what a run computes"},
 	{Func: "locality/internal/sim.runConcurrent", Kind: "goroutine",
 		Reason: "the concurrent engine itself: per-node workers, joined at every phase barrier"},
-	{Func: "locality/internal/harness.waitAttempt", Kind: "wallclock",
-		Reason: "the single sanctioned backoff timer; the backoff schedule stays pure seeded arithmetic"},
 	{Func: "locality/internal/harness.(*sweepState).spawn", Kind: "goroutine",
 		Reason: "parallel sweep row computes, at most Config.Workers running, joined by Config.Flush or the sweep's abort"},
 	{Func: "locality/internal/store.nowNanos", Kind: "wallclock",
@@ -85,7 +83,9 @@ func wallclockAllowFuncs() []string {
 //
 //   - leafExemptions (above) holds every function that may touch a
 //     nondeterminism source; everything reachable above those leaves is
-//     machine-checked clean by nondetflow.
+//     machine-checked clean by nondetflow. internal/harness has no
+//     wallclock row: retries there follow each other at once, so
+//     nowallclock proves the harness reads no clock at all.
 //   - internal/jobs, internal/cluster, internal/load, cmd/localityd and
 //     cmd/localload may read the clock: the supervision layer's job
 //     deadlines, drain grace periods, request timeouts and load-test

@@ -28,7 +28,7 @@ type NoWallClockOptions struct {
 	// drain grace periods and request timeouts are wall-clock by nature.
 	AllowPackages []string
 	// AllowFuncs lists import-path-qualified function names
-	// ("locality/internal/harness.waitAttempt") exempt from the check —
+	// ("locality/internal/store.nowNanos") exempt from the check —
 	// the narrowest carve-out, shared with nondetflow's wallclock
 	// exemption table so the intraprocedural leaf check and the
 	// interprocedural reachability check sanction exactly the same code.

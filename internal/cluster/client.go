@@ -60,30 +60,24 @@ func (e *StatusError) Error() string {
 }
 
 // Client is a retrying HTTP client for one worker shard. Transient
-// failures — network errors, 5xx, 429 — are retried up to Retries attempts
-// with the deterministic-jitter Backoff schedule, honoring any Retry-After
-// the shard sends (the structured-shed satellite: workers say how long to
-// back off, and this client listens). Permanent rejections (other 4xx)
-// surface as *StatusError immediately.
+// failures — network errors, 5xx, 429 — are retried, callAttempts (3)
+// attempts per call in all, with the deterministic-jitter Backoff schedule,
+// honoring any Retry-After the shard sends: workers say how long to back
+// off, and this client listens. Permanent rejections (other 4xx) surface
+// as *StatusError immediately.
 type Client struct {
 	// Shard identifies the worker this client talks to.
 	Shard Shard
 	// HTTP issues the requests; its Timeout bounds each attempt.
 	HTTP *http.Client
-	// Retries is the attempt budget per call (default 3).
-	Retries int
 	// Backoff paces retry attempts (pure seeded jitter, no clock reads).
-	Backoff harness.Backoff
+	Backoff Backoff
 	// OnRetry, when non-nil, observes each retried attempt (for metrics).
 	OnRetry func(shard string)
 }
 
-func (c *Client) retries() int {
-	if c.Retries > 0 {
-		return c.Retries
-	}
-	return 3
-}
+// callAttempts is the attempt budget of every shard API call.
+const callAttempts = 3
 
 // Submit dispatches a job to the shard and returns its ID.
 func (c *Client) Submit(ctx context.Context, req SubmitRequest) (string, error) {
@@ -156,7 +150,7 @@ func (c *Client) call(ctx context.Context, method, path string, body, out any) e
 	}
 	var lastErr error
 	var retryAfter time.Duration
-	for attempt := 0; attempt < c.retries(); attempt++ {
+	for attempt := 0; attempt < callAttempts; attempt++ {
 		if attempt > 0 {
 			if c.OnRetry != nil {
 				c.OnRetry(c.Shard.Name)

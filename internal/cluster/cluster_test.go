@@ -135,13 +135,10 @@ func fastOptions(workers ...*stubWorker) cluster.Options {
 		shards[i] = cluster.Shard{Name: string(rune('a' + i)), URL: w.srv.URL}
 	}
 	return cluster.Options{
-		Shards:         shards,
-		RequestTimeout: 2 * time.Second,
-		Retries:        2,
-		Backoff:        harness.Backoff{Base: 5 * time.Millisecond, Max: 50 * time.Millisecond, Seed: 1},
-		PollInterval:   15 * time.Millisecond,
-		ProbeInterval:  15 * time.Millisecond,
-		ProbeThreshold: 2,
+		Shards:        shards,
+		Backoff:       cluster.Backoff{Base: 5 * time.Millisecond, Max: 50 * time.Millisecond, Seed: 1},
+		PollInterval:  15 * time.Millisecond,
+		ProbeInterval: 15 * time.Millisecond,
 	}
 }
 
@@ -190,8 +187,7 @@ func TestClientRetriesShedSubmit(t *testing.T) {
 	c := &cluster.Client{
 		Shard:   cluster.Shard{Name: "w", URL: w.srv.URL},
 		HTTP:    &http.Client{Timeout: 2 * time.Second},
-		Retries: 3,
-		Backoff: harness.Backoff{Base: 5 * time.Millisecond, Seed: 1},
+		Backoff: cluster.Backoff{Base: 5 * time.Millisecond, Seed: 1},
 	}
 	start := time.Now()
 	id, err := c.Submit(context.Background(), cluster.SubmitRequest{Experiment: "E8", Quick: true, Seed: 1})
@@ -216,9 +212,8 @@ func TestClientRetriesShedSubmit(t *testing.T) {
 func TestClientPermanentRejection(t *testing.T) {
 	w := newStubWorker(t, jobs.Options{Workers: 1})
 	c := &cluster.Client{
-		Shard:   cluster.Shard{Name: "w", URL: w.srv.URL},
-		HTTP:    &http.Client{Timeout: 2 * time.Second},
-		Retries: 3,
+		Shard: cluster.Shard{Name: "w", URL: w.srv.URL},
+		HTTP:  &http.Client{Timeout: 2 * time.Second},
 	}
 	_, err := c.Submit(context.Background(), cluster.SubmitRequest{Experiment: "E99"})
 	var se *cluster.StatusError
@@ -233,7 +228,7 @@ func TestClientPermanentRejection(t *testing.T) {
 	}
 }
 
-// TestProberFlipsAndHeals: Threshold consecutive failures flip the shard
+// TestProberFlipsAndHeals: three consecutive failures flip the shard
 // unhealthy; one success heals it.
 func TestProberFlipsAndHeals(t *testing.T) {
 	var healthy atomic.Bool
@@ -252,9 +247,8 @@ func TestProberFlipsAndHeals(t *testing.T) {
 			Shard: cluster.Shard{Name: "w", URL: srv.URL},
 			HTTP:  &http.Client{Timeout: time.Second},
 		},
-		Interval:  10 * time.Millisecond,
-		Backoff:   harness.Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond, Seed: 1},
-		Threshold: 2,
+		Interval: 10 * time.Millisecond,
+		Backoff:  cluster.Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond, Seed: 1},
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -20,22 +20,14 @@ import (
 type Options struct {
 	// Shards is the static membership (ParseShards / LoadShards).
 	Shards []Shard
-	// RequestTimeout bounds each HTTP attempt against a shard (default 5s) —
-	// a hung shard must look like a dead shard, promptly.
-	RequestTimeout time.Duration
-	// Retries is the attempt budget per shard API call (default 3).
-	Retries int
 	// Backoff paces client retries and failure-streak probes; its
 	// deterministic jitter keeps N coordinators from synchronizing their
-	// hammering.
-	Backoff harness.Backoff
+	// hammering (default: 100ms base, 5s cap, seed 1).
+	Backoff Backoff
 	// PollInterval is the cadence of the dispatch/merge loop (default 100ms).
 	PollInterval time.Duration
 	// ProbeInterval is the healthy-shard probe cadence (default 500ms).
 	ProbeInterval time.Duration
-	// ProbeThreshold is the consecutive probe failures that flip a shard
-	// unhealthy (default 3).
-	ProbeThreshold int
 	// Metrics, when non-nil, receives the coordinator's per-shard health,
 	// dispatch, adoption, and failover counters.
 	Metrics *obs.Registry
@@ -97,23 +89,29 @@ type assignment struct {
 	retried bool // a failover re-dispatch: its adopted batches count as retried
 }
 
+// requestTimeout bounds each HTTP attempt against a shard — a hung shard
+// must look like a dead shard, promptly.
+const requestTimeout = 5 * time.Second
+
 // New validates the membership and builds the coordinator.
 func New(opts Options) (*Coordinator, error) {
 	if _, err := validateShards(opts.Shards); err != nil {
 		return nil, err
 	}
-	if opts.RequestTimeout <= 0 {
-		opts.RequestTimeout = 5 * time.Second
+	if opts.Backoff == (Backoff{}) {
+		opts.Backoff = Backoff{Base: 100 * time.Millisecond, Max: 5 * time.Second, Seed: 1}
 	}
 	if opts.PollInterval <= 0 {
 		opts.PollInterval = 100 * time.Millisecond
+	}
+	if opts.ProbeInterval <= 0 {
+		opts.ProbeInterval = 500 * time.Millisecond
 	}
 	c := &Coordinator{opts: opts, metrics: clusterMetrics{reg: opts.Metrics}}
 	for i, sh := range opts.Shards {
 		client := &Client{
 			Shard:   sh,
-			HTTP:    &http.Client{Timeout: opts.RequestTimeout},
-			Retries: opts.Retries,
+			HTTP:    &http.Client{Timeout: requestTimeout},
 			Backoff: opts.Backoff,
 			OnRetry: func(string) { c.metrics.retry() },
 		}
@@ -121,10 +119,9 @@ func New(opts Options) (*Coordinator, error) {
 		client.Backoff.Seed = rng.Mix64(opts.Backoff.Seed, uint64(i))
 		ss := &shardState{shard: sh, client: client}
 		ss.prober = &Prober{
-			Client:    client,
-			Interval:  opts.ProbeInterval,
-			Backoff:   client.Backoff,
-			Threshold: opts.ProbeThreshold,
+			Client:   client,
+			Interval: opts.ProbeInterval,
+			Backoff:  client.Backoff,
 		}
 		c.metrics.shardHealthy(sh.Name, 1)
 		c.shards = append(c.shards, ss)
@@ -337,7 +334,7 @@ func (c *Coordinator) poll(ctx context.Context, a *assignment, merged *harness.C
 func (c *Coordinator) reassign(ctx context.Context, spec jobs.Spec, a *assignment, merged *harness.Checkpoint, active []*assignment) []*assignment {
 	// Best-effort cancel: a dead shard cannot answer, and need not.
 	if a.jobID != "" {
-		cctx, cancel := context.WithTimeout(ctx, c.opts.RequestTimeout)
+		cctx, cancel := context.WithTimeout(ctx, requestTimeout)
 		_ = a.shard.client.Cancel(cctx, a.jobID)
 		cancel()
 	}
@@ -386,7 +383,7 @@ func (c *Coordinator) cancelAll(ctx context.Context, active []*assignment) {
 		if a.jobID == "" {
 			continue
 		}
-		cctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), c.opts.RequestTimeout)
+		cctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), requestTimeout)
 		_ = a.shard.client.Cancel(cctx, a.jobID)
 		cancel()
 	}

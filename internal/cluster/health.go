@@ -4,26 +4,26 @@ import (
 	"context"
 	"sync/atomic"
 	"time"
-
-	"locality/internal/harness"
 )
+
+// probeThreshold is the consecutive probe failures that flip a shard
+// unhealthy.
+const probeThreshold = 3
 
 // Prober watches one shard's /healthz. It probes every Interval while the
 // shard answers; failures are re-probed on the deterministic-jitter
-// Backoff schedule (harness.Backoff — attempt n of a failure streak waits
-// Delay(n)), and Threshold consecutive failures flip the shard unhealthy.
+// Backoff schedule (attempt n of a failure streak waits Delay(n)), and
+// probeThreshold (3) consecutive failures flip the shard unhealthy.
 // One success heals it: membership is static, so a restarted shard simply
 // resumes service.
 type Prober struct {
 	// Client probes the shard (Health; no internal retries).
 	Client *Client
-	// Interval is the healthy-cadence between probes (default 500ms).
+	// Interval is the healthy-cadence between probes; New sets it from
+	// Options.ProbeInterval.
 	Interval time.Duration
 	// Backoff paces re-probes during a failure streak.
-	Backoff harness.Backoff
-	// Threshold is the consecutive-failure count that flips the shard
-	// unhealthy (default 3).
-	Threshold int
+	Backoff Backoff
 	// OnChange, when non-nil, observes health transitions (metrics,
 	// events). Called from the prober goroutine.
 	OnChange func(shard string, healthy bool)
@@ -36,7 +36,7 @@ type Prober struct {
 }
 
 // Healthy reports the shard's current probe verdict. Probers start
-// optimistic: a shard is healthy until Threshold probes fail.
+// optimistic: a shard is healthy until probeThreshold probes fail.
 func (p *Prober) Healthy() bool { return !p.down.Load() }
 
 // MarkUnhealthy force-flips the shard unhealthy — the coordinator calls it
@@ -48,27 +48,13 @@ func (p *Prober) MarkUnhealthy() {
 	}
 }
 
-func (p *Prober) interval() time.Duration {
-	if p.Interval > 0 {
-		return p.Interval
-	}
-	return 500 * time.Millisecond
-}
-
-func (p *Prober) threshold() int {
-	if p.Threshold > 0 {
-		return p.Threshold
-	}
-	return 3
-}
-
 // Run probes until ctx dies. Call it on its own goroutine.
 func (p *Prober) Run(ctx context.Context) {
 	for {
-		wait := p.interval()
+		wait := p.Interval
 		if err := p.Client.Health(ctx); err != nil {
 			p.fails++
-			if p.fails >= p.threshold() {
+			if p.fails >= probeThreshold {
 				p.MarkUnhealthy()
 			}
 			// Failure streak: back off deterministically instead of

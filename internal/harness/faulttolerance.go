@@ -156,14 +156,11 @@ func E12FaultTolerance(cfg Config) *Table {
 		for pi, plan := range plans {
 			plan.FromRound = c.fromRound
 			cfg.Row(t, func(t *Table) {
-				// The retry path is RetryContext: cancellation between
-				// attempts is honored (a drained jobs worker abandons the
-				// budget cleanly) and the backoff jitter stream is seeded
-				// per (experiment, case, plan) — deterministic like every
-				// other draw. Base 0 keeps in-process retries waitless.
-				backoff := Backoff{Seed: rng.Mix64(cfg.Seed+2, uint64(ci)<<8|uint64(pi))}
+				// The retry path is RetryContext: a sweep cancelled between
+				// attempts abandons the rest of the budget. Each attempt
+				// draws a fresh fault plan and run seed from its coordinate.
 				var first ftAttempt
-				rr := RetryContext(cfg.ctx(), budget, backoff, func(attempt int) error {
+				rr := RetryContext(cfg.ctx(), budget, func(attempt int) error {
 					coord := uint64(ci)<<16 | uint64(pi)<<8 | uint64(attempt)
 					p := plan
 					p.Seed = rng.Mix64(cfg.Seed, coord)

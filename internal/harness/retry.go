@@ -3,9 +3,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"time"
-
-	"locality/internal/rng"
 )
 
 // RetryResult records a Retry run: how many attempts the failure budget paid
@@ -34,74 +31,26 @@ func (r RetryResult) SuccessRate() float64 {
 	return 0
 }
 
-// Backoff is the deterministic wait policy between retry attempts: delays
-// double from Base, are scaled by a seeded jitter factor in [0.5, 1.5), and
-// are capped at Max. It is pure data plus arithmetic — computing a Delay
-// never consults the clock, so the schedule for a given Seed is as
-// reproducible as the failure-budget discipline it paces (same seed ⇒ same
-// schedule, attempt by attempt). The zero value waits not at all, which is
-// what in-process experiment retries (E12) want; supervision layers that
-// retry against real resources set Base/Max.
-type Backoff struct {
-	// Base is the nominal delay before the second attempt (attempt 1); 0
-	// disables waiting entirely.
-	Base time.Duration
-	// Max caps every delay after jitter; 0 means uncapped.
-	Max time.Duration
-	// Seed drives the jitter stream. Jitter is derived per attempt with the
-	// library's SplitMix64 mixer, per the failure-budget discipline: fresh
-	// randomness per attempt, reproducible across runs.
-	Seed uint64
-}
-
-// Delay returns the wait before the given attempt (attempt 0 is the first
-// try and never waits). The nominal delay Base·2^(attempt-1) is scaled by a
-// deterministic jitter factor in [0.5, 1.5) drawn from (Seed, attempt).
-func (b Backoff) Delay(attempt int) time.Duration {
-	if attempt <= 0 || b.Base <= 0 {
-		return 0
-	}
-	shift := attempt - 1
-	if shift > 32 {
-		shift = 32
-	}
-	d := b.Base << shift
-	if d <= 0 || (b.Max > 0 && d > b.Max) {
-		d = b.Max
-		if d == 0 {
-			d = b.Base
-		}
-	}
-	h := rng.Mix64(b.Seed, uint64(attempt))
-	factor := 0.5 + float64(h>>11)/(1<<53) // [0.5, 1.5)
-	d = time.Duration(float64(d) * factor)
-	if b.Max > 0 && d > b.Max {
-		d = b.Max
-	}
-	return d
-}
-
 // Retry is the failure-budget discipline for Monte-Carlo algorithms: run is
 // invoked with attempt = 0, 1, ... until it returns nil or the budget is
 // exhausted. The callback is responsible for deriving a fresh seed from the
 // attempt number, so a retried run explores new randomness instead of
 // deterministically repeating its failure.
 func Retry(budget int, run func(attempt int) error) RetryResult {
-	return RetryContext(context.Background(), budget, Backoff{}, run)
+	return RetryContext(context.Background(), budget, run)
 }
 
-// RetryContext is Retry with cooperative cancellation and a backoff policy:
-// between attempts it waits out backoff.Delay(attempt) — abandoning the wait
-// (and the remaining budget) as soon as ctx is cancelled — and it never
-// starts an attempt on a dead context. An abandoned loop reports the context
-// cause as LastErr; attempts already made keep their count. The run callback
-// receives the same attempt numbering as Retry and owns per-attempt seed
-// derivation.
-func RetryContext(ctx context.Context, budget int, backoff Backoff, run func(attempt int) error) RetryResult {
+// RetryContext is Retry with cooperative cancellation: it never starts an
+// attempt on a dead context, so cancellation between attempts abandons the
+// remaining budget. An abandoned loop reports the context cause as LastErr;
+// attempts already made keep their count. The run callback receives the
+// same attempt numbering as Retry and owns per-attempt seed derivation.
+// Attempts follow each other at once: the harness reads no clock.
+func RetryContext(ctx context.Context, budget int, run func(attempt int) error) RetryResult {
 	var res RetryResult
 	for attempt := 0; attempt < budget; attempt++ {
-		if err := waitAttempt(ctx, backoff.Delay(attempt)); err != nil {
-			res.LastErr = err
+		if ctx.Err() != nil {
+			res.LastErr = fmt.Errorf("harness: retry abandoned between attempts: %w", context.Cause(ctx))
 			return res
 		}
 		res.Attempts++
@@ -112,25 +61,4 @@ func RetryContext(ctx context.Context, budget int, backoff Backoff, run func(att
 		}
 	}
 	return res
-}
-
-// waitAttempt sleeps d (0 is a pure cancellation check), returning a wrapped
-// context cause if ctx dies first. It is the one sanctioned wall-clock
-// consumer outside internal/sim — the localvet nowallclock gate exempts this
-// file, and only this file, of the harness.
-func waitAttempt(ctx context.Context, d time.Duration) error {
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("harness: retry abandoned between attempts: %w", context.Cause(ctx))
-	}
-	if d <= 0 {
-		return nil
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("harness: retry abandoned between attempts: %w", context.Cause(ctx))
-	}
 }

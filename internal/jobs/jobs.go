@@ -21,13 +21,12 @@
 //
 //   - Progress survives. Each completed row batch is checkpointed (in
 //     memory, and to CheckpointDir when configured, written atomically); a
-//     retried attempt or a resubmitted job resumes from the last completed
-//     batch and — because the harness replays recorded batches verbatim —
-//     produces byte-identical final output.
+//     resubmitted job resumes from the last completed batch and — because
+//     the harness replays recorded batches verbatim — produces
+//     byte-identical final output.
 //
-//   - Retry is disciplined. Transient failures are retried under
-//     harness.RetryContext with deterministic seeded-jitter backoff;
-//     cancellation and deadline errors are terminal, never retried.
+//   - A job runs once. It is a pure function of its Spec, so a failed job
+//     is terminal: running it again could only repeat the failure.
 package jobs
 
 import (
@@ -92,7 +91,8 @@ type Job struct {
 	Tenant string `json:"tenant,omitempty"`
 	// State is the lifecycle position at snapshot time.
 	State State `json:"state"`
-	// Attempts counts retry attempts started (1 on an untroubled run).
+	// Attempts counts attempts started: 1 once the job has run, 0 for a
+	// job cancelled while queued or answered from the result store.
 	Attempts int `json:"attempts"`
 	// BatchesDone counts freshly computed row batches checkpointed so far.
 	BatchesDone int `json:"batches_done"`

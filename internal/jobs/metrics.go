@@ -25,7 +25,6 @@ type poolMetrics struct {
 	succeeded     *obs.Counter
 	failed        *obs.Counter
 	cancelled     *obs.Counter
-	retries       *obs.Counter
 	panics        *obs.Counter
 	batches       *obs.Counter
 	queueDepth    *obs.Gauge
@@ -52,7 +51,6 @@ func newPoolMetrics(reg *obs.Registry) poolMetrics {
 		succeeded:     reg.Counter(doneName, doneHelp, "state", "succeeded"),
 		failed:        reg.Counter(doneName, doneHelp, "state", "failed"),
 		cancelled:     reg.Counter(doneName, doneHelp, "state", "cancelled"),
-		retries:       reg.Counter("locality_jobs_retries_total", "Job attempts beyond each job's first."),
 		panics:        reg.Counter("locality_jobs_panics_total", "Experiment panics recovered into job errors."),
 		batches:       reg.Counter("locality_jobs_batches_total", "Freshly computed row batches across all jobs."),
 		queueDepth:    reg.Gauge("locality_jobs_queue_depth", "Jobs waiting in the submission queue."),

@@ -13,13 +13,12 @@ import (
 	"locality/internal/harness"
 	"locality/internal/obs"
 	"locality/internal/obs/trace"
-	"locality/internal/rng"
 	"locality/internal/store"
 	"locality/internal/tenant"
 )
 
 // Options configures a Pool. The zero value is usable: 2 workers, a queue
-// of 16, no persistence, no retry, single-tenant, no dedup.
+// of 16, no persistence, single-tenant, no dedup.
 type Options struct {
 	// Workers is the number of concurrent job runners (default 2).
 	Workers int
@@ -32,14 +31,6 @@ type Options struct {
 	// resubmitted after a crash resumes from the persisted batches; the
 	// file is removed when the job succeeds.
 	CheckpointDir string
-	// RetryBudget is the number of attempts per job (default 1, i.e. no
-	// retry). Retries apply only to transient failures — panics that are
-	// not cancellations or deadlines — and each retried attempt resumes
-	// from the job's checkpoint rather than starting over.
-	RetryBudget int
-	// Backoff paces the retries. Its Seed is mixed with each job's Spec
-	// seed so every job walks its own deterministic jitter schedule.
-	Backoff harness.Backoff
 	// BatchHook, when non-nil, is invoked synchronously after each freshly
 	// computed (and persisted) row batch with the job ID and a private
 	// checkpoint clone. It exists for tests — fault injection, progress
@@ -47,7 +38,7 @@ type Options struct {
 	// recovered like any experiment panic.
 	BatchHook func(id string, ck *harness.Checkpoint)
 	// Metrics, when non-nil, receives the pool's counters and gauges
-	// (submissions, sheds by reason, terminal states, retries, panics,
+	// (submissions, sheds by reason, terminal states, panics,
 	// batches, queue depth, running jobs, per-tenant admissions). Nil
 	// disables instrumentation at zero cost.
 	Metrics *obs.Registry
@@ -87,8 +78,8 @@ type Options struct {
 	// Execute, when non-nil, runs every job in place of the local harness
 	// driver. It is injected because its one implementation, the cluster
 	// coordinator (cmd/localityd -coordinator), imports this package. It
-	// runs under the same panic isolation, cancel/timeout context, retry
-	// budget and terminal bookkeeping as a local attempt, but without the
+	// runs under the same panic isolation, cancel/timeout context and
+	// terminal bookkeeping as a local attempt, but without the
 	// checkpoint store or the harness observers: the executor owns its own
 	// progress and telemetry. It receives the job ID, the spec, the
 	// submitting tenant's raw API key and the job's durable trace parent,
@@ -116,13 +107,6 @@ func (o Options) queueDepth() int {
 		return o.QueueDepth
 	}
 	return 16
-}
-
-func (o Options) retryBudget() int {
-	if o.RetryBudget > 0 {
-		return o.RetryBudget
-	}
-	return 1
 }
 
 // job is the pool-private mutable record behind a Job snapshot. All fields
@@ -574,52 +558,17 @@ func (p *Pool) runJob(j *job, ten *tenant.Tenant) {
 		defer cancel()
 	}
 
+	// One attempt: a job is a pure function of its spec, so running it
+	// again could only repeat the same failure.
 	ck := p.store.load(j.spec)
+	p.mu.Lock()
+	j.attempts = 1
 	if ck != nil {
-		p.mu.Lock()
 		j.batchesDone = ck.Computed()
 		j.ck = ck
-		p.mu.Unlock()
 	}
-
-	backoff := p.opts.Backoff
-	backoff.Seed = rng.Mix64(backoff.Seed, j.spec.Seed)
-
-	// RetryContext owns the budget and the waits; the callback reports
-	// transient errors for retry and swallows permanent ones (recording
-	// them in `permanent`) to stop the budget early — a cancelled or
-	// deadlined job must not burn attempts it was told not to make.
-	var table string
-	var permanent error
-	rr := harness.RetryContext(ctx, p.opts.retryBudget(), backoff, func(attempt int) error {
-		if attempt > 0 {
-			p.metrics.retries.Inc()
-		}
-		p.mu.Lock()
-		j.attempts = attempt + 1
-		p.mu.Unlock()
-		out, err := p.attempt(ctx, j, &ck)
-		switch {
-		case err == nil:
-			table = out
-			return nil
-		case cancelled(err) || classify(err) == "deadline":
-			permanent = err
-			return nil
-		default:
-			return err
-		}
-	})
-
-	var final error
-	switch {
-	case permanent != nil:
-		final = permanent
-	case rr.Success:
-		final = nil
-	default:
-		final = rr.LastErr
-	}
+	p.mu.Unlock()
+	table, final := p.attempt(ctx, j, ck)
 
 	if final == nil {
 		// A sharded job's checkpoint IS its product: keep the file so a
@@ -708,24 +657,24 @@ func (p *Pool) retainLocked(j *job) {
 }
 
 // attempt runs the job once — through Options.Execute when set, else the
-// local experiment driver — under panic isolation: a panicking driver,
-// executor or batch hook is recovered into a *JobError carrying the value
-// and stack, and the worker lives on. It returns the rendered table.
-// Completed row batches are checkpointed as they land, so whatever ends this
-// attempt, the next one — or a resubmission — resumes where it stopped.
+// local experiment driver, which replays the batches in resume — under panic
+// isolation: a panicking driver, executor or batch hook is recovered into a
+// *JobError carrying the value and stack, and the worker lives on. It
+// returns the rendered table. Completed row batches are checkpointed as
+// they land, so whatever ends this attempt, a resubmission resumes where it
+// stopped.
 //
 // A sharded attempt (Spec.Rows set) ends in the harness's *ShardDoneError
 // panic instead of returning a table; that is its success: the final sparse
 // checkpoint — TotalBatches now known — is recorded, persisted, and the
 // attempt reports ("", nil).
-func (p *Pool) attempt(ctx context.Context, j *job, ck **harness.Checkpoint) (out string, err error) {
+func (p *Pool) attempt(ctx context.Context, j *job, resume *harness.Checkpoint) (out string, err error) {
 	defer func() {
 		r := recover()
 		if r == nil {
 			return
 		}
 		if done, ok := r.(*harness.ShardDoneError); ok && j.spec.Rows != nil {
-			*ck = done.Checkpoint
 			p.store.save(j.spec, done.Checkpoint)
 			p.mu.Lock()
 			j.ck = done.Checkpoint
@@ -757,11 +706,10 @@ func (p *Pool) attempt(ctx context.Context, j *job, ck **harness.Checkpoint) (ou
 		Seed:    j.spec.Seed,
 		Workers: j.spec.Workers,
 		Ctx:     ctx,
-		Resume:  *ck,
+		Resume:  resume,
 		OnBatch: func(c *harness.Checkpoint) {
 			p.metrics.batches.Inc()
 			snap := c.Clone()
-			*ck = snap
 			p.mu.Lock()
 			j.batchesDone = snap.Computed()
 			j.ck = snap

@@ -7,7 +7,7 @@ import (
 )
 
 // TestStoreRetentionShrinksIdentityMap is the regression test for the
-// idempotent-dedup leak: before Retention, a long-lived -idempotent daemon
+// idempotent-dedup leak: before Retention, a long-lived idempotent daemon
 // kept one identity entry per distinct spec forever. With retention bound
 // R, both the job table and the dedup map must shrink back to R as terminal
 // jobs age out.

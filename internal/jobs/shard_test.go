@@ -2,7 +2,7 @@ package jobs_test
 
 // Sharded-job and robustness-satellite coverage: Spec.Rows turns a job into
 // one shard of a cluster sweep whose product is its checkpoint; List order
-// is deterministic; Cancel is safe in the queued and retry-backoff windows.
+// is deterministic.
 
 import (
 	"bytes"
@@ -11,7 +11,6 @@ import (
 	"os"
 	"reflect"
 	"testing"
-	"time"
 
 	"locality/internal/harness"
 	"locality/internal/jobs"
@@ -237,38 +236,5 @@ func TestListDeterministicOrder(t *testing.T) {
 		}
 	}
 	close(hold)
-	closePool(t, p)
-}
-
-// TestCancelDuringRetryBackoff: cancelling a job parked in its retry
-// backoff wait lands it cancelled promptly — the hour-long backoff must not
-// pin the worker, and the cancellation must not race the retry loop (this
-// test is part of the -race suite).
-func TestCancelDuringRetryBackoff(t *testing.T) {
-	parked := make(chan string, 16)
-	p := jobs.New(jobs.Options{Workers: 1, RetryBudget: 3,
-		Backoff: harness.Backoff{Base: time.Hour},
-		BatchHook: func(id string, ck *harness.Checkpoint) {
-			if len(ck.Batches) == 1 {
-				parked <- id
-				panic("chaos: transient fault before the backoff wait")
-			}
-		}})
-	id, err := p.Submit(jobs.Spec{Experiment: "E8", Quick: true, Seed: 1})
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	<-parked
-	time.Sleep(10 * time.Millisecond) // let the attempt unwind into the backoff wait
-	if err := p.Cancel(id); err != nil {
-		t.Fatalf("cancel: %v", err)
-	}
-	j := waitTerminal(t, p, id) // fails the test in 30s — far short of the 1h backoff
-	if j.State != jobs.StateCancelled || j.ErrorKind != "cancelled" {
-		t.Fatalf("state %s kind %q (error %q), want cancelled", j.State, j.ErrorKind, j.Error)
-	}
-	if j.Attempts != 1 {
-		t.Errorf("attempts %d, want 1 (cancel must not burn the retry budget)", j.Attempts)
-	}
 	closePool(t, p)
 }

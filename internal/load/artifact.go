@@ -77,31 +77,27 @@ func Latest(dir string) (string, *Result, error) {
 	return path, &res, nil
 }
 
-// DefaultBaselineRatio is CompareBaseline's bound when none is given: the
-// widest bucket spacing is 2.5×, so 3 tolerates exactly one bucket of
-// cross-machine jitter and trips on a two-bucket (≥4×) regression.
-const DefaultBaselineRatio = 3
+// baselineRatio is CompareBaseline's bound: the widest bucket spacing is
+// 2.5×, so 3 tolerates exactly one bucket of cross-machine jitter and trips
+// on a two-bucket (≥4×) regression.
+const baselineRatio = 3
 
 // CompareBaseline gates res against a prior run: the well-behaved tenant's
-// solo and contended p99 may regress by at most maxRatio (≤0 defaults to
-// DefaultBaselineRatio). The comparison uses the bucket-quantized
-// quantiles — runs whose latencies land in the same buckets compare as
-// exactly equal, so only bucket-visible regressions trip across machines.
-// A nil baseline passes.
-func CompareBaseline(res, base *Result, maxRatio float64) error {
+// solo and contended p99 may regress by at most baselineRatio. The
+// comparison uses the bucket-quantized quantiles — runs whose latencies
+// land in the same buckets compare as exactly equal, so only bucket-visible
+// regressions trip across machines. A nil baseline passes.
+func CompareBaseline(res, base *Result) error {
 	if base == nil {
 		return nil
-	}
-	if maxRatio <= 0 {
-		maxRatio = DefaultBaselineRatio
 	}
 	check := func(name string, got, prior float64) error {
 		if prior <= 0 {
 			return nil
 		}
-		if got > prior*maxRatio {
+		if got > prior*baselineRatio {
 			return fmt.Errorf("load: %s p99 regressed: %.1fms vs baseline %.1fms (max ratio %.2f)",
-				name, got, prior, maxRatio)
+				name, got, prior, float64(baselineRatio))
 		}
 		return nil
 	}

@@ -18,10 +18,9 @@ import (
 	"locality/internal/tenant"
 )
 
-// floodPause paces abusive clients between submits; pollPause paces
-// terminal-state polling; pollBudget bounds how long one job may take.
+// pollPause paces terminal-state polling; pollBudget bounds how long one
+// job may take.
 const (
-	floodPause = 2 * time.Millisecond
 	pollPause  = 3 * time.Millisecond
 	pollBudget = 30 * time.Second
 )

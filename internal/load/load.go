@@ -18,16 +18,16 @@
 //	           is the fairness baseline.
 //	contended  the same workload with an abusive tenant flooding submits;
 //	           fairness holds iff no well-behaved request sheds AND the
-//	           well-behaved p99 stays within MaxFairnessRatio of solo (the
-//	           ratio is skipped while solo p99 is below a 10ms noise floor).
+//	           well-behaved p99 stays within 2× of solo (the ratio is
+//	           skipped while solo p99 is below a 10ms noise floor).
 //	duplicate  concurrent byte-identical submits; exactly one job may be
 //	           fresh, the rest must dedup to the same ID.
 //	stream     SSE streams over running jobs; every stream must observe a
 //	           terminal state and close cleanly.
-//	cache      one cold compute, then repeated byte-identical submits; every
-//	           warm submit must be answered without fresh compute (idempotent
+//	cache      one cold compute, then 8 byte-identical submits; every warm
+//	           submit must be answered without fresh compute (idempotent
 //	           dedup or result-store hit) and the warm p99 must sit at least
-//	           MinCacheSpeedup below the solo compute p99.
+//	           10× below the solo compute p99.
 //	chaos      (only with a Chaos hook, i.e. against a spawned daemon)
 //	           SIGTERM lands mid-stream; the open stream must still get a
 //	           terminal frame and a clean close.
@@ -79,6 +79,19 @@ const overflowMillis = 60000
 // rather than compute, and the ratio would gate on noise.
 const ratioFloorMillis = 10
 
+// The workload's fixed gates and pacing: the fairness bound on
+// contended-p99 / solo-p99, the cache phase's warm submits and the factor
+// by which their p99 must undercut the solo compute p99, and the pause
+// each abusive client takes between submits. A 10ms pause keeps tens of
+// sheds per run while leaving the admission layer, not the shared CPU,
+// as the bottleneck under test.
+const (
+	maxFairnessRatio = 2
+	cacheWarmHits    = 8
+	minCacheSpeedup  = 10
+	floodPause       = 10 * time.Millisecond
+)
+
 // Options configures one engine run. Zero fields take the defaults noted.
 type Options struct {
 	// BaseURL roots every request, e.g. "http://127.0.0.1:8177".
@@ -110,21 +123,6 @@ type Options struct {
 	// (default 3).
 	DuplicateSubmits int
 	Streams          int
-	// CacheWarmHits is how many byte-identical warm submits the cache
-	// phase issues after its one cold compute (default 8).
-	// MinCacheSpeedup is the factor by which the warm p99 must undercut
-	// the solo compute p99 (default 10; ≤0 keeps the default). The gate
-	// only fires when solo produced a usable p99.
-	CacheWarmHits   int
-	MinCacheSpeedup float64
-	// MaxFairnessRatio bounds contended-p99 / solo-p99 for the fairness
-	// verdict (default 2).
-	MaxFairnessRatio float64
-	// FloodPause paces each abusive client between submits (default
-	// 2ms). In-process tests on small machines raise it: the point of the
-	// contended phase is admission-layer pressure, not starving the
-	// shared CPU the measured workload runs on.
-	FloodPause time.Duration
 	// Chaos, when non-nil, delivers SIGTERM to the daemon under test. The
 	// chaos phase only runs with a hook — in-process test servers have no
 	// signal to send.
@@ -154,18 +152,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Streams == 0 {
 		o.Streams = 3
-	}
-	if o.CacheWarmHits == 0 {
-		o.CacheWarmHits = 8
-	}
-	if o.MinCacheSpeedup <= 0 {
-		o.MinCacheSpeedup = 10
-	}
-	if o.MaxFairnessRatio == 0 {
-		o.MaxFairnessRatio = 2
-	}
-	if o.FloodPause == 0 {
-		o.FloodPause = floodPause
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -260,7 +246,7 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 		o:     o,
 		good:  newClient(o.BaseURL, o.GoodKey),
 		abuse: newClient(o.BaseURL, o.AbuseKey),
-		res:   &Result{Schema: Schema, Seed: o.Seed, MaxFairnessRatio: o.MaxFairnessRatio},
+		res:   &Result{Schema: Schema, Seed: o.Seed, MaxFairnessRatio: maxFairnessRatio},
 		reg:   obs.NewRegistry(),
 	}
 
@@ -282,10 +268,10 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 		r.o.Logf("fairness: ratio gate skipped (solo p99 %.2fms below %.0fms floor)",
 			solo.P99Millis, float64(ratioFloorMillis))
 	}
-	r.res.Fair = fairnessHolds(solo.P99Millis, r.res.FairnessRatio, o.MaxFairnessRatio, r.res.GoodSheds)
+	r.res.Fair = fairnessHolds(solo.P99Millis, r.res.FairnessRatio, maxFairnessRatio, r.res.GoodSheds)
 	if !r.res.Fair {
 		r.res.fail("fairness: contended p99 %.1fms vs solo %.1fms (ratio %.2f > %.2f) with %d well-behaved sheds",
-			contended.P99Millis, solo.P99Millis, r.res.FairnessRatio, o.MaxFairnessRatio, r.res.GoodSheds)
+			contended.P99Millis, solo.P99Millis, r.res.FairnessRatio, float64(maxFairnessRatio), r.res.GoodSheds)
 	}
 	return r.res, ctx.Err()
 }
@@ -434,7 +420,7 @@ func (r *runner) flood(ctx context.Context, id int, stop <-chan struct{}) PhaseR
 		default:
 			ph.OK++
 		}
-		sleep(ctx, r.o.FloodPause)
+		sleep(ctx, floodPause)
 	}
 }
 
@@ -523,11 +509,11 @@ func (r *runner) runStream(ctx context.Context) {
 	r.o.Logf("phase stream: %d streams, %d terminals, %d errors", n, ph.Terminals, ph.Errors)
 }
 
-// runCache submits one cold compute and then CacheWarmHits byte-identical
+// runCache submits one cold compute and then cacheWarmHits byte-identical
 // warm submits. Every warm submit must be answered without re-entering the
 // worker pool — either the idempotent dedup map (same process lifetime) or
 // the persistent result store (across restarts) — and the warm p99 must sit
-// at least MinCacheSpeedup below the solo compute p99. The two answer tiers
+// at least minCacheSpeedup below the solo compute p99. The two answer tiers
 // are deliberately both accepted: which one fires depends on daemon
 // configuration, but recomputing is a violation under either.
 func (r *runner) runCache(ctx context.Context, solo PhaseResult) {
@@ -551,7 +537,7 @@ func (r *runner) runCache(ctx context.Context, solo PhaseResult) {
 	ph.OK++
 
 	var warm []float64
-	for i := 0; i < r.o.CacheWarmHits && ctx.Err() == nil; i++ {
+	for i := 0; i < cacheWarmHits && ctx.Err() == nil; i++ {
 		ph.Ops++
 		out, err := r.good.submitAndWait(ctx, body)
 		switch {
@@ -584,9 +570,9 @@ func (r *runner) runCache(ctx context.Context, solo PhaseResult) {
 		// bench gate's minimum-ns floor).
 		r.o.Logf("phase cache: speedup gate skipped (solo p99 %.2fms below %.0fms floor)",
 			solo.P99Millis, float64(ratioFloorMillis))
-	case ph.P99Millis*r.o.MinCacheSpeedup > solo.P99Millis:
-		r.res.fail("cache: warm p99 %.2fms not %.0f× below solo compute p99 %.2fms",
-			ph.P99Millis, r.o.MinCacheSpeedup, solo.P99Millis)
+	case ph.P99Millis*minCacheSpeedup > solo.P99Millis:
+		r.res.fail("cache: warm p99 %.2fms not %d× below solo compute p99 %.2fms",
+			ph.P99Millis, minCacheSpeedup, solo.P99Millis)
 	}
 	r.res.Phases = append(r.res.Phases, ph)
 	r.o.Logf("phase cache: %d ops, %d deduped, %d cached, warm p99 %.2fms vs solo %.2fms",

@@ -198,22 +198,19 @@ func TestArtifactRoundTripAndBaseline(t *testing.T) {
 	}
 
 	same := &Result{GoodSoloP99Bucket: 25, GoodContendedP99Bucket: 50}
-	if err := CompareBaseline(same, base, 2); err != nil {
+	if err := CompareBaseline(same, base); err != nil {
 		t.Errorf("equal run tripped the gate: %v", err)
 	}
-	atLimit := &Result{GoodSoloP99Bucket: 50, GoodContendedP99Bucket: 100}
-	if err := CompareBaseline(atLimit, base, 2); err != nil {
-		t.Errorf("2× run must pass a ratio-2 gate: %v", err)
+	atLimit := &Result{GoodSoloP99Bucket: 75, GoodContendedP99Bucket: 150}
+	if err := CompareBaseline(atLimit, base); err != nil {
+		t.Errorf("3× run must pass the ratio-3 gate: %v", err)
 	}
 	regressed := &Result{GoodSoloP99Bucket: 25, GoodContendedP99Bucket: 250}
-	if err := CompareBaseline(regressed, base, 2); err == nil {
+	if err := CompareBaseline(regressed, base); err == nil {
 		t.Error("5× contended regression passed the gate")
 	}
-	if err := CompareBaseline(regressed, nil, 2); err != nil {
+	if err := CompareBaseline(regressed, nil); err != nil {
 		t.Errorf("nil baseline must pass: %v", err)
-	}
-	if err := CompareBaseline(regressed, base, 0); err == nil {
-		t.Error("ratio 0 must default, not disable the gate")
 	}
 
 	// Unstamped results refuse to persist; wrong-schema baselines refuse
